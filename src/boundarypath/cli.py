@@ -8,7 +8,7 @@ run with an output directory writes a replayable manifest. Exit codes:
 
 Flag defaults can be overridden with environment variables prefixed
 BOUNDARYPATH_ (e.g. BOUNDARYPATH_SEED, BOUNDARYPATH_EPS_I,
-BOUNDARYPATH_EPS_R, BOUNDARYPATH_THREADS, BOUNDARYPATH_NO_CULLING).
+BOUNDARYPATH_EPS_R, BOUNDARYPATH_NO_CULLING).
 """
 
 import argparse
@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -77,7 +76,6 @@ def _add_common(sub):
     )
     sub.add_argument("--allow-backward", action="store_true")
     sub.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-    sub.add_argument("--threads", type=int, default=int(_env("THREADS", "1")))
     sub.add_argument("--out", type=str, default=None)
 
 
@@ -103,13 +101,6 @@ class SystemExit2(Exception):
     """Usage / IO error -> exit code 2."""
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_query(args):
     mesh = load_mesh(args.mesh)
     bvh = build_boundary_bvh(mesh)
@@ -118,14 +109,13 @@ def cmd_query(args):
         raise SystemExit2("no query points given")
     config = _query_config(args)
 
-    def one(p):
+    records = []
+    for p in points:
         res = shortest_path_to_boundary(mesh, bvh, p, config=config)
         if res is None:
-            return {"query_point": [float(x) for x in p], "result": None}
-        rec = res.as_dict(query_point=p)
-        return rec
-
-    records = _map_ordered(one, points, args.threads)
+            records.append({"query_point": [float(x) for x in p], "result": None})
+        else:
+            records.append(res.as_dict(query_point=p))
     payload = json.dumps({"mesh": args.mesh, "results": records}, indent=2)
     if args.out:
         out = Path(args.out)
@@ -161,7 +151,6 @@ def _manifest(args, inputs):
         "eps_r": args.eps_r,
         "no_culling": args.no_culling,
         "allow_backward": args.allow_backward,
-        "threads": args.threads,
     }
     return RunManifest(
         command=args.command,

@@ -1,8 +1,9 @@
 """Simplicial mesh representation: tetrahedral in 3D, triangular in 2D.
 
-Topology (element adjacency, oriented boundary faces) is built eagerly;
-boundary feature maps (vertex/edge incidence) are cached lazily and
-invalidated when vertex positions change.
+Topology (element adjacency, oriented boundary faces) and the boundary
+feature maps (vertex/edge incidence) are built once, at construction;
+`set_vertices` recomputes only signed volumes and the inverted/degenerate
+flags.
 """
 
 from dataclasses import dataclass
@@ -48,29 +49,41 @@ def build_adjacency(elements):
     Raises NonManifold if any face is shared by more than two elements.
     """
     elements = np.asarray(elements, dtype=np.int64)
-    dim = elements.shape[1] - 1
-    lf = local_faces(dim)
-    n_elem = len(elements)
-    adjacency = np.full((n_elem, dim + 1), BOUNDARY, dtype=np.int64)
-    adj_local = np.full((n_elem, dim + 1), -1, dtype=np.int64)
-    face_owner = {}
-    for e in range(n_elem):
-        elem = elements[e]
-        for k, idx in enumerate(lf):
-            key = tuple(sorted(int(elem[i]) for i in idx))
-            prev = face_owner.get(key)
-            if prev is not None:
-                other, ok = prev
-                if other is None:
-                    raise NonManifold(key, [e])
-                adjacency[e, k] = other
-                adj_local[e, k] = ok
-                adjacency[other, ok] = e
-                adj_local[other, ok] = k
-                face_owner[key] = (None, None)  # seen twice; a third owner errors
-            else:
-                face_owner[key] = (e, k)
-    return adjacency, adj_local
+    n_elem, nv = elements.shape
+    # row e * nv + k holds the sorted vertex key of local face k of element e
+    keys = np.sort(elements[:, np.asarray(local_faces(nv - 1))], axis=2)
+    keys = keys.reshape(n_elem * nv, nv - 1)
+    order = np.lexsort(keys.T[::-1])  # stable: equal keys keep row order
+    sorted_keys = keys[order]
+    same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
+    third = np.flatnonzero(same[1:] & same[:-1])
+    if len(third):
+        # report the third owner that a pass in row order meets first
+        row = int(order[third + 2].min())
+        raise NonManifold([int(g) for g in keys[row]], [row // nv])
+    a, b = order[:-1][same], order[1:][same]
+    adjacency = np.full(n_elem * nv, BOUNDARY, dtype=np.int64)
+    adj_local = np.full(n_elem * nv, -1, dtype=np.int64)
+    adjacency[a], adj_local[a] = b // nv, b % nv
+    adjacency[b], adj_local[b] = a // nv, a % nv
+    return adjacency.reshape(n_elem, nv), adj_local.reshape(n_elem, nv)
+
+
+def _feature_maps(boundary_faces, dim):
+    """Boundary faces of each vertex and edge, and the boundary neighbors
+    of each vertex (sorted), keyed by global vertex ids."""
+    vertex_faces = {}
+    edge_faces = {}
+    neighbors = {}
+    for fid, face in enumerate(boundary_faces.tolist()):
+        for g in face:
+            vertex_faces.setdefault(g, []).append(fid)
+        for i in range(dim if dim == 3 else 1):
+            a, b = face[i], face[(i + 1) % dim]
+            edge_faces.setdefault((min(a, b), max(a, b)), []).append(fid)
+            neighbors.setdefault(a, set()).add(b)
+            neighbors.setdefault(b, set()).add(a)
+    return vertex_faces, edge_faces, {g: sorted(n) for g, n in neighbors.items()}
 
 
 class SimplicialMesh:
@@ -98,38 +111,36 @@ class SimplicialMesh:
     # -- construction ------------------------------------------------------
 
     def _build_topology(self):
-        lf = local_faces(self.dim)
-        n_elem = len(self.elements)
         self.adjacency, self.adj_local = build_adjacency(self.elements)
-
-        boundary = []
-        owners = []
-        owner_local = []
-        self._boundary_id_of = {}
-        for e in range(n_elem):
-            elem = self.elements[e]
-            for k, idx in enumerate(lf):
-                if self.adjacency[e, k] == BOUNDARY:
-                    self._boundary_id_of[(e, k)] = len(boundary)
-                    boundary.append([int(elem[i]) for i in idx])
-                    owners.append(e)
-                    owner_local.append(k)
-        self.boundary_faces = np.asarray(boundary, dtype=np.int64).reshape(-1, self.dim)
-        self.boundary_owner = np.asarray(owners, dtype=np.int64)
-        self.boundary_owner_local = np.asarray(owner_local, dtype=np.int64)
+        # row-major order: face ids follow (element, local face)
+        owners, local = np.nonzero(self.adjacency == BOUNDARY)
+        self.boundary_owner, self.boundary_owner_local = owners, local
+        face_idx = np.asarray(local_faces(self.dim))[local]
+        self.boundary_faces = self.elements[owners[:, None], face_idx]
+        self._vertex_faces, self._edge_faces, self._vertex_neighbors = _feature_maps(
+            self.boundary_faces, self.dim
+        )
 
     def _refresh_geometry(self):
-        vols = np.empty(len(self.elements))
-        for e in range(len(self.elements)):
-            vols[e] = geometry.signed_volume_of(self.vertices[self.elements[e]])
+        x = self.vertices[self.elements]
+        a = x[:, 1] - x[:, 0]
+        b = x[:, 2] - x[:, 0]
+        if self.dim == 3:
+            # bit-identical to geometry.signed_volume_of; einsum and
+            # sum(axis=1) round differently on some elements
+            c = x[:, 3] - x[:, 0]
+            vols = (a[:, None, :] @ np.cross(b, c)[:, :, None])[:, 0, 0] / 6.0
+        else:
+            vols = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) / 2.0
         self.signed_volumes = vols
         self.inverted_flags = vols < 0.0
         self.degenerate_flags = vols == 0.0
-        self._boundary_cache = None
 
     def set_vertices(self, vertices):
-        """Replace vertex positions. Invalidates cached geometry; any BVH
-        built over this mesh must be refit by the caller."""
+        """Replace vertex positions and recompute signed volumes and the
+        inverted/degenerate flags; topology and the boundary feature maps
+        do not depend on positions and stay. Any BVH built over this mesh
+        must be refit by the caller."""
         vertices = np.ascontiguousarray(vertices, dtype=float)
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must not change")
@@ -200,33 +211,15 @@ class SimplicialMesh:
 
     # -- boundary feature topology ------------------------------------------
 
-    def _boundary_topology(self):
-        if self._boundary_cache is None:
-            vertex_faces = {}
-            edge_faces = {}
-            vertex_neighbors = {}
-            for fid, face in enumerate(self.boundary_faces):
-                face = [int(g) for g in face]
-                for g in face:
-                    vertex_faces.setdefault(g, []).append(fid)
-                n = len(face)
-                for i in range(n if self.dim == 3 else 1):
-                    a, b = face[i], face[(i + 1) % n]
-                    edge_faces.setdefault((min(a, b), max(a, b)), []).append(fid)
-                    vertex_neighbors.setdefault(a, set()).add(b)
-                    vertex_neighbors.setdefault(b, set()).add(a)
-            self._boundary_cache = (vertex_faces, edge_faces, vertex_neighbors)
-        return self._boundary_cache
-
     def boundary_vertex_neighbors(self, gv):
-        return sorted(self._boundary_topology()[2].get(gv, ()))
+        return list(self._vertex_neighbors.get(gv, ()))
 
     def boundary_faces_of_vertex(self, gv):
-        return list(self._boundary_topology()[0].get(gv, ()))
+        return list(self._vertex_faces.get(gv, ()))
 
     def boundary_faces_of_edge(self, a, b):
         key = (min(int(a), int(b)), max(int(a), int(b)))
-        return list(self._boundary_topology()[1].get(key, ()))
+        return list(self._edge_faces.get(key, ()))
 
     def boundary_faces_containing_vertex(self, gv):
         return set(self.boundary_faces_of_vertex(gv))

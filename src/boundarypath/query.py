@@ -46,7 +46,6 @@ class QueryConfig:
     enable_culling: bool = True
     traversal: TraversalConfig = field(default_factory=TraversalConfig)
     exclude_vertex: int | None = None
-    scale_epsilon_r_by_bbox: bool = False
     backward_mode: bool | None = None  # None: auto from mesh inversion state
 
     def __post_init__(self):
@@ -151,11 +150,6 @@ def shortest_path_to_boundary(mesh, bvh, p, p_element=None, config=None, scratch
         backward = mesh.has_inverted_interior
     validate = is_valid_path_inverted if backward else is_valid_path
 
-    thr = config.epsilon_r
-    if config.scale_epsilon_r_by_bbox:
-        span = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-        thr = thr * float(np.linalg.norm(span))
-
     skip = mesh.boundary_face_skipped
     excl_faces = (
         mesh.boundary_faces_containing_vertex(config.exclude_vertex)
@@ -181,9 +175,7 @@ def shortest_path_to_boundary(mesh, bvh, p, p_element=None, config=None, scratch
         d = float(np.linalg.norm(s - p))
         if best is not None and d >= best.distance:
             continue
-        if culling and not feasible_region_check(
-            mesh, s, feature, p, thr
-        ):
+        if culling and not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
             continue
         stats.traversals_run += 1
         try:

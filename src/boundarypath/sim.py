@@ -4,18 +4,17 @@ Mass-spring material plus plane collision constraints whose anchor points
 come from the shortest-internal-path boundary query, so penetrating
 features of self-intersecting or overlapping meshes are pushed out along
 the true nearest exit. Discrete collision detection only (vertex-element
-and edge-element); continuous detection and friction are out of scope
-(a friction coefficient exists in the config but is inert).
+and edge-element); continuous detection and friction are out of scope.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import geometry
 from .bvh import BoundaryBvh, ElementBvh
-from .errors import NumericalBlowup
+from .errors import NumericalBlowup, ParseError
 from .meshio import load_mesh
 from .query import QueryConfig, shortest_path_to_boundary
 from .traversal import TraversalScratch
@@ -30,7 +29,6 @@ class SimConfig:
     collision_compliance: float = 0.0
     material_compliance: float = 0.0
     stiffness_k: float = 1e4  # penalty-energy reporting only
-    friction: float = 0.0  # inert stub; friction is not simulated
     damping: float = 0.0  # scales velocities by (1 - damping); 1 = quasi-static
     # projection targets c >= margin; exactly-on-face points otherwise
     # flicker in and out of the strict containment test
@@ -481,13 +479,28 @@ def count_penetrations(state, runtime, include_centroids=False):
 
 def load_scene(path):
     """JSON scene: {"meshes": [{"path", "translate"?, "scale"?,
-    "mass"?}], "config": {SimConfig fields}}. Returns (state, config)."""
+    "mass"?}], "config": {SimConfig fields}}. Returns (state, config).
+    Raises ParseError for a document of another shape or an unknown
+    config key."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, exc.msg) from exc
+    specs = doc.get("meshes") if isinstance(doc, dict) else None
+    if not isinstance(specs, list) or not all(isinstance(m, dict) and "path" in m for m in specs):
+        raise ParseError(path, 0, 'a scene needs a "meshes" list of {"path": ...} objects')
+    cfg_doc = dict(doc.get("config", {}))
+    unknown = sorted(set(cfg_doc) - {f.name for f in fields(SimConfig)})
+    if unknown:
+        raise ParseError(path, 0, f"unknown config keys: {', '.join(unknown)}")
+    if "gravity" in cfg_doc:
+        cfg_doc["gravity"] = tuple(cfg_doc["gravity"])
+    config = SimConfig(**cfg_doc)
     meshes = []
     masses = []
     base = path.rsplit("/", 1)[0] if "/" in path else "."
-    for spec_m in doc["meshes"]:
+    for spec_m in specs:
         mpath = spec_m["path"]
         if not mpath.startswith("/"):
             mpath = f"{base}/{mpath}"
@@ -498,8 +511,4 @@ def load_scene(path):
         meshes.append(mesh)
         mass = spec_m.get("mass")
         masses.append(None if mass is None else np.full(mesh.n_vertices, float(mass)))
-    cfg_doc = dict(doc.get("config", {}))
-    if "gravity" in cfg_doc:
-        cfg_doc["gravity"] = tuple(cfg_doc["gravity"])
-    config = SimConfig(**cfg_doc)
     return make_state(meshes, masses), config

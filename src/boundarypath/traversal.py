@@ -3,8 +3,9 @@
 Decides whether the straight segment from a boundary point to an interior
 point is covered by a chain of face-adjacent elements. Numerical ties near
 vertices/edges branch the traversal instead of failing; loops are cut with
-a recently-visited ring and recovered from via the candidate face stack;
-an optional backward mode handles inverted interior elements.
+a per-traversal set of visited (element, entry face) states, the same state
+the brute-force oracle keeps; an optional backward mode handles inverted
+interior elements.
 """
 
 from dataclasses import dataclass, field, replace
@@ -46,77 +47,34 @@ def make_ray_frame(origin, target):
 @dataclass
 class TraversalConfig:
     epsilon_i: float = 1e-10
-    visited_capacity: int = 16
-    static_stack_capacity: int = 32
     allow_backward: bool = False
     cutoff_factor: float = 2.0
     intersection_free_early_out: bool = False
     trace: bool = False
 
     def __post_init__(self):
-        if self.visited_capacity < 4:
-            raise ValueError("visited_capacity must be >= 4")
         if self.cutoff_factor < 1.0:
             raise ValueError("cutoff_factor must be >= 1")
         if self.epsilon_i < 0.0:
             raise ValueError("epsilon_i must be >= 0")
 
 
-class _VisitedRing:
-    """Fixed-capacity circular list of recently entered elements; promoted
-    to an unbounded set when the static stacks overflow."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.ring = []
-        self.head = 0
-        self.overflow = None
-
-    def reset(self):
-        self.ring.clear()
-        self.head = 0
-        self.overflow = None
-
-    def add(self, e):
-        if self.overflow is not None:
-            self.overflow.add(e)
-            return
-        if len(self.ring) < self.capacity:
-            self.ring.append(e)
-        else:
-            self.ring[self.head] = e
-            self.head = (self.head + 1) % self.capacity
-
-    def promote(self):
-        if self.overflow is None:
-            self.overflow = set(self.ring)
-
-    def __contains__(self, e):
-        if self.overflow is not None:
-            return e in self.overflow
-        return e in self.ring
-
-
 @dataclass
 class TraversalScratch:
-    """Caller-owned reusable buffers; one per in-flight traversal."""
+    """Caller-owned reusable buffers; one per in-flight traversal. The
+    traversal reads the config passed with each call, not this one."""
 
     config: TraversalConfig = field(default_factory=TraversalConfig)
     face_stack: list = field(default_factory=list)
     elem_stack: list = field(default_factory=list)
+    visited: set = field(default_factory=set)
     trace: list = field(default_factory=list)
 
-    def __post_init__(self):
-        self.visited = _VisitedRing(self.config.visited_capacity)
-
-    def reset(self, config):
+    def reset(self):
         self.face_stack.clear()
         self.elem_stack.clear()
+        self.visited.clear()
         self.trace.clear()
-        if self.visited.capacity != config.visited_capacity:
-            self.visited = _VisitedRing(config.visited_capacity)
-        else:
-            self.visited.reset()
 
 
 @dataclass
@@ -239,14 +197,14 @@ def _traverse(mesh, frame, start_face, p, config, scratch):
     eps = config.epsilon_i
     adjacency = mesh.adjacency
     adj_local = mesh.adj_local
-    scratch.reset(config)
+    scratch.reset()
     visited = scratch.visited
     faces = scratch.face_stack
     elems = scratch.elem_stack
 
     e0 = int(mesh.boundary_owner[start_face])
     k0 = int(mesh.boundary_owner_local[start_face])
-    visited.add(e0)
+    visited.add((e0, k0))
     n_visited = 1
     steps = 0
     loops = 0
@@ -263,7 +221,6 @@ def _traverse(mesh, frame, start_face, p, config, scratch):
     # branching near ties before the breach flag trips.
     budget = max(8 * mesh.n_elements * (mesh.dim + 1), 256)
     cutoff = config.cutoff_factor * frame.length
-    dynamic = False
     hit_boundary = False
 
     while faces:
@@ -279,7 +236,8 @@ def _traverse(mesh, frame, start_face, p, config, scratch):
             # the branch exits the mesh; tie branches may still reach p
             hit_boundary = True
             continue
-        if nb in visited:
+        in_local = int(adj_local[e, lf])
+        if (nb, in_local) in visited:
             loops += 1
             continue
         if config.allow_backward:
@@ -290,9 +248,8 @@ def _traverse(mesh, frame, start_face, p, config, scratch):
             # the origin is just as dead under the no-intersection assumption
             if abs(_crossing_parameter(mesh, e, lf, frame)) > frame.length:
                 continue
-        visited.add(nb)
+        visited.add((nb, in_local))
         n_visited += 1
-        in_local = int(adj_local[e, lf])
         if config.trace:
             scratch.trace.append(
                 (nb, in_local, _crossing_parameter(mesh, e, lf, frame), len(faces))
@@ -302,9 +259,6 @@ def _traverse(mesh, frame, start_face, p, config, scratch):
         for lf2 in exit_face_selection(mesh, nb, in_local, frame, eps):
             faces.append(lf2)
             elems.append(nb)
-        if not dynamic and len(faces) > config.static_stack_capacity:
-            dynamic = True
-            visited.promote()
 
     reason = "hit_boundary" if hit_boundary else "exhausted"
     return TraversalResult(False, reason, -1, n_visited, steps, loops)

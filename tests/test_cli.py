@@ -139,9 +139,19 @@ def test_env_override_seed(cube_path, tmp_path, monkeypatch):
     assert manifest["seed"] == 77
 
 
-def test_threads_same_output(cube_path, capsys):
-    main(["query", cube_path, "0.5 0.5 0.5", "0.2 0.2 0.2", "--threads", "1"])
-    a = capsys.readouterr().out
-    main(["query", cube_path, "0.5 0.5 0.5", "0.2 0.2 0.2", "--threads", "4"])
-    b = capsys.readouterr().out
-    assert a == b
+@pytest.mark.parametrize(
+    "scene",
+    [
+        '{"mesh": [{"path": "box.json"}]}',
+        '{"meshes": {"path": "box.json"}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"substepz": 3}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"friction": 0.5}}',
+        '{"meshes": [',
+    ],
+    ids=["no-meshes", "meshes-not-list", "unknown-key", "friction", "not-json"],
+)
+def test_simulate_bad_scene_exit_2(tmp_path, capsys, scene):
+    save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
+    (tmp_path / "scene.json").write_text(scene)
+    assert main(["simulate", str(tmp_path / "scene.json"), "--substeps", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boundarypath import shapes
+from boundarypath import geometry, shapes
 from boundarypath.errors import DegenerateFace, NonManifold, ZeroNormal
 from boundarypath.mesh import BOUNDARY, build_adjacency, local_faces, make_mesh
 
@@ -218,3 +218,94 @@ def test_set_vertices_refreshes_geometry(tri):
     mesh.set_vertices(v)
     assert mesh.inverted_flags[0]
     assert mesh.version == 1
+
+
+# -- array-built topology and volumes against per-element references --------
+
+
+def reference_topology(elements, dim):
+    """Adjacency and boundary faces found one element at a time, with a
+    dict of face keys; boundary faces in (element, local face) order."""
+    adjacency = np.full(elements.shape, BOUNDARY)
+    adj_local = np.full(elements.shape, -1)
+    open_faces = {}
+    for e, elem in enumerate(elements.tolist()):
+        for k, idx in enumerate(local_faces(dim)):
+            key = tuple(sorted(elem[i] for i in idx))
+            if key in open_faces:
+                o, ok = open_faces.pop(key)
+                adjacency[e, k], adj_local[e, k] = o, ok
+                adjacency[o, ok], adj_local[o, ok] = e, k
+            else:
+                open_faces[key] = (e, k)
+    faces, owners, owner_local = [], [], []
+    for e, elem in enumerate(elements.tolist()):
+        for k, idx in enumerate(local_faces(dim)):
+            if adjacency[e, k] == BOUNDARY:
+                faces.append([elem[i] for i in idx])
+                owners.append(e)
+                owner_local.append(k)
+    return adjacency, adj_local, faces, owners, owner_local
+
+
+def scrambled(mesh, seed, scale):
+    """Positions of mesh jittered until elements invert, with element 0
+    made exactly flat (all its vertices share the last coordinate)."""
+    rng = np.random.default_rng(seed)
+    v = mesh.vertices + rng.normal(scale=scale, size=mesh.vertices.shape)
+    v[mesh.elements[0], -1] = 0.0
+    return v
+
+
+MESHES = {
+    "folded_bar": lambda: shapes.folded_bar(8, 2, 2),
+    "deformed_blob": lambda: shapes.deformed_blob(np.random.default_rng(5)),
+    "flipped_corner_grid": shapes.flipped_corner_grid,
+}
+
+
+@pytest.fixture(params=sorted(MESHES))
+def base_and_scrambled(request):
+    base = MESHES[request.param]()
+    return base, scrambled(base, 7, 0.2 * np.ptp(base.vertices, axis=0).min())
+
+
+def test_signed_volumes_match_reference(base_and_scrambled):
+    base, v = base_and_scrambled
+    for verts in (base.vertices, v):
+        mesh = make_mesh(verts, base.elements)
+        ref = np.array([geometry.signed_volume_of(verts[el]) for el in base.elements])
+        assert np.array_equal(mesh.signed_volumes, ref)
+        assert np.array_equal(mesh.inverted_flags, ref < 0.0)
+        assert np.array_equal(mesh.degenerate_flags, ref == 0.0)
+    assert mesh.inverted_flags.any() and mesh.degenerate_flags[0]
+
+
+def test_topology_matches_reference(base_and_scrambled):
+    base, _ = base_and_scrambled
+    adjacency, adj_local, faces, owners, local = reference_topology(base.elements, base.dim)
+    assert np.array_equal(base.adjacency, adjacency)
+    assert np.array_equal(base.adj_local, adj_local)
+    assert base.boundary_faces.tolist() == faces
+    assert base.boundary_owner.tolist() == owners
+    assert base.boundary_owner_local.tolist() == local
+
+
+def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
+    base, v = base_and_scrambled
+    mesh = make_mesh(base.vertices, base.elements)
+    mesh.set_vertices(v)
+    fresh = make_mesh(v, base.elements)
+    for name in (
+        "adjacency", "adj_local", "boundary_faces", "boundary_owner", "boundary_owner_local",
+        "signed_volumes", "inverted_flags", "degenerate_flags",
+    ):
+        assert np.array_equal(getattr(mesh, name), getattr(fresh, name)), name
+    for g in range(mesh.n_vertices):
+        assert mesh.boundary_faces_of_vertex(g) == fresh.boundary_faces_of_vertex(g)
+        assert mesh.boundary_vertex_neighbors(g) == fresh.boundary_vertex_neighbors(g)
+    dim = mesh.dim
+    edges = {tuple(f[[i, (i + 1) % dim]]) for f in mesh.boundary_faces for i in range(dim)}
+    assert edges
+    for a, b in edges:
+        assert mesh.boundary_faces_of_edge(a, b) == fresh.boundary_faces_of_edge(a, b) != []

@@ -209,8 +209,6 @@ def test_trace_output(tet):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TraversalConfig(visited_capacity=2)
-    with pytest.raises(ValueError):
         TraversalConfig(cutoff_factor=0.5)
     with pytest.raises(ValueError):
         TraversalConfig(epsilon_i=-1e-10)
