@@ -2,8 +2,10 @@
 
 One tree type backs both the boundary-face hierarchy (shrinking-radius
 closest-primitive enumeration) and the element-level hierarchy used by
-discrete collision detection. Trees support O(n) refit after vertex
-motion; rebuild is only needed on topology change.
+discrete collision detection. Box overlap answers a whole batch of query
+boxes in one level-by-level walk, and refit sweeps the tree one level at
+a time; both are array code with a Python loop over tree depth only.
+Rebuild is only needed on topology change.
 """
 
 import heapq
@@ -16,8 +18,9 @@ from .errors import EmptyBoundary
 class AabbTree:
     """Binary AABB tree, median split on the longest centroid axis.
 
-    Nodes are stored in arrays with children after their parent, so a
-    reverse sweep refits the tree bottom-up.
+    Nodes are stored in arrays. The build records each node's depth, for
+    the level-order refit, and each primitive's rank in the leaf order of
+    a right-first depth-first walk, which orders box_overlap's output.
     """
 
     def __init__(self, boxes):
@@ -32,11 +35,16 @@ class AabbTree:
         self.left = np.full(max_nodes, -1, dtype=np.int64)
         self.right = np.full(max_nodes, -1, dtype=np.int64)
         self.prim = np.full(max_nodes, -1, dtype=np.int64)
+        self.depth = np.zeros(max_nodes, dtype=np.int64)
+        self.rank = np.empty(n, dtype=np.int64)  # leaf visit order per primitive
         self._n_nodes = 0
         centroids = 0.5 * (boxes[:, 0] + boxes[:, 1])
-        # iterative build: (node index, primitive id array)
+        # iterative build: (node index, primitive id array); popping the
+        # right child first visits the leaves in the order box_overlap
+        # reports them
         root = self._alloc()
         stack = [(root, np.arange(n))]
+        n_leaves = 0
         while stack:
             node, ids = stack.pop()
             sub = boxes[ids]
@@ -44,6 +52,8 @@ class AabbTree:
             self.hi[node] = sub[:, 1].max(axis=0)
             if len(ids) == 1:
                 self.prim[node] = ids[0]
+                self.rank[ids[0]] = n_leaves
+                n_leaves += 1
                 continue
             cen = centroids[ids]
             axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
@@ -52,6 +62,7 @@ class AabbTree:
             l, r = self._alloc(), self._alloc()
             self.left[node] = l
             self.right[node] = r
+            self.depth[l] = self.depth[r] = self.depth[node] + 1
             stack.append((l, ids[order[:half]]))
             stack.append((r, ids[order[half:]]))
 
@@ -61,39 +72,54 @@ class AabbTree:
         return i
 
     def refit(self, boxes):
+        """Leaves take their primitives' boxes; internal nodes are swept
+        one level at a time from the deepest, so both children of a level
+        are final before it reads them. Min and max are exact, so the
+        boxes equal a node-by-node sweep's bit for bit."""
         boxes = np.asarray(boxes, dtype=float)
-        for node in range(self._n_nodes - 1, -1, -1):
-            pid = self.prim[node]
-            if pid >= 0:
-                self.lo[node] = boxes[pid, 0]
-                self.hi[node] = boxes[pid, 1]
-            else:
-                l, r = self.left[node], self.right[node]
-                self.lo[node] = np.minimum(self.lo[l], self.lo[r])
-                self.hi[node] = np.maximum(self.hi[l], self.hi[r])
+        leaf = self.prim >= 0
+        self.lo[leaf] = boxes[self.prim[leaf], 0]
+        self.hi[leaf] = boxes[self.prim[leaf], 1]
+        inner = np.flatnonzero(~leaf)
+        for d in range(int(self.depth.max()) - 1, -1, -1):
+            nodes = inner[self.depth[inner] == d]
+            l, r = self.left[nodes], self.right[nodes]
+            self.lo[nodes] = np.minimum(self.lo[l], self.lo[r])
+            self.hi[nodes] = np.maximum(self.hi[l], self.hi[r])
 
     def _box_dist(self, node, p):
         d = np.maximum(self.lo[node] - p, 0.0) + np.maximum(p - self.hi[node], 0.0)
         return float(np.linalg.norm(d))
 
     def box_overlap(self, lo, hi):
-        """Primitive ids whose boxes intersect [lo, hi]."""
-        out = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if np.any(self.lo[node] > hi) or np.any(self.hi[node] < lo):
-                continue
-            pid = self.prim[node]
-            if pid >= 0:
-                out.append(int(pid))
-            else:
-                stack.append(int(self.left[node]))
-                stack.append(int(self.right[node]))
-        return out
+        """Every (box, primitive) pair whose boxes intersect, for k query
+        boxes given as (k, dim) corner arrays. Touching boxes intersect.
 
-    def containing_point(self, p):
-        return self.box_overlap(p, p)
+        The tree is walked one level at a time with a frontier of (box,
+        node) pairs. Returns two int arrays (box index, primitive id),
+        sorted by box and, within a box, in the order of a depth-first
+        walk that visits right children first.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        box = np.arange(len(lo))
+        node = np.zeros(len(lo), dtype=np.int64)
+        out_box, out_prim = [box[:0]], [node[:0]]
+        while len(box):
+            miss = np.any(self.lo[node] > hi[box], axis=1)
+            miss |= np.any(self.hi[node] < lo[box], axis=1)
+            box, node = box[~miss], node[~miss]
+            pid = self.prim[node]
+            leaf = pid >= 0
+            out_box.append(box[leaf])
+            out_prim.append(pid[leaf])
+            box, node = box[~leaf], node[~leaf]
+            box = np.concatenate([box, box])
+            node = np.concatenate([self.left[node], self.right[node]])
+        box = np.concatenate(out_box)
+        prim = np.concatenate(out_prim)
+        order = np.lexsort((self.rank[prim], box))
+        return box[order], prim[order]
 
 
 class NearPrimIter:
@@ -177,9 +203,3 @@ class ElementBvh:
     def refit(self, mesh):
         self.tree.refit(_element_boxes(mesh))
         self.mesh_version = mesh.version
-
-    def elements_containing(self, point):
-        return self.tree.containing_point(np.asarray(point, dtype=float))
-
-    def elements_overlapping(self, lo, hi):
-        return self.tree.box_overlap(np.asarray(lo, float), np.asarray(hi, float))

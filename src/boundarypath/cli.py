@@ -41,7 +41,7 @@ class RunManifest:
     command: str
     inputs: list
     overrides: dict
-    seed: int
+    seed: int | None
     output_dir: str
     version: str = __version__
     argv: list = field(default_factory=list)
@@ -146,17 +146,22 @@ def _write_path_obj(path, points, records):
 
 
 def _manifest(args, inputs):
-    overrides = {
-        "eps_i": args.eps_i,
-        "eps_r": args.eps_r,
-        "no_culling": args.no_culling,
-        "allow_backward": args.allow_backward,
-    }
+    """Replay manifest. The query flags and the seed are recorded for the
+    subcommands that take them; `simulate` reads its query config from
+    the scene file, so its manifest records no overrides."""
+    overrides = {}
+    if args.command != "simulate":
+        overrides = {
+            "eps_i": args.eps_i,
+            "eps_r": args.eps_r,
+            "no_culling": args.no_culling,
+            "allow_backward": args.allow_backward,
+        }
     return RunManifest(
         command=args.command,
         inputs=list(inputs),
         overrides=overrides,
-        seed=args.seed,
+        seed=getattr(args, "seed", None),
         output_dir=args.out or "",
         argv=sys.argv[1:],
     )
@@ -420,13 +425,12 @@ def build_parser():
     s = subs.add_parser("simulate", help="run a scene")
     s.add_argument("scene")
     s.add_argument("--substeps", type=int, default=None)
-    _add_common(s)
+    s.add_argument("--out", type=str, default=None)
     s.set_defaults(fn=cmd_simulate)
 
     c = subs.add_parser("convert", help="convert between mesh formats")
     c.add_argument("input")
     c.add_argument("output")
-    _add_common(c)
     c.set_defaults(fn=cmd_convert)
 
     return parser

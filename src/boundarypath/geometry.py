@@ -24,20 +24,26 @@ def signed_volume_of(verts):
 def barycentric_coords(p, verts):
     """Barycentric coordinates of p w.r.t. a simplex (tet in 3D, tri in 2D).
 
-    Solved as a small linear system; degenerate simplices give large or
-    non-finite coordinates, which callers treat as 'outside'.
+    Broadcasts over leading axes: p is (..., d) and verts is (..., d+1, d);
+    the result is (..., d+1). All systems are solved in one batched call.
+    A singular simplex gives inf coordinates, and a near-singular one
+    large ones; callers treat both as 'outside'.
     """
     verts = np.asarray(verts, dtype=float)
     p = np.asarray(p, dtype=float)
-    d = verts.shape[1]
-    A = (verts[1:] - verts[0]).T
+    v0 = verts[..., 0, :]
+    A = (verts[..., 1:, :] - v0[..., None, :]).swapaxes(-1, -2)
     try:
-        x = np.linalg.solve(A, p - verts[0])
+        x = np.linalg.solve(A, (p - v0)[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.full(d + 1, np.inf)
-    out = np.empty(d + 1)
-    out[1:] = x
-    out[0] = 1.0 - x.sum()
+        if p.ndim == 1 and A.ndim == 2:
+            return np.full(A.shape[-1] + 1, np.inf)
+        # solve row by row so one singular simplex spoils only its own row
+        p, verts = np.broadcast_arrays(p[..., None, :], verts)
+        return np.array([barycentric_coords(pi, vi) for pi, vi in zip(p[..., 0, :], verts)])
+    out = np.empty(x.shape[:-1] + (A.shape[-1] + 1,))
+    out[..., 1:] = x
+    out[..., 0] = 1.0 - x.sum(axis=-1)
     return out
 
 

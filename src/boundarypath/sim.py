@@ -5,6 +5,12 @@ come from the shortest-internal-path boundary query, so penetrating
 features of self-intersecting or overlapping meshes are pushed out along
 the true nearest exit. Discrete collision detection only (vertex-element
 and edge-element); continuous detection and friction are out of scope.
+
+Collision detection is array code: each mesh's probes (vertices and
+element centroids, or boundary edges) go to each element tree in one
+batched box-overlap call, and the candidate pairs are tested with one
+batched barycentric solve. The contacts, and their order, are those of
+testing one probe at a time.
 """
 
 import json
@@ -17,7 +23,7 @@ from .bvh import BoundaryBvh, ElementBvh
 from .errors import NumericalBlowup, ParseError
 from .meshio import load_mesh
 from .query import QueryConfig, shortest_path_to_boundary
-from .traversal import TraversalScratch
+from .traversal import TraversalConfig, TraversalScratch
 
 
 @dataclass
@@ -145,9 +151,22 @@ def make_state(meshes, masses=None):
     )
 
 
-def _strictly_inside(mesh, e, p):
-    b = geometry.barycentric_coords(p, mesh.vertices[mesh.elements[e]])
-    return bool(np.all(np.isfinite(b)) and np.all(b > 0.0))
+def _overlaps(state, elem_bvhs, ma, lo, hi, probe_ids):
+    """Candidate (probe, element) pairs of mesh a's probes, one batched
+    box-overlap call per target mesh b. Probe k has the box [lo[k], hi[k]]
+    and owns the mesh-a vertex ids in row k of probe_ids. Skipped elements
+    and, for a self-pair, elements sharing a vertex with the probe are
+    dropped. Yields (mb, probe, element, element vertices) per mesh b, in
+    mesh order; within a mesh the pairs are sorted by probe, then by the
+    tree's leaf order."""
+    for mb, mesh_b in enumerate(state.meshes):
+        probe, e = elem_bvhs[mb].tree.box_overlap(lo, hi)
+        keep = ~(mesh_b.inverted_flags[e] | mesh_b.degenerate_flags[e])
+        if ma == mb:
+            shared = mesh_b.elements[e][:, :, None] == probe_ids[probe][:, None, :]
+            keep &= ~shared.any(axis=(1, 2))
+        probe, e = probe[keep], e[keep]
+        yield mb, probe, e, mesh_b.vertices[mesh_b.elements[e]]
 
 
 def dcd_vertex_tet(state, elem_bvhs, include_centroids=False):
@@ -159,104 +178,105 @@ def dcd_vertex_tet(state, elem_bvhs, include_centroids=False):
     positive) a non-skipped element it is not incident to. With
     include_centroids, element centroids join the probe set; their
     correction spreads uniformly over the element's vertices.
+
+    Each mesh's probes (its vertices, then its element centroids) are
+    tested as one batch: one box-overlap call per target mesh, then one
+    batched barycentric solve over every candidate pair. Contacts come
+    in probe order, then target mesh, then the tree's leaf order.
     """
     contacts = []
-    probes = []
     for ma, mesh_a in enumerate(state.meshes):
-        base = int(state.offsets[ma])
-        for v in range(mesh_a.n_vertices):
-            probes.append((ma, (v,), (1.0,), state.positions[base + v]))
+        nv = mesh_a.n_vertices
+        points = state.positions[state.mesh_slice(ma)]
+        probe_ids = np.repeat(np.arange(nv)[:, None], mesh_a.dim + 1, axis=1)
         if include_centroids:
-            for e in range(mesh_a.n_elements):
-                ids = tuple(int(i) for i in mesh_a.elements[e])
+            points = np.concatenate([points, mesh_a.vertices[mesh_a.elements].mean(axis=1)])
+            probe_ids = np.concatenate([probe_ids, mesh_a.elements])
+        hits = []
+        for mb, probe, e, verts in _overlaps(state, elem_bvhs, ma, points, points, probe_ids):
+            b = geometry.barycentric_coords(points[probe], verts)
+            inside = np.all(np.isfinite(b) & (b > 0.0), axis=1)
+            hits.append((probe[inside], np.full(np.count_nonzero(inside), mb), e[inside]))
+        probe, mb, e = (np.concatenate(col) for col in zip(*hits))
+        # the stable sort keeps (target mesh, leaf order) within a probe
+        order = np.argsort(probe, kind="stable")
+        for k, m, el in zip(probe[order].tolist(), mb[order].tolist(), e[order].tolist()):
+            if k < nv:
+                ids, w = (k,), (1.0,)
+            else:
+                ids = tuple(mesh_a.elements[k - nv].tolist())
                 w = (1.0 / len(ids),) * len(ids)
-                c = mesh_a.vertices[mesh_a.elements[e]].mean(axis=0)
-                probes.append((ma, ids, w, c))
-    for ma, ids, w, point in probes:
-        for mb, mesh_b in enumerate(state.meshes):
-            for e in elem_bvhs[mb].elements_containing(point):
-                if mesh_b.element_skipped(e):
-                    continue
-                if ma == mb and any(v in mesh_b.elements[e] for v in ids):
-                    continue
-                if _strictly_inside(mesh_b, e, point):
-                    contacts.append((ma, ids, w, np.asarray(point, float), mb, int(e)))
+            contacts.append((ma, ids, w, points[k], m, el))
     return contacts
 
 
-def _clip_segment_to_element(mesh, e, a, b):
-    """Parameter interval [t0, t1] of segment a->b inside element e, or
-    None. Clips against the element's face half-spaces."""
-    verts = mesh.vertices[mesh.elements[e]]
-    ba = geometry.barycentric_coords(a, verts)
-    bb = geometry.barycentric_coords(b, verts)
-    if not (np.all(np.isfinite(ba)) and np.all(np.isfinite(bb))):
-        return None
-    t0, t1 = 0.0, 1.0
-    for i in range(len(ba)):
-        # barycentric coordinate i along the segment: ba[i] + t (bb[i]-ba[i]) >= 0
-        lo, hi = ba[i], bb[i]
-        dc = hi - lo
-        if abs(dc) < 1e-300:
-            if lo < 0:
-                return None
-            continue
-        t_cross = -lo / dc
-        if dc > 0:
-            t0 = max(t0, t_cross)
-        else:
-            t1 = min(t1, t_cross)
-        if t0 >= t1:
-            return None
-    return t0, t1
+def _chord_spans(ba, bb):
+    """Parameter interval [t0, t1] of each segment a->b inside its element,
+    from the barycentric coordinates of its ends, and whether the segment
+    crosses the element at all. Each coordinate c(t) = ba + t (bb - ba)
+    must stay >= 0: a rising one raises t0, a falling one lowers t1, and
+    a flat one (|bb - ba| < 1e-300) must be nonnegative already."""
+    dc = bb - ba
+    flat = np.abs(dc) < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_cross = -ba / dc
+    t0 = np.max(np.where(~flat & (dc > 0), t_cross, 0.0), axis=1)
+    t1 = np.min(np.where(~flat & (dc < 0), t_cross, 1.0), axis=1)
+    finite = np.all(np.isfinite(ba) & np.isfinite(bb), axis=1)
+    crosses = finite & ~np.any(flat & (ba < 0), axis=1) & (t0 < t1)
+    return t0, t1, crosses
 
 
 def dcd_edge_tet(state, elem_bvhs):
     """Boundary-edge-vs-element discrete collision detection. For each
     boundary edge clipped by a non-incident element, records the midpoint
     of the clipped chord; if several elements intersect one edge, only the
-    chord center nearest the edge midpoint is kept. Returns contact records
-    shaped like dcd_vertex_tet's, with the chord center's barycentric
-    weights on the edge endpoints."""
+    chord center nearest the edge midpoint is kept, the first in (target
+    mesh, leaf order) on a tie. Chords of 1e-12 or less in parameter
+    length are ignored. Returns contact records shaped like
+    dcd_vertex_tet's, with the chord center's barycentric weights on the
+    edge endpoints, in boundary-edge order.
+
+    Each mesh's boundary edges are tested as one batch: one box-overlap
+    call per target mesh, then every (edge, element) pair is clipped at
+    once.
+    """
     contacts = []
     for ma, mesh_a in enumerate(state.meshes):
-        base = int(state.offsets[ma])
         edges = _boundary_edges(mesh_a)
-        for va, vb in edges:
-            a = state.positions[base + va]
-            b = state.positions[base + vb]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            best = None
-            for mb, mesh_b in enumerate(state.meshes):
-                for e in elem_bvhs[mb].elements_overlapping(lo, hi):
-                    if mesh_b.element_skipped(e):
-                        continue
-                    if ma == mb and (
-                        va in mesh_b.elements[e] or vb in mesh_b.elements[e]
-                    ):
-                        continue
-                    span = _clip_segment_to_element(mesh_b, e, a, b)
-                    if span is None or span[1] - span[0] <= 1e-12:
-                        continue
-                    t_mid = 0.5 * (span[0] + span[1])
-                    # rank by chord-center proximity to the edge midpoint
-                    rank = abs(t_mid - 0.5)
-                    if best is None or rank < best[0]:
-                        best = (rank, t_mid, mb, int(e))
-            if best is not None:
-                _, t_mid, mb, e = best
-                point = a + t_mid * (b - a)
-                contacts.append(
-                    (ma, (int(va), int(vb)), (1.0 - t_mid, t_mid), point, mb, e)
-                )
+        pos = state.positions[state.mesh_slice(ma)]
+        a, b = pos[edges[:, 0]], pos[edges[:, 1]]
+        hits = []
+        for mb, edge, e, verts in _overlaps(
+            state, elem_bvhs, ma, np.minimum(a, b), np.maximum(a, b), edges
+        ):
+            ba = geometry.barycentric_coords(a[edge], verts)
+            bb = geometry.barycentric_coords(b[edge], verts)
+            t0, t1, crosses = _chord_spans(ba, bb)
+            keep = crosses & (t1 - t0 > 1e-12)
+            t_mid = 0.5 * (t0[keep] + t1[keep])
+            hits.append((edge[keep], np.full(len(t_mid), mb), e[keep], t_mid))
+        edge, mb, e, t_mid = (np.concatenate(col) for col in zip(*hits))
+        # per edge, the chord center nearest the edge midpoint; the stable
+        # sort leaves ties in (target mesh, leaf order)
+        order = np.lexsort((np.abs(t_mid - 0.5), edge))
+        best = order[np.unique(edge[order], return_index=True)[1]]
+        edge, mb, e, t_mid = edge[best], mb[best], e[best], t_mid[best]
+        points = a[edge] + t_mid[:, None] * (b[edge] - a[edge])
+        for k, m, el, t, point in zip(
+            edge.tolist(), mb.tolist(), e.tolist(), t_mid.tolist(), points
+        ):
+            va, vb = edges[k].tolist()
+            contacts.append((ma, (va, vb), (1.0 - t, t), point, m, el))
     return contacts
 
 
 def _boundary_edges(mesh):
+    """(m, 2) local vertex ids of the boundary edges: the boundary faces
+    in 2D, their unique sorted edges in 3D."""
     if mesh.dim == 2:
-        return [tuple(int(v) for v in f) for f in mesh.boundary_faces]
-    return [tuple(int(v) for v in e) for e in _unique_edges(mesh.boundary_faces)]
+        return mesh.boundary_faces
+    return _unique_edges(mesh.boundary_faces)
 
 
 def build_collision_constraint(x, query_result, mesh, compliance=0.0, subject=None):
@@ -477,11 +497,33 @@ def count_penetrations(state, runtime, include_centroids=False):
     )
 
 
+def _config(cls, doc, path, where, convert=()):
+    """cls(**doc) for a JSON object of cls's fields. `convert` pairs a key
+    with a function applied to its value first, such as the builder of a
+    nested config. Raises ParseError for a non-object, an unknown key or a
+    value that the conversion or cls rejects."""
+    if not isinstance(doc, dict):
+        raise ParseError(path, 0, f'"{where}" must be an object')
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ParseError(path, 0, f"unknown {where} keys: {', '.join(unknown)}")
+    kwargs = dict(doc)
+    try:
+        for key, fn in convert:
+            if key in kwargs:
+                kwargs[key] = fn(kwargs[key])
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, 0, f"bad {where}: {exc}") from exc
+
+
 def load_scene(path):
     """JSON scene: {"meshes": [{"path", "translate"?, "scale"?,
-    "mass"?}], "config": {SimConfig fields}}. Returns (state, config).
-    Raises ParseError for a document of another shape or an unknown
-    config key."""
+    "mass"?}], "config": {SimConfig fields}}. The config's "query" object
+    holds QueryConfig fields, and its "traversal" object TraversalConfig
+    fields. Returns (state, config). Raises ParseError for a document of
+    another shape, an unknown config key at any level or a config value
+    that the config classes reject."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -490,13 +532,20 @@ def load_scene(path):
     specs = doc.get("meshes") if isinstance(doc, dict) else None
     if not isinstance(specs, list) or not all(isinstance(m, dict) and "path" in m for m in specs):
         raise ParseError(path, 0, 'a scene needs a "meshes" list of {"path": ...} objects')
-    cfg_doc = dict(doc.get("config", {}))
-    unknown = sorted(set(cfg_doc) - {f.name for f in fields(SimConfig)})
-    if unknown:
-        raise ParseError(path, 0, f"unknown config keys: {', '.join(unknown)}")
-    if "gravity" in cfg_doc:
-        cfg_doc["gravity"] = tuple(cfg_doc["gravity"])
-    config = SimConfig(**cfg_doc)
+
+    def traversal(d):
+        return _config(TraversalConfig, d, path, "config.query.traversal")
+
+    def query(d):
+        return _config(QueryConfig, d, path, "config.query", [("traversal", traversal)])
+
+    config = _config(
+        SimConfig,
+        doc.get("config", {}),
+        path,
+        "config",
+        [("query", query), ("gravity", lambda g: tuple(float(x) for x in g))],
+    )
     meshes = []
     masses = []
     base = path.rsplit("/", 1)[0] if "/" in path else "."

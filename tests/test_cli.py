@@ -147,11 +147,44 @@ def test_env_override_seed(cube_path, tmp_path, monkeypatch):
         '{"meshes": [{"path": "box.json"}], "config": {"substepz": 3}}',
         '{"meshes": [{"path": "box.json"}], "config": {"friction": 0.5}}',
         '{"meshes": [',
+        '{"meshes": [{"path": "box.json"}], "config": {"dt": 0}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"iterations": 0}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"query": {"bogus": 1}}}',
     ],
-    ids=["no-meshes", "meshes-not-list", "unknown-key", "friction", "not-json"],
+    ids=[
+        "no-meshes", "meshes-not-list", "unknown-key", "friction", "not-json",
+        "dt-zero", "iterations-zero", "query-unknown-key",
+    ],
 )
 def test_simulate_bad_scene_exit_2(tmp_path, capsys, scene):
     save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
     (tmp_path / "scene.json").write_text(scene)
     assert main(["simulate", str(tmp_path / "scene.json"), "--substeps", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_scene_query_config(tmp_path):
+    from boundarypath.sim import load_scene
+
+    save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
+    scene = {
+        "meshes": [{"path": "box.json"}],
+        "config": {"query": {"epsilon_r": 0.1, "traversal": {"epsilon_i": 1e-9}}},
+    }
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    _, config = load_scene(str(tmp_path / "scene.json"))
+    assert config.query.epsilon_r == 0.1
+    assert config.query.traversal.epsilon_i == 1e-9
+
+
+def test_simulate_takes_no_query_flags(tmp_path):
+    save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
+    (tmp_path / "scene.json").write_text('{"meshes": [{"path": "box.json"}]}')
+    scene = str(tmp_path / "scene.json")
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", scene, "--substeps", "1", "--eps-r", "0.5"])
+    assert err.value.code == 2
+    out = tmp_path / "run"
+    assert main(["simulate", scene, "--substeps", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["overrides"] == {} and manifest["seed"] is None

@@ -40,6 +40,35 @@ def test_barycentric_degenerate_nonfinite_or_outside():
     assert not (np.all(np.isfinite(b)) and np.all(b >= 0))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_barycentric_batch_equals_single_calls(rng, dim):
+    verts = rng.normal(size=(300, dim + 1, dim))
+    verts[1::7] *= 1e-9  # tiny but regular
+    points = rng.normal(size=(300, dim))
+    batch = geometry.barycentric_coords(points, verts)
+    single = np.array([geometry.barycentric_coords(p, v) for p, v in zip(points, verts)])
+    assert batch.shape == (300, dim + 1)
+    assert np.array_equal(batch, single)
+    # broadcasting one point over many simplices, and over a (2, 150) stack
+    one = geometry.barycentric_coords(points[0], verts)
+    assert np.array_equal(one, [geometry.barycentric_coords(points[0], v) for v in verts])
+    stacked = geometry.barycentric_coords(
+        points.reshape(2, 150, dim), verts.reshape(2, 150, dim + 1, dim)
+    )
+    assert np.array_equal(stacked.reshape(300, dim + 1), single)
+
+
+def test_barycentric_batch_singular_rows_are_inf(rng):
+    verts = rng.normal(size=(50, 4, 3))
+    verts[::5] = 0.0  # exactly singular: LinAlgError for the whole batch
+    points = rng.normal(size=(50, 3))
+    batch = geometry.barycentric_coords(points, verts)
+    single = np.array([geometry.barycentric_coords(p, v) for p, v in zip(points, verts)])
+    assert np.array_equal(batch, single)
+    assert np.all(batch[::5] == np.inf)
+    assert np.all(np.isfinite(np.delete(batch, np.s_[::5], axis=0)))
+
+
 def test_point_in_simplex_boundary_tolerance():
     verts = np.array([[0, 0], [1, 0], [0, 1]], float)
     assert geometry.point_in_simplex([0.0, 0.0], verts)

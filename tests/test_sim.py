@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from boundarypath import shapes
+from boundarypath import geometry, shapes, sim
 from boundarypath.bvh import ElementBvh
 from boundarypath.errors import NumericalBlowup
 from boundarypath.mesh import make_mesh
@@ -89,6 +89,150 @@ def test_dcd_edge_fully_outside():
     state = make_state([m1, m2])
     bvhs = [ElementBvh(m) for m in state.meshes]
     assert dcd_edge_tet(state, bvhs) == []
+
+
+# -- per-probe references for the batched DCD -------------------------------
+
+
+def _ref_overlapping(bvh, lo, hi):
+    return bvh.tree.box_overlap(np.asarray(lo)[None], np.asarray(hi)[None])[1].tolist()
+
+
+def _ref_strictly_inside(mesh, e, p):
+    b = geometry.barycentric_coords(p, mesh.vertices[mesh.elements[e]])
+    return bool(np.all(np.isfinite(b)) and np.all(b > 0.0))
+
+
+def ref_dcd_vertex_tet(state, elem_bvhs, include_centroids=False):
+    """dcd_vertex_tet one probe at a time: one box query per probe and
+    target mesh, one barycentric solve per candidate."""
+    contacts = []
+    probes = []
+    for ma, mesh_a in enumerate(state.meshes):
+        base = int(state.offsets[ma])
+        for v in range(mesh_a.n_vertices):
+            probes.append((ma, (v,), (1.0,), state.positions[base + v]))
+        if include_centroids:
+            for e in range(mesh_a.n_elements):
+                ids = tuple(int(i) for i in mesh_a.elements[e])
+                w = (1.0 / len(ids),) * len(ids)
+                c = mesh_a.vertices[mesh_a.elements[e]].mean(axis=0)
+                probes.append((ma, ids, w, c))
+    for ma, ids, w, point in probes:
+        for mb, mesh_b in enumerate(state.meshes):
+            for e in _ref_overlapping(elem_bvhs[mb], point, point):
+                if mesh_b.element_skipped(e):
+                    continue
+                if ma == mb and any(v in mesh_b.elements[e] for v in ids):
+                    continue
+                if _ref_strictly_inside(mesh_b, e, point):
+                    contacts.append((ma, ids, w, np.array(point, float), mb, int(e)))
+    return contacts
+
+
+def _ref_clip_segment_to_element(mesh, e, a, b):
+    verts = mesh.vertices[mesh.elements[e]]
+    ba = geometry.barycentric_coords(a, verts)
+    bb = geometry.barycentric_coords(b, verts)
+    if not (np.all(np.isfinite(ba)) and np.all(np.isfinite(bb))):
+        return None
+    t0, t1 = 0.0, 1.0
+    for i in range(len(ba)):
+        lo, hi = ba[i], bb[i]
+        dc = hi - lo
+        if abs(dc) < 1e-300:
+            if lo < 0:
+                return None
+            continue
+        t_cross = -lo / dc
+        if dc > 0:
+            t0 = max(t0, t_cross)
+        else:
+            t1 = min(t1, t_cross)
+        if t0 >= t1:
+            return None
+    return t0, t1
+
+
+def ref_dcd_edge_tet(state, elem_bvhs):
+    """dcd_edge_tet one boundary edge at a time, with the early-exit clip."""
+    contacts = []
+    for ma, mesh_a in enumerate(state.meshes):
+        base = int(state.offsets[ma])
+        for va, vb in sim._boundary_edges(mesh_a).tolist():
+            a = state.positions[base + va]
+            b = state.positions[base + vb]
+            best = None
+            for mb, mesh_b in enumerate(state.meshes):
+                for e in _ref_overlapping(elem_bvhs[mb], np.minimum(a, b), np.maximum(a, b)):
+                    if mesh_b.element_skipped(e):
+                        continue
+                    if ma == mb and (va in mesh_b.elements[e] or vb in mesh_b.elements[e]):
+                        continue
+                    span = _ref_clip_segment_to_element(mesh_b, e, a, b)
+                    if span is None or span[1] - span[0] <= 1e-12:
+                        continue
+                    t_mid = 0.5 * (span[0] + span[1])
+                    rank = abs(t_mid - 0.5)
+                    if best is None or rank < best[0]:
+                        best = (rank, t_mid, mb, int(e))
+            if best is not None:
+                _, t_mid, mb, e = best
+                point = a + t_mid * (b - a)
+                contacts.append((ma, (va, vb), (1.0 - t_mid, t_mid), point, mb, e))
+    return contacts
+
+
+def assert_same_contacts(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:3] == w[:3] and g[4:] == w[4:]
+        assert np.array_equal(g[3], w[3])
+
+
+def assert_dcd_matches_reference(state, bvhs):
+    n = 0
+    for centroids in (False, True):
+        got = dcd_vertex_tet(state, bvhs, include_centroids=centroids)
+        assert_same_contacts(got, ref_dcd_vertex_tet(state, bvhs, include_centroids=centroids))
+        n += len(got)
+    got = dcd_edge_tet(state, bvhs)
+    assert_same_contacts(got, ref_dcd_edge_tet(state, bvhs))
+    return n + len(got)
+
+
+def test_dcd_matches_reference_two_boxes():
+    a, b = shapes.box_grid(2, 2, 2), shapes.box_grid(2, 2, 2)
+    b.set_vertices(b.vertices + np.array([0.8, 0.1, 0.05]))
+    state, config, rt = make_runtime([a, b], damping=1.0)
+    counts = []
+    for step in range(6):
+        if step in (0, 1, 5):
+            rt.refit(state)
+            counts.append(assert_dcd_matches_reference(state, rt.elem_bvhs))
+        state, _ = xpbd_substep(state, config, rt)
+    assert counts[0] > 0 and counts[1] > 0
+
+
+@pytest.mark.parametrize("name", ["folded_bar", "folded_strip_2d"])
+def test_dcd_matches_reference_self_contacts(name):
+    mesh = shapes.folded_bar(12, 2, 2) if name == "folded_bar" else shapes.folded_strip(30, 3)
+    state = make_state([mesh])
+    bvhs = [ElementBvh(mesh)]
+    assert assert_dcd_matches_reference(state, bvhs) > 0
+
+
+def test_dcd_matches_reference_inverted_elements():
+    rng = np.random.default_rng(0)
+    grid = shapes.box_grid(3, 3, 2)
+    jitter = rng.normal(scale=0.22, size=grid.vertices.shape)
+    jittered = make_mesh(grid.vertices + jitter, grid.elements)
+    assert jittered.inverted_flags.any()
+    other = shapes.box_grid(2, 2, 2)
+    other.set_vertices(other.vertices + np.array([0.5, 0.3, 0.2]))
+    state = make_state([jittered, other])
+    bvhs = [ElementBvh(m) for m in state.meshes]
+    assert assert_dcd_matches_reference(state, bvhs) > 0
 
 
 def test_constraint_values():
