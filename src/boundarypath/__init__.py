@@ -18,8 +18,6 @@ from .mesh import (
     BOUNDARY,
     BoundaryFeature,
     SimplicialMesh,
-    TetMesh,
-    TriMesh2,
     build_adjacency,
     make_mesh,
 )
@@ -59,11 +57,9 @@ __all__ = [
     "QueryStats",
     "RayFrame",
     "SimplicialMesh",
-    "TetMesh",
     "TraversalConfig",
     "TraversalResult",
     "TraversalScratch",
-    "TriMesh2",
     "ZeroLengthSegment",
     "ZeroNormal",
     "build_adjacency",

@@ -3,17 +3,20 @@
 Subcommands: convert, query, validate (engine vs brute-force reference),
 fuzz (adversarial ray / folded-mesh search), bench (query statistics with
 and without culling), simulate. Structured outputs are JSON or CSV; every
-run with an output directory writes a replayable manifest. Exit codes:
-0 success, 1 validation/fuzz findings, 2 usage or I/O error.
+run with an output directory writes a replayable manifest.
 
-Flag defaults can be overridden with environment variables prefixed
-BOUNDARYPATH_ (e.g. BOUNDARYPATH_SEED, BOUNDARYPATH_EPS_I,
-BOUNDARYPATH_EPS_R, BOUNDARYPATH_NO_CULLING).
+`validate` and `fuzz` compare each engine answer with the oracle's, run
+with the same backward mode and epsilon_i: both must find no path, or
+their distances must agree within 1e-9 and the engine's face must be one
+of the oracle's co-minimal faces. `bench` requires culling on and culling
+off to give the same (face, distance) for every point.
+
+Exit codes: 0 success, 1 validation/fuzz/bench findings, 2 usage or I/O
+error.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -27,13 +30,7 @@ from .errors import MeshError, ParseError
 from .meshio import export_boundary_obj, load_mesh, save_mesh
 from .query import QueryConfig, shortest_path_to_boundary
 from .sim import SimRuntime, count_penetrations, load_scene, xpbd_substep
-from .traversal import TraversalConfig
-
-ENV_PREFIX = "BOUNDARYPATH_"
-
-
-def _env(name, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
+from .traversal import TraversalConfig, TraversalScratch, is_valid_path
 
 
 @dataclass
@@ -62,38 +59,46 @@ def _query_config(args):
         epsilon_r=args.eps_r,
         enable_culling=not args.no_culling,
         traversal=traversal,
-        backward_mode=True if args.allow_backward else None,
     )
 
 
 def _add_common(sub):
-    sub.add_argument("--eps-i", type=float, default=float(_env("EPS_I", "1e-10")))
-    sub.add_argument("--eps-r", type=float, default=float(_env("EPS_R", "0.01")))
-    sub.add_argument(
-        "--no-culling",
-        action="store_true",
-        default=bool(int(_env("NO_CULLING", "0"))),
-    )
+    sub.add_argument("--eps-i", type=float, default=1e-10)
+    sub.add_argument("--eps-r", type=float, default=0.01)
+    sub.add_argument("--no-culling", action="store_true")
     sub.add_argument("--allow-backward", action="store_true")
-    sub.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=str, default=None)
 
 
+def _samples(text):
+    """argparse type of --samples: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _parse_point(text, dim, where):
+    try:
+        vals = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise SystemExit2(f"{where}cannot parse point {text!r}") from None
+    if len(vals) != dim:
+        raise SystemExit2(f"{where}point {text!r} has {len(vals)} coords, mesh is {dim}D")
+    return vals
+
+
 def _parse_points(args, dim):
-    points = []
-    for text in args.point:
-        try:
-            vals = [float(tok) for tok in text.replace(",", " ").split()]
-        except ValueError:
-            raise SystemExit2(f"cannot parse point {text!r}")
-        if len(vals) != dim:
-            raise SystemExit2(f"point {text!r} has {len(vals)} coords, mesh is {dim}D")
-        points.append(vals)
+    points = [_parse_point(text, dim, "") for text in args.point]
     if args.points_file:
-        for line in Path(args.points_file).read_text().splitlines():
-            line = line.strip()
-            if line:
-                points.append([float(tok) for tok in line.split()])
+        lines = Path(args.points_file).read_text().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                points.append(_parse_point(line, dim, f"{args.points_file}:{lineno}: "))
     return np.asarray(points, dtype=float)
 
 
@@ -177,6 +182,36 @@ def _mesh_paths(target):
     return [str(target)]
 
 
+def _oracle_mismatch(mesh, bvh, p, e, config):
+    """Replayable record of the engine's disagreement with the oracle on
+    point p of element e, or None when they agree. The oracle runs with
+    the same backward mode and epsilon_i as the engine."""
+    res = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e), config=config)
+    ref = oracle.oracle_closest_boundary(
+        mesh,
+        p,
+        allow_backward=True if config.traversal.allow_backward else None,
+        epsilon=config.traversal.epsilon_i,
+    )
+    if res is None and ref is None:
+        return None
+    if (
+        res is not None
+        and ref is not None
+        and abs(res.distance - ref[2]) <= 1e-9
+        and res.face in oracle.co_minimal_faces(mesh, p, ref[2])
+    ):
+        return None
+    return {
+        "point": [float(x) for x in p],
+        "element": int(e),
+        "engine": None if res is None else res.distance,
+        "engine_face": None if res is None else res.face,
+        "reference": None if ref is None else ref[2],
+        "reference_face": None if ref is None else ref[1],
+    }
+
+
 def cmd_validate(args):
     rng = np.random.default_rng(args.seed)
     config = _query_config(args)
@@ -188,26 +223,9 @@ def cmd_validate(args):
         points, elems = shapes.random_interior_points(mesh, rng, args.samples)
         for p, e in zip(points, elems):
             total += 1
-            res = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e), config=config)
-            ref = oracle.oracle_closest_boundary(
-                mesh,
-                p,
-                allow_backward=True if args.allow_backward else None,
-                epsilon=args.eps_i,
-            )
-            ok = (res is None) == (ref is None)
-            if ok and res is not None:
-                ok = abs(res.distance - ref[2]) <= 1e-9
-            if not ok:
-                mismatches.append(
-                    {
-                        "mesh": mpath,
-                        "point": [float(x) for x in p],
-                        "element": int(e),
-                        "engine": None if res is None else res.distance,
-                        "reference": None if ref is None else ref[2],
-                    }
-                )
+            bad = _oracle_mismatch(mesh, bvh, p, e, config)
+            if bad is not None:
+                mismatches.append({"mesh": mpath, **bad})
     report = {"queries": total, "mismatches": mismatches}
     print(f"{total} queries, {len(mismatches)} mismatches")
     if args.out:
@@ -220,12 +238,24 @@ def cmd_validate(args):
     return 1 if mismatches else 0
 
 
+def _fold(rng):
+    """Thickness, inner radius and a fold angle past a full turn, so that
+    the two ends of a folded strip or bar overlap."""
+    return dict(
+        thickness=float(rng.uniform(0.2, 0.4)),
+        inner_radius=float(rng.uniform(0.7, 1.3)),
+        total_angle=float(rng.uniform(2.1, 2.9) * np.pi),
+    )
+
+
 def _fuzz_mesh(rng):
     kind = rng.integers(0, 4)
     if kind == 0:
-        return shapes.folded_strip(int(rng.integers(20, 40)), 3)
+        nx, ny = int(rng.integers(20, 70)), int(rng.integers(2, 5))
+        return shapes.folded_strip(nx, ny, **_fold(rng))
     if kind == 1:
-        return shapes.folded_bar(int(rng.integers(15, 30)), 2, 2)
+        nx, ny, nz = int(rng.integers(8, 30)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        return shapes.folded_bar(nx, ny, nz, **_fold(rng))
     if kind == 2:
         return shapes.deformed_sheet(rng, 4, 4)
     return shapes.deformed_blob(rng, 2, 2, 2)
@@ -263,24 +293,10 @@ def cmd_fuzz(args):
         bvh = build_boundary_bvh(mesh)
         points, elems = shapes.random_interior_points(mesh, rng, args.samples)
         for p, e in zip(points, elems):
-            res = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e), config=config)
-            ref = oracle.oracle_closest_boundary(mesh, p, epsilon=args.eps_i)
-            ok = (res is None) == (ref is None)
-            if ok and res is not None:
-                ok = abs(res.distance - ref[2]) <= 1e-9
-            if not ok:
-                findings.append(
-                    {
-                        "kind": "mismatch",
-                        "iteration": iteration,
-                        "point": [float(x) for x in p],
-                        "engine": None if res is None else res.distance,
-                        "reference": None if ref is None else ref[2],
-                    }
-                )
+            bad = _oracle_mismatch(mesh, bvh, p, e, config)
+            if bad is not None:
+                findings.append({"kind": "mismatch", "iteration": iteration, **bad})
         # exact vertex/edge hits stress the tie branching
-        from .traversal import TraversalScratch, is_valid_path
-
         scratch = TraversalScratch(config.traversal)
         for s, f, target in _fuzz_rays(mesh, rng, args.samples):
             if np.linalg.norm(target - s) <= 1e-12:
@@ -314,18 +330,20 @@ def cmd_bench(args):
     points, elems = shapes.random_interior_points(mesh, rng, args.samples)
     base = _query_config(args)
     rows = []
+    answers = []
     for label, cfg in (
         ("culling_on", replace(base, enable_culling=True)),
         ("culling_off", replace(base, enable_culling=False)),
     ):
-        cands, travs, visited = [], [], []
-        for p, e in zip(points, elems):
-            res = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e), config=cfg)
-            if res is None:
-                continue
-            cands.append(res.stats.bvh_candidates_tested)
-            travs.append(res.stats.traversals_run)
-            visited.append(res.stats.elements_visited)
+        results = [
+            shortest_path_to_boundary(mesh, bvh, p, p_element=int(e), config=cfg)
+            for p, e in zip(points, elems)
+        ]
+        answers.append([None if r is None else (r.face, r.distance) for r in results])
+        stats = [r.stats for r in results if r is not None]
+        cands = [st.bvh_candidates_tested for st in stats]
+        travs = [st.traversals_run for st in stats]
+        visited = [st.elements_visited for st in stats]
         rows.append(
             (
                 label,
@@ -352,6 +370,15 @@ def cmd_bench(args):
         out.mkdir(parents=True, exist_ok=True)
         (out / "bench.csv").write_text(text + "\n")
         _manifest(args, [args.mesh]).write(out)
+    # culling may only skip work: any changed answer is a finding
+    differ = sum(a != b for a, b in zip(*answers))
+    if differ:
+        print(
+            f"culling on and off give a different (face, distance) for "
+            f"{differ} of {len(points)} points",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -403,7 +430,7 @@ def build_parser():
 
     v = subs.add_parser("validate", help="differential check against the reference")
     v.add_argument("mesh", help="mesh file or directory of .json meshes")
-    v.add_argument("--samples", type=int, default=50)
+    v.add_argument("--samples", type=_samples, default=50)
     _add_common(v)
     v.set_defaults(fn=cmd_validate)
 
@@ -412,13 +439,13 @@ def build_parser():
     f.add_argument(
         "--budget", type=float, default=None, help="wall-clock seconds; 0 runs nothing"
     )
-    f.add_argument("--samples", type=int, default=10)
+    f.add_argument("--samples", type=_samples, default=10)
     _add_common(f)
     f.set_defaults(fn=cmd_fuzz)
 
     b = subs.add_parser("bench", help="query statistics with and without culling")
     b.add_argument("mesh")
-    b.add_argument("--samples", type=int, default=100)
+    b.add_argument("--samples", type=_samples, default=100)
     _add_common(b)
     b.set_defaults(fn=cmd_bench)
 

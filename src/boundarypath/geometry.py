@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import DegenerateFace, ZeroLengthSegment
+from .errors import DegenerateFace
 
 
 def signed_volume_of(verts):
@@ -45,11 +45,6 @@ def barycentric_coords(p, verts):
     out[..., 1:] = x
     out[..., 0] = 1.0 - x.sum(axis=-1)
     return out
-
-
-def point_in_simplex(p, verts, tol=0.0):
-    b = barycentric_coords(p, verts)
-    return bool(np.all(np.isfinite(b)) and np.all(b >= -tol))
 
 
 def closest_point_on_segment(p, a, b):
@@ -149,16 +144,6 @@ def orthonormal_basis(direction):
 def perpendicular_2d(direction):
     d = np.asarray(direction, dtype=float)
     return np.array([-d[1], d[0]])
-
-
-def normalize(v, zero_length_error=False):
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        if zero_length_error:
-            raise ZeroLengthSegment("cannot normalize zero vector")
-        return v.copy()
-    return v / n
 
 
 def det2(a, b):

@@ -15,6 +15,10 @@ from .errors import DegenerateFace, NonManifold, ZeroNormal
 
 BOUNDARY = -1
 
+# A closest point within this fraction of its face's diameter of an edge
+# or vertex is classified as that feature.
+FEATURE_TOL = 1e-12
+
 # Local face k is opposite element vertex k; the listed order gives an
 # outward normal when the element has positive signed volume.
 LOCAL_FACES_3D = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
@@ -188,16 +192,6 @@ class SimplicialMesh:
         b = geometry.barycentric_coords(p, self.vertices[self.elements[e]])
         return bool(np.all(np.isfinite(b)) and np.all(b >= -tol))
 
-    def locate_point(self, p, tol=1e-12):
-        """Linear scan point location; returns the first containing element
-        or None. Test / setup helper, not a runtime fast path."""
-        for e in range(len(self.elements)):
-            if self.element_skipped(e):
-                continue
-            if self.element_contains(e, p, tol):
-                return e
-        return None
-
     def boundary_face_vertices(self, face_id):
         return self.vertices[self.boundary_faces[face_id]]
 
@@ -226,9 +220,9 @@ class SimplicialMesh:
 
     # -- closest point / normals ---------------------------------------------
 
-    def closest_point_on_face(self, p, face_id, feature_tol=1e-12):
+    def closest_point_on_face(self, p, face_id):
         """Euclidean closest point to p on a boundary face, with feature
-        classification. A point within feature_tol * diameter of an edge or
+        classification. A point within FEATURE_TOL * diameter of an edge or
         vertex is classified as that feature."""
         gids = self.boundary_faces[face_id]
         verts = self.vertices[gids]
@@ -243,7 +237,7 @@ class SimplicialMesh:
             ) <= 1e-30 * max(diam, 1.0):
                 raise DegenerateFace(f"boundary face {face_id} is degenerate")
             q, _ = geometry.closest_point_on_triangle(p, *verts)
-            tol = feature_tol * diam
+            tol = FEATURE_TOL * diam
             for i in range(3):
                 if np.linalg.norm(q - verts[i]) <= tol:
                     return q, BoundaryFeature("vertex", face_id, (int(gids[i]),))
@@ -258,7 +252,7 @@ class SimplicialMesh:
         if diam == 0.0:
             raise DegenerateFace(f"boundary face {face_id} is degenerate")
         q, t = geometry.closest_point_on_segment(p, verts[0], verts[1])
-        tol = feature_tol * diam
+        tol = FEATURE_TOL * diam
         for i in range(2):
             if np.linalg.norm(q - verts[i]) <= tol:
                 return q, BoundaryFeature("vertex", face_id, (int(gids[i]),))
@@ -284,24 +278,8 @@ class SimplicialMesh:
         return n / norm
 
 
-class TetMesh(SimplicialMesh):
-    def __init__(self, vertices, elements, names=None):
-        vertices = np.asarray(vertices, dtype=float)
-        if vertices.ndim != 2 or vertices.shape[1] != 3:
-            raise ValueError("TetMesh needs 3D vertices")
-        super().__init__(vertices, elements, names)
-
-
-class TriMesh2(SimplicialMesh):
-    def __init__(self, vertices, elements, names=None):
-        vertices = np.asarray(vertices, dtype=float)
-        if vertices.ndim != 2 or vertices.shape[1] != 2:
-            raise ValueError("TriMesh2 needs 2D vertices")
-        super().__init__(vertices, elements, names)
-
-
 def make_mesh(vertices, elements, names=None):
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape[1] == 3:
-        return TetMesh(vertices, elements, names)
-    return TriMesh2(vertices, elements, names)
+    """A tetrahedral mesh from (n, 3) vertices or a triangular one from
+    (n, 2) vertices. Raises ValueError for arrays of another shape or
+    non-finite coordinates."""
+    return SimplicialMesh(vertices, elements, names)

@@ -47,7 +47,16 @@ def load_mesh(path):
         raise IndexOutOfRange(
             f"{path}: element index out of range (have {len(vertices)} vertices)"
         )
-    return make_mesh(vertices, elements, doc.get("names"))
+    return _make_mesh(path, vertices, elements, doc.get("names"))
+
+
+def _make_mesh(path, vertices, elements, names=None):
+    """make_mesh, with the arrays' shape or value errors raised as the
+    ParseError of the file they were read from."""
+    try:
+        return make_mesh(vertices, elements, names)
+    except ValueError as exc:
+        raise ParseError(path, 0, str(exc)) from exc
 
 
 def _data_lines(path):
@@ -93,7 +102,7 @@ def load_tetgen(node_path, ele_path):
             raise ParseError(ele_path, lineno, "bad element line") from exc
     if elements.size and (elements.min() < 0 or elements.max() >= n_points):
         raise IndexOutOfRange(f"{ele_path}: element index out of range")
-    return make_mesh(coords, elements)
+    return _make_mesh(node_path, coords, elements)
 
 
 def export_boundary_obj(mesh, path):

@@ -9,7 +9,6 @@ O(faces x elements) per query; this module is test-only.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,60 +255,3 @@ def co_minimal_faces(mesh, p, distance, tol=1e-9, exclude_vertex=None):
         if abs(dists[face] - distance) <= tol:
             out.add(face)
     return out
-
-
-@dataclass
-class OracleReport:
-    query_point: list
-    result: tuple | None
-    candidates: list  # (face, point, distance, valid) sorted by distance
-
-    def as_dict(self):
-        return {
-            "query_point": self.query_point,
-            "result": None
-            if self.result is None
-            else {
-                "point": [float(x) for x in self.result[0]],
-                "face": int(self.result[1]),
-                "distance": float(self.result[2]),
-            },
-            "candidates": [
-                {
-                    "face": int(f),
-                    "point": [float(x) for x in q],
-                    "distance": float(d),
-                    "valid": bool(v),
-                }
-                for f, q, d, v in self.candidates
-            ],
-        }
-
-
-def oracle_report(mesh, p, exclude_vertex=None, allow_backward=None, epsilon=1e-10):
-    """Full per-candidate verdict list (covers every boundary face once);
-    archival / debugging helper, much slower than oracle_closest_boundary."""
-    p = np.asarray(p, dtype=float)
-    if allow_backward is None:
-        allow_backward = mesh.has_inverted_interior
-    points, dists = closest_boundary_candidates(mesh, p)
-    skip = np.asarray(mesh.boundary_face_skipped)
-    excl = (
-        mesh.boundary_faces_containing_vertex(exclude_vertex)
-        if exclude_vertex is not None
-        else ()
-    )
-    cands = []
-    result = None
-    for face in np.argsort(dists, kind="stable"):
-        face = int(face)
-        if skip[face] or face in excl or dists[face] <= 1e-14:
-            valid = False
-        else:
-            valid = oracle_valid_path(
-                mesh, points[face], face, p, allow_backward, epsilon
-            )
-        cands.append((face, points[face], float(dists[face]), valid))
-        if valid and result is None:
-            result = (points[face].copy(), face, float(dists[face]))
-    return OracleReport([float(x) for x in p], result, cands)

@@ -46,7 +46,6 @@ class QueryConfig:
     enable_culling: bool = True
     traversal: TraversalConfig = field(default_factory=TraversalConfig)
     exclude_vertex: int | None = None
-    backward_mode: bool | None = None  # None: auto from mesh inversion state
 
     def __post_init__(self):
         self.epsilon_r = abs(self.epsilon_r)
@@ -145,9 +144,7 @@ def shortest_path_to_boundary(mesh, bvh, p, p_element=None, config=None, scratch
         )
         return None
 
-    backward = config.backward_mode
-    if backward is None:
-        backward = mesh.has_inverted_interior
+    backward = config.traversal.allow_backward or mesh.has_inverted_interior
     validate = is_valid_path_inverted if backward else is_valid_path
 
     skip = mesh.boundary_face_skipped

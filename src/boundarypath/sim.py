@@ -34,12 +34,10 @@ class SimConfig:
     gravity: tuple = (0.0, 0.0, 0.0)
     collision_compliance: float = 0.0
     material_compliance: float = 0.0
-    stiffness_k: float = 1e4  # penalty-energy reporting only
     damping: float = 0.0  # scales velocities by (1 - damping); 1 = quasi-static
     # projection targets c >= margin; exactly-on-face points otherwise
     # flicker in and out of the strict containment test
     contact_margin: float = 1e-7
-    include_centroids: bool = True  # element centroids join the contact set
     query: QueryConfig = field(default_factory=QueryConfig)
 
     def __post_init__(self):
@@ -295,17 +293,6 @@ def build_collision_constraint(x, query_result, mesh, compliance=0.0, subject=No
     )
 
 
-def penalty_energy(x, s, n, k):
-    """0.5 * k * ((x - s) . n)^2; gradient w.r.t. x is k * c * n."""
-    c = float(np.dot(np.asarray(x, float) - np.asarray(s, float), n))
-    return 0.5 * k * c * c
-
-
-def penalty_gradient(x, s, n, k):
-    c = float(np.dot(np.asarray(x, float) - np.asarray(s, float), n))
-    return k * c * np.asarray(n, dtype=float)
-
-
 @dataclass
 class ContactLogEntry:
     substep: int
@@ -350,11 +337,10 @@ class SimRuntime:
 
 def _build_constraints(state, runtime, config):
     """DCD + shortest-path queries -> collision constraints, once per
-    substep. Contacts whose query comes back empty (no valid path, query
-    point in a skipped element) produce no constraint."""
-    vertex_contacts = dcd_vertex_tet(
-        state, runtime.elem_bvhs, include_centroids=config.include_centroids
-    )
+    substep. Element centroids join the vertex probes. Contacts whose
+    query comes back empty (no valid path, query point in a skipped
+    element) produce no constraint."""
+    vertex_contacts = dcd_vertex_tet(state, runtime.elem_bvhs, include_centroids=True)
     edge_contacts = dcd_edge_tet(state, runtime.elem_bvhs)
     constraints = []
     steps_total = 0

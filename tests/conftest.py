@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from boundarypath import shapes
+from boundarypath import geometry, shapes
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []
+
+
+def containing_elements(mesh, p, tol=1e-12):
+    """Brute-force point location: every non-inverted, non-degenerate
+    element whose barycentric coordinates of p are all >= -tol, from one
+    batched solve over the whole mesh."""
+    b = geometry.barycentric_coords(p, mesh.vertices[mesh.elements])
+    inside = np.all(np.isfinite(b) & (b >= -tol), axis=1)
+    return np.flatnonzero(inside & ~mesh.inverted_flags & ~mesh.degenerate_flags)
 
 
 def pytest_terminal_summary(terminalreporter):

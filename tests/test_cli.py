@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from boundarypath import shapes
+from boundarypath import oracle, query, shapes
 from boundarypath.cli import build_parser, main
 from boundarypath.meshio import save_mesh
 
@@ -67,10 +67,55 @@ def test_query_missing_mesh_exit_2():
     assert main(["query", "/nonexistent/mesh.json", "0 0 0"]) == 2
 
 
+@pytest.mark.parametrize("line", ["0.5 0.5", "0.5 x 0.5"], ids=["two-coords", "not-a-number"])
+def test_query_bad_points_file_line_exit_2(cube_path, tmp_path, capsys, line):
+    points = tmp_path / "points.txt"
+    points.write_text(f"0.5 0.5 0.5\n{line}\n")
+    assert main(["query", cube_path, "--points-file", str(points)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {points}:2: ")
+
+
+BAD_MESHES = {
+    "json-nan": {"mesh.json": '{"dimension": 2, "vertices": [0, 0, 1, 0, 0, NaN], '
+                 '"elements": [0, 1, 2]}'},
+    "json-dim4": {"mesh.json": '{"dimension": 4, "vertices": [0, 0, 0, 0, 1, 0, 0, 0, '
+                  '0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], "elements": [0, 1, 2, 3, 4]}'},
+    "tetgen-nan": {"mesh.node": "3 2\n1 0 0\n2 1 0\n3 nan 1\n", "mesh.ele": "1 3\n1 1 2 3\n"},
+    "tetgen-dim4": {
+        "mesh.node": "5 4\n1 0 0 0 0\n2 1 0 0 0\n3 0 1 0 0\n4 0 0 1 0\n5 0 0 0 1\n",
+        "mesh.ele": "1 5\n1 1 2 3 4 5\n",
+    },
+}
+
+
+@pytest.mark.parametrize("files", BAD_MESHES.values(), ids=BAD_MESHES.keys())
+def test_bad_mesh_values_exit_2(tmp_path, capsys, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    mesh = str(tmp_path / sorted(files)[0])
+    for argv in (["convert", mesh, str(tmp_path / "out.json")], ["query", mesh, "0 0 0"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "fuzz", "bench"])
+def test_samples_below_one_exit_2(cube_path, command):
+    mesh = [] if command == "fuzz" else [cube_path]
+    with pytest.raises(SystemExit) as err:
+        main([command, *mesh, "--samples", "0"])
+    assert err.value.code == 2
+
+
 def test_validate_clean(cube_path, capsys):
     rc = main(["validate", cube_path, "--samples", "10", "--seed", "3"])
     assert rc == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_validate_exit_1_when_face_not_co_minimal(cube_path, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "co_minimal_faces", lambda *args, **kwargs: set())
+    assert main(["validate", cube_path, "--samples", "4", "--seed", "3"]) == 1
+    assert "4 queries, 4 mismatches" in capsys.readouterr().out
 
 
 def test_validate_deterministic(cube_path, tmp_path):
@@ -104,6 +149,17 @@ def test_bench_culling_benefit(tmp_path, capsys):
     assert float(on["mean_traversals"]) < float(off["mean_traversals"])
 
 
+def test_bench_exit_1_when_culling_changes_an_answer(tmp_path, monkeypatch, capsys):
+    # a check that rejects every vertex and edge candidate is not conservative
+    monkeypatch.setattr(
+        query, "feasible_region_check", lambda mesh, s, feature, p, eps: feature.kind == "face"
+    )
+    path = tmp_path / "folded.json"
+    save_mesh(shapes.folded_strip(40, 3), path)
+    assert main(["bench", str(path), "--samples", "40", "--seed", "2"]) == 1
+    assert "culling on and off give a different" in capsys.readouterr().err
+
+
 def test_simulate_scene(tmp_path, capsys):
     save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
     scene = {
@@ -131,14 +187,6 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
     assert obj.read_text().startswith("v ")
 
 
-def test_env_override_seed(cube_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("BOUNDARYPATH_SEED", "77")
-    out = tmp_path / "envrun"
-    main(["validate", cube_path, "--samples", "5", "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 77
-
-
 @pytest.mark.parametrize(
     "scene",
     [
@@ -150,10 +198,12 @@ def test_env_override_seed(cube_path, tmp_path, monkeypatch):
         '{"meshes": [{"path": "box.json"}], "config": {"dt": 0}}',
         '{"meshes": [{"path": "box.json"}], "config": {"iterations": 0}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"bogus": 1}}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"stiffness_k": 1e4}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"include_centroids": false}}',
     ],
     ids=[
         "no-meshes", "meshes-not-list", "unknown-key", "friction", "not-json",
-        "dt-zero", "iterations-zero", "query-unknown-key",
+        "dt-zero", "iterations-zero", "query-unknown-key", "stiffness_k", "include_centroids",
     ],
 )
 def test_simulate_bad_scene_exit_2(tmp_path, capsys, scene):

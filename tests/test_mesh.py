@@ -97,12 +97,6 @@ def test_element_contains(cube):
     assert not any(cube.element_contains(e, [2.0, 0.5, 0.5], 0.0) for e in range(5))
 
 
-def test_locate_point(grid3d):
-    p = np.array([0.31, 0.52, 0.73])
-    e = grid3d.locate_point(p)
-    assert e is not None and grid3d.element_contains(e, p, 1e-12)
-
-
 def test_closest_point_on_face_features(tet):
     # face containing (1,0,0),(0,1,0),(0,0,1): query far past a vertex
     for f in range(tet.n_boundary_faces):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -84,13 +82,6 @@ def test_backward_cutoff_respected():
     assert not oracle.oracle_valid_path(
         mesh, s, start_face, p, allow_backward=True, cutoff_factor=1.0
     )
-
-
-def test_report_covers_every_face(cube):
-    rep = oracle.oracle_report(cube, np.full(3, 0.5))
-    assert len(rep.candidates) == cube.n_boundary_faces
-    doc = json.dumps(rep.as_dict())
-    assert "candidates" in doc and rep.result is not None
 
 
 def test_co_minimal_faces(cube):

@@ -2,8 +2,8 @@
 
 Hypothesis drives small random meshes, points, and directions; each
 property is one of the package-wide invariants: topology symmetry,
-boundary closure, frame orthonormality, tolerance monotonicity,
-penalty-gradient consistency, and projection non-violation.
+boundary closure, frame orthonormality, tolerance monotonicity and
+projection non-violation.
 """
 
 import numpy as np
@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 from boundarypath import geometry, shapes
 from boundarypath.mesh import BOUNDARY, make_mesh
-from boundarypath.sim import (
-    CollisionConstraint,
-    _project_collisions,
-    penalty_energy,
-    penalty_gradient,
-)
+from boundarypath.sim import CollisionConstraint, _project_collisions
 from boundarypath.traversal import exit_face_selection, make_ray_frame
 
 finite = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -88,24 +83,6 @@ def test_exit_faces_monotone_in_epsilon(seed, eps_lo, factor):
     lo = set(exit_face_selection(mesh, e, in_local, frame, eps_lo))
     hi = set(exit_face_selection(mesh, e, in_local, frame, eps_lo * factor))
     assert lo <= hi
-
-
-@given(vectors(3), vectors(3), vectors(3), st.floats(0.1, 1e4))
-@settings(max_examples=200, deadline=None)
-def test_penalty_gradient_matches_fd(x, s, n_raw, k):
-    assume(np.linalg.norm(n_raw) > 1e-3)
-    n = n_raw / np.linalg.norm(n_raw)
-    g = penalty_gradient(x, s, n, k)
-    h = 1e-4
-    fd = np.empty(3)
-    for i in range(3):
-        dx = np.zeros(3)
-        dx[i] = h
-        fd[i] = (
-            penalty_energy(x + dx, s, n, k) - penalty_energy(x - dx, s, n, k)
-        ) / (2 * h)
-    scale = max(np.linalg.norm(g), k * h)  # fd error floor ~ k h^2
-    assert np.linalg.norm(fd - g) <= 1e-6 * scale + k * h * h * 10
 
 
 @given(vectors(3), vectors(3), st.integers(0, 100))

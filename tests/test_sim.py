@@ -16,8 +16,6 @@ from boundarypath.sim import (
     dcd_vertex_tet,
     load_scene,
     make_state,
-    penalty_energy,
-    penalty_gradient,
     run_sim,
     xpbd_substep,
 )
@@ -242,33 +240,6 @@ def test_constraint_values():
     assert con.value(s) == 0.0
     assert con.value(s - 0.1 * n) == pytest.approx(-0.1)
     assert con.value(s + 0.2 * n) == pytest.approx(0.2)
-
-
-def test_penalty_energy_values():
-    n = np.array([0.0, 0.0, 1.0])
-    s = np.zeros(3)
-    x = s - 0.1 * n
-    assert penalty_energy(x, s, n, 100.0) == pytest.approx(0.5)
-    assert penalty_energy(s, s, n, 100.0) == 0.0
-
-
-def test_penalty_gradient_finite_difference(rng):
-    for _ in range(20):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        s = rng.normal(size=3)
-        x = rng.normal(size=3)
-        k = float(rng.uniform(1.0, 1e4))
-        g = penalty_gradient(x, s, n, k)
-        h = 1e-6
-        fd = np.empty(3)
-        for i in range(3):
-            dx = np.zeros(3)
-            dx[i] = h
-            fd[i] = (penalty_energy(x + dx, s, n, k) - penalty_energy(x - dx, s, n, k)) / (
-                2 * h
-            )
-        assert np.linalg.norm(fd - g) <= 1e-6 * max(np.linalg.norm(g), 1.0)
 
 
 def test_rest_state_unchanged():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import containing_elements
 
 from boundarypath import oracle, shapes
 from boundarypath.errors import ZeroLengthSegment
@@ -104,7 +105,6 @@ def test_single_element_path(tet):
 def test_bar_axis_path_visits_every_element():
     bar = stacked_bar(6)
     p = np.array([0.32, 0.4, 5.7])
-    e_p = bar.locate_point(p)
     # end-cap face near z=0 under the query point
     face = min(
         range(bar.n_boundary_faces),
@@ -114,7 +114,7 @@ def test_bar_axis_path_visits_every_element():
     )
     s, _ = bar.closest_point_on_face(p, face)
     res = is_valid_path(bar, s, face, p)
-    assert res.valid
+    assert res.valid and res.end_element in containing_elements(bar, p)
     assert res.elements_visited >= 6  # crosses every cell of the bar
 
 
