@@ -12,15 +12,17 @@ import heapq
 
 import numpy as np
 
+from . import geometry
 from .errors import EmptyBoundary
 
 
 class AabbTree:
     """Binary AABB tree, median split on the longest centroid axis.
 
-    Nodes are stored in arrays. The build records each node's depth, for
-    the level-order refit, and each primitive's rank in the leaf order of
-    a right-first depth-first walk, which orders box_overlap's output.
+    Nodes are stored in arrays; the two children of a node are allocated
+    together, so right == left + 1. The build records each node's depth,
+    for the level-order refit, and each primitive's rank in the leaf order
+    of a right-first depth-first walk, which orders box_overlap's output.
     """
 
     def __init__(self, boxes):
@@ -87,9 +89,11 @@ class AabbTree:
             self.lo[nodes] = np.minimum(self.lo[l], self.lo[r])
             self.hi[nodes] = np.maximum(self.hi[l], self.hi[r])
 
-    def _box_dist(self, node, p):
-        d = np.maximum(self.lo[node] - p, 0.0) + np.maximum(p - self.hi[node], 0.0)
-        return float(np.linalg.norm(d))
+    def _box_dists(self, nodes, p):
+        """Distances from p to the boxes of `nodes` (a slice), as a list of
+        floats."""
+        d = np.maximum(self.lo[nodes] - p, 0.0) + np.maximum(p - self.hi[nodes], 0.0)
+        return geometry.row_norms(d).tolist()
 
     def box_overlap(self, lo, hi):
         """Every (box, primitive) pair whose boxes intersect, for k query
@@ -132,8 +136,7 @@ class NearPrimIter:
         self.tree = tree
         self.point = np.asarray(point, dtype=float)
         self.radius = float(radius)
-        self._heap = [(tree._box_dist(0, self.point), 0)]
-        self._count = 0
+        self._heap = [(tree._box_dists(slice(0, 1), self.point)[0], 0)]
 
     def shrink(self, radius):
         if radius < self.radius:
@@ -152,8 +155,9 @@ class NearPrimIter:
             pid = tree.prim[node]
             if pid >= 0:
                 return int(pid), dist
-            for child in (int(tree.left[node]), int(tree.right[node])):
-                d = tree._box_dist(child, self.point)
+            left = int(tree.left[node])  # the right child is left + 1
+            kids = tree._box_dists(slice(left, left + 2), self.point)
+            for child, d in enumerate(kids, left):
                 if d <= self.radius:
                     heapq.heappush(self._heap, (d, child))
         raise StopIteration

@@ -17,6 +17,7 @@ error.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -89,6 +90,8 @@ def _parse_point(text, dim, where):
         raise SystemExit2(f"{where}cannot parse point {text!r}") from None
     if len(vals) != dim:
         raise SystemExit2(f"{where}point {text!r} has {len(vals)} coords, mesh is {dim}D")
+    if not all(math.isfinite(v) for v in vals):
+        raise SystemExit2(f"{where}point {text!r} has a non-finite coordinate")
     return vals
 
 

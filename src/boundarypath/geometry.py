@@ -47,6 +47,28 @@ def barycentric_coords(p, verts):
     return out
 
 
+def row_dots(x, y):
+    """Dot products of matching rows of x and y (y may be one row). Done
+    through matmul, each equals np.dot of the two rows bit for bit, as the
+    scalar code computes it; einsum and (x * y).sum(-1) round some rows
+    differently."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def cross_rows(a, b):
+    """Cross products of matching rows of (..., 3) arrays: np.cross bit for
+    bit, without its per-call axis handling, which costs more than the
+    arithmetic on meshes of a few dozen elements."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def row_norms(x):
+    """Euclidean norms of the rows of x, equal to np.linalg.norm per row."""
+    return np.sqrt(row_dots(x, x))
+
+
 def closest_point_on_segment(p, a, b):
     """Closest point to p on segment ab; returns (point, t) with t in [0,1]."""
     a = np.asarray(a, dtype=float)
@@ -145,6 +167,3 @@ def perpendicular_2d(direction):
     d = np.asarray(direction, dtype=float)
     return np.array([-d[1], d[0]])
 
-
-def det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]

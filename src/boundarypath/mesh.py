@@ -1,9 +1,16 @@
 """Simplicial mesh representation: tetrahedral in 3D, triangular in 2D.
 
 Topology (element adjacency, oriented boundary faces) and the boundary
-feature maps (vertex/edge incidence) are built once, at construction;
-`set_vertices` recomputes only signed volumes and the inverted/degenerate
-flags.
+feature maps (vertex/edge incidence) are built once, at construction.
+Geometry that depends on positions only is derived in one batched pass at
+construction and again on every `set_vertices`, so queries read it instead
+of recomputing it:
+
+- per element: signed volume, inverted/degenerate flags, and the rows of
+  the inverse edge matrix that map p - v0 to barycentric coordinates
+  (nan for a flat element);
+- per boundary face: unit outward normal, diameter, degeneracy flag and,
+  in 3D, the in-plane normal of each edge, which feasibility culling reads.
 """
 
 from dataclasses import dataclass
@@ -130,21 +137,60 @@ class SimplicialMesh:
         a = x[:, 1] - x[:, 0]
         b = x[:, 2] - x[:, 0]
         if self.dim == 3:
-            # bit-identical to geometry.signed_volume_of; einsum and
-            # sum(axis=1) round differently on some elements
+            # bit-identical to geometry.signed_volume_of
             c = x[:, 3] - x[:, 0]
-            vols = (a[:, None, :] @ np.cross(b, c)[:, :, None])[:, 0, 0] / 6.0
+            bc = geometry.cross_rows(b, c)
+            det = geometry.row_dots(a, bc)
+            vols = det / 6.0
+            # rows of the inverse of the edge matrix [a b c]: (b x c,
+            # c x a, a x b) / det
+            rows = np.stack([bc, geometry.cross_rows(c, a), geometry.cross_rows(a, b)], axis=1)
         else:
-            vols = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) / 2.0
+            det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+            vols = det / 2.0
+            # rows of the inverse of [a b]: (b1, -b0) / det, (-a1, a0) / det
+            rows = np.stack([b[:, ::-1] * [1.0, -1.0], a[:, ::-1] * [-1.0, 1.0]], axis=1)
         self.signed_volumes = vols
         self.inverted_flags = vols < 0.0
         self.degenerate_flags = vols == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.bary_rows = rows / det[:, None, None]
+        # a flat element has no barycentric coordinates; nan rows make
+        # every coordinate nan without raising floating-point warnings
+        self.bary_rows[self.degenerate_flags] = np.nan
+        self._refresh_face_geometry()
+
+    def _refresh_face_geometry(self):
+        f = self.vertices[self.boundary_faces]
+        if self.dim == 3:
+            edges = f[:, [1, 2, 0]] - f  # edge k runs from face vertex k to k + 1
+            n = geometry.cross_rows(f[:, 1] - f[:, 0], f[:, 2] - f[:, 0])
+        else:
+            edges = f[:, 1:] - f[:, :1]
+            n = edges[:, 0, ::-1] * [1.0, -1.0]
+        diam = geometry.row_norms(edges).max(axis=1)
+        n_len = geometry.row_norms(n)
+        self.face_diameters = diam
+        self.face_degenerate = diam == 0.0
+        if self.dim == 3:
+            self.face_degenerate |= n_len <= 1e-30 * np.maximum(diam, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.face_unit_normals = n / n_len[:, None]
+        # 3D only: edge k of each face crossed into the face's plane,
+        # (-n) x (edge k), which points away from the face
+        self.face_edge_normals = (
+            geometry.cross_rows(-self.face_unit_normals[:, None, :], edges)
+            if self.dim == 3
+            else None
+        )
 
     def set_vertices(self, vertices):
-        """Replace vertex positions and recompute signed volumes and the
-        inverted/degenerate flags; topology and the boundary feature maps
-        do not depend on positions and stay. Any BVH built over this mesh
-        must be refit by the caller."""
+        """Replace vertex positions and recompute everything derived from
+        them: signed volumes, the inverted/degenerate flags and barycentric
+        rows of the elements, and the unit normals, diameters, degeneracy
+        flags and edge normals of the boundary faces. Topology and the boundary
+        feature maps do not depend on positions and stay. Any BVH built
+        over this mesh must be refit by the caller."""
         vertices = np.ascontiguousarray(vertices, dtype=float)
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must not change")
@@ -189,8 +235,10 @@ class SimplicialMesh:
         return bool(np.any(bad & ~owns_boundary))
 
     def element_contains(self, e, p, tol=0.0):
-        b = geometry.barycentric_coords(p, self.vertices[self.elements[e]])
-        return bool(np.all(np.isfinite(b)) and np.all(b >= -tol))
+        """Whether every barycentric coordinate of p in element e is >= -tol.
+        A flat element's coordinates are nan, so it contains nothing."""
+        x = (self.bary_rows[e] @ (p - self.vertices[self.elements[e, 0]])).tolist()
+        return min(x) >= -tol and 1.0 - sum(x) >= -tol
 
     def boundary_face_vertices(self, face_id):
         return self.vertices[self.boundary_faces[face_id]]
@@ -223,39 +271,32 @@ class SimplicialMesh:
     def closest_point_on_face(self, p, face_id):
         """Euclidean closest point to p on a boundary face, with feature
         classification. A point within FEATURE_TOL * diameter of an edge or
-        vertex is classified as that feature."""
+        vertex is classified as that feature; the first such vertex wins,
+        then the first such edge."""
+        if self.face_degenerate[face_id]:
+            raise DegenerateFace(f"boundary face {face_id} is degenerate")
         gids = self.boundary_faces[face_id]
         verts = self.vertices[gids]
+        tol = FEATURE_TOL * self.face_diameters[face_id]
         if self.dim == 3:
-            diam = max(
-                np.linalg.norm(verts[1] - verts[0]),
-                np.linalg.norm(verts[2] - verts[1]),
-                np.linalg.norm(verts[0] - verts[2]),
-            )
-            if diam == 0.0 or np.linalg.norm(
-                geometry.triangle_area_normal(*verts)
-            ) <= 1e-30 * max(diam, 1.0):
-                raise DegenerateFace(f"boundary face {face_id} is degenerate")
             q, _ = geometry.closest_point_on_triangle(p, *verts)
-            tol = FEATURE_TOL * diam
-            for i in range(3):
-                if np.linalg.norm(q - verts[i]) <= tol:
-                    return q, BoundaryFeature("vertex", face_id, (int(gids[i]),))
-            for i in range(3):
-                a, b = verts[i], verts[(i + 1) % 3]
-                eq, _ = geometry.closest_point_on_segment(q, a, b)
-                if np.linalg.norm(q - eq) <= tol:
-                    pair = (int(gids[i]), int(gids[(i + 1) % 3]))
-                    return q, BoundaryFeature("edge", face_id, pair)
-            return q, BoundaryFeature("face", face_id)
-        diam = float(np.linalg.norm(verts[1] - verts[0]))
-        if diam == 0.0:
-            raise DegenerateFace(f"boundary face {face_id} is degenerate")
-        q, t = geometry.closest_point_on_segment(p, verts[0], verts[1])
-        tol = FEATURE_TOL * diam
-        for i in range(2):
-            if np.linalg.norm(q - verts[i]) <= tol:
-                return q, BoundaryFeature("vertex", face_id, (int(gids[i]),))
+        else:
+            q, _ = geometry.closest_point_on_segment(p, verts[0], verts[1])
+        qv = q - verts
+        near = np.flatnonzero(geometry.row_norms(qv) <= tol)
+        if len(near):
+            return q, BoundaryFeature("vertex", face_id, (int(gids[near[0]]),))
+        if self.dim == 3:
+            # geometry.closest_point_on_segment(q, v_i, v_i+1) for all three
+            # edges at once; a face that is not degenerate has no
+            # zero-length edge
+            ab = verts[[1, 2, 0]] - verts
+            t = np.clip(geometry.row_dots(qv, ab) / geometry.row_dots(ab, ab), 0.0, 1.0)
+            near = np.flatnonzero(geometry.row_norms(q - (verts + t[:, None] * ab)) <= tol)
+            if len(near):
+                i = int(near[0])
+                pair = (int(gids[i]), int(gids[(i + 1) % 3]))
+                return q, BoundaryFeature("edge", face_id, pair)
         return q, BoundaryFeature("face", face_id)
 
     def pseudo_normal(self, feature):

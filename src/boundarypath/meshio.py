@@ -35,11 +35,13 @@ def load_mesh(path):
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from exc
+    if not isinstance(doc, dict):
+        raise ParseError(path, 1, f"mesh document must be a JSON object, not {type(doc).__name__}")
     try:
         dim = int(doc["dimension"])
         vertices = np.asarray(doc["vertices"], dtype=float).reshape(-1, dim)
         elements = np.asarray(doc["elements"], dtype=np.int64).reshape(-1, dim + 1)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(path, 0, f"bad mesh document: {exc}") from exc
     if elements.size and (
         elements.min() < 0 or elements.max() >= len(vertices)
@@ -74,6 +76,8 @@ def load_tetgen(node_path, ele_path):
         n_points, dim = int(header[0]), int(header[1])
     except (StopIteration, ValueError, IndexError) as exc:
         raise ParseError(node_path, 1, "bad .node header") from exc
+    if n_points < 0 or dim < 0:
+        raise ParseError(node_path, lineno, f"negative count in .node header: {n_points} {dim}")
     coords = np.empty((n_points, dim))
     ids = []
     for i in range(n_points):
@@ -93,6 +97,8 @@ def load_tetgen(node_path, ele_path):
         n_elem = int(header[0])
     except (StopIteration, ValueError, IndexError) as exc:
         raise ParseError(ele_path, 1, "bad .ele header") from exc
+    if n_elem < 0:
+        raise ParseError(ele_path, lineno, f"negative element count in .ele header: {n_elem}")
     elements = np.empty((n_elem, dim + 1), dtype=np.int64)
     for i in range(n_elem):
         try:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .errors import DegenerateFace, ZeroLengthSegment
 from .traversal import (
     TraversalConfig,
@@ -86,11 +87,8 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
     if feature.kind == "face":
         return True  # the face test is implied by taking the closest point
     if feature.kind == "vertex":
-        gv = feature.verts[0]
-        for nb in mesh.boundary_vertex_neighbors(gv):
-            if float(np.dot(p - s, s - mesh.vertices[nb])) < thr:
-                return False
-        return True
+        nbs = mesh.boundary_vertex_neighbors(feature.verts[0])
+        return not np.any(geometry.row_dots(s - mesh.vertices[nbs], p - s) < thr)
     if feature.kind == "edge":
         g0, g1 = feature.verts
         v0 = mesh.vertices[g0]
@@ -102,22 +100,22 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
         fids = mesh.boundary_faces_of_edge(g0, g1)
         if len(fids) != 2:
             return True  # open or non-closed boundary edge: stay conservative
-        n_accord = None
-        n_other = None
+        # per face, the in-plane normal of the edge pointing away from it:
+        # edge g0 -> g1 of the face that runs that way, g1 -> g0 of the other
+        m_accord = None
+        m_other = None
         for fid in fids:
-            tri = [int(g) for g in mesh.boundary_faces[fid]]
-            k = tri.index(int(g0))
-            n = mesh.boundary_face_normal(fid)
-            n = n / np.linalg.norm(n)
-            if tri[(k + 1) % 3] == int(g1):
-                n_accord = -n  # interior-pointing
+            tri = mesh.boundary_faces[fid].tolist()
+            k = tri.index(g0)
+            if tri[(k + 1) % 3] == g1:
+                m_accord = mesh.face_edge_normals[fid, k]
             else:
-                n_other = -n
-        if n_accord is None or n_other is None:
+                m_other = mesh.face_edge_normals[fid, k - 1]
+        if m_accord is None or m_other is None:
             return True
-        if float(np.dot(p - s, np.cross(n_accord, v1 - v0))) < thr:
+        if float(np.dot(p - s, m_accord)) < thr:
             return False
-        if float(np.dot(p - s, np.cross(n_other, v0 - v1))) < thr:
+        if float(np.dot(p - s, m_other)) < thr:
             return False
         return True
     raise ValueError(f"unknown feature kind {feature.kind!r}")

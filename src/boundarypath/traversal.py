@@ -20,13 +20,15 @@ from .mesh import BOUNDARY, local_faces
 @dataclass(frozen=True)
 class RayFrame:
     """Ray origin plus an orthonormal frame; u (and v in 3D) span the plane
-    perpendicular to the ray direction."""
+    perpendicular to the ray direction, and uv holds them as the columns
+    of one (dim, dim - 1) matrix, so one product projects a whole element."""
 
     origin: np.ndarray
     direction: np.ndarray
     u: np.ndarray
     v: np.ndarray | None  # None in 2D
     length: float  # |target - origin|
+    uv: np.ndarray
 
 
 def make_ray_frame(origin, target):
@@ -39,9 +41,11 @@ def make_ray_frame(origin, target):
     d = delta / length
     if len(d) == 3:
         u, v = geometry.orthonormal_basis(d)
+        uv = np.column_stack([u, v])
     else:
         u, v = geometry.perpendicular_2d(d), None
-    return RayFrame(origin=origin, direction=d, u=u, v=v, length=length)
+        uv = u[:, None]
+    return RayFrame(origin=origin, direction=d, u=u, v=v, length=length, uv=uv)
 
 
 @dataclass
@@ -92,57 +96,52 @@ def exit_face_selection(mesh, element, in_local, frame, epsilon_i):
     """Local indices of the faces the ray may exit through, given that it
     entered `element` through local face `in_local`.
 
-    The sign tests run on vertex positions projected to the plane
-    perpendicular to the ray, using the orientation sign of the projected
-    incoming face, so they stay correct for inverted elements and backward
-    rays. With the tolerance, several faces can pass near vertices/edges;
-    an empty set signals numerical starvation.
+    The element's vertices are projected to the plane perpendicular to the
+    ray with one product against `frame.uv`; the sign tests then run on
+    Python floats, using the orientation sign of the projected incoming
+    face, so they stay correct for inverted elements and backward rays.
+    With the tolerance, several faces can pass near vertices/edges; an
+    empty set signals numerical starvation.
     """
-    elem = mesh.elements[element]
     order = local_faces(mesh.dim)[in_local]
-    verts = mesh.vertices
-    o = frame.origin
+    rel = mesh.vertices[mesh.elements[element]] - frame.origin
+    # one row-vector product per vertex: rounds like np.dot(rel_i, u), where
+    # a plain rel @ uv in 2D takes a matrix-vector path that rounds otherwise
+    proj = (rel[:, None, :] @ frame.uv)[:, 0].tolist()
     eps = epsilon_i
     if mesh.dim == 3:
-        u, v = frame.u, frame.v
-        proj = []
-        for i in order:
-            x = verts[elem[i]] - o
-            proj.append((float(np.dot(x, u)), float(np.dot(x, v))))
-        x3 = verts[elem[in_local]] - o
-        p3 = (float(np.dot(x3, u)), float(np.dot(x3, v)))
-        e01 = (proj[1][0] - proj[0][0], proj[1][1] - proj[0][1])
-        e02 = (proj[2][0] - proj[0][0], proj[2][1] - proj[0][1])
-        det = geometry.det2(e01, e02)
+        (a0, a1), (b0, b1), (c0, c1) = (proj[i] for i in order)
+        x, y = proj[in_local]  # the vertex opposite the entry face
+        det = (b0 - a0) * (c1 - a1) - (b1 - a1) * (c0 - a0)
         if abs(det) <= eps:
             # the entry face projects to a (near-)degenerate triangle: the
             # ray grazes along its plane (e.g. a path hugging a flat
             # boundary patch). The side tests below would inherit an
             # arbitrary roundoff sign, so branch into every face instead.
-            return [int(k) for k in order]
-        sgn = np.sign(det)
-        d = [sgn * geometry.det2(p3, q) for q in proj]
+            return list(order)
+        sgn = 1.0 if det > 0.0 else -1.0
+        d0 = sgn * (x * a1 - y * a0)
+        d1 = sgn * (x * b1 - y * b0)
+        d2 = sgn * (x * c1 - y * c0)
         out = []
-        if d[1] >= -eps and d[2] <= eps:
-            out.append(int(order[0]))  # face opposite incoming vertex 0
-        if d[2] >= -eps and d[0] <= eps:
-            out.append(int(order[1]))
-        if d[0] >= -eps and d[1] <= eps:
-            out.append(int(order[2]))
+        if d1 >= -eps and d2 <= eps:
+            out.append(order[0])  # face opposite incoming vertex 0
+        if d2 >= -eps and d0 <= eps:
+            out.append(order[1])
+        if d0 >= -eps and d1 <= eps:
+            out.append(order[2])
         return out
-    u = frame.u
-    p0 = float(np.dot(verts[elem[order[0]]] - o, u))
-    p1 = float(np.dot(verts[elem[order[1]]] - o, u))
-    p2 = float(np.dot(verts[elem[in_local]] - o, u))
+    (p0,), (p1,) = (proj[i] for i in order)
+    (p2,) = proj[in_local]
     # the ray projects to the origin; an edge is a possible exit when its
     # projected interval contains it. Interval containment (rather than a
     # side test against p2 alone) keeps the vertex-tie branches when the
     # ray passes through an endpoint of the incoming edge.
     out = []
     if min(p1, p2) <= eps and max(p1, p2) >= -eps:
-        out.append(int(order[0]))  # edge opposite incoming vertex 0
+        out.append(order[0])  # edge opposite incoming vertex 0
     if min(p0, p2) <= eps and max(p0, p2) >= -eps:
-        out.append(int(order[1]))
+        out.append(order[1])
     return out
 
 

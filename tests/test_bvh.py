@@ -157,6 +157,7 @@ def test_single_primitive_tree():
     points = np.array([[0.5, 0.5], [2.0, 0.5], [1.0, 1.0]])
     box, prim = tree.box_overlap(points, points)
     assert box.tolist() == [0, 2] and prim.tolist() == [0, 0]
+    assert list(NearPrimIter(tree, np.array([2.0, 0.5]))) == [(0, 1.0)]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -165,6 +166,8 @@ def test_refit_matches_node_sweep_and_fresh_build(rng, dim):
     moved = boxes + rng.normal(scale=0.5, size=(257, 1, dim))
     tree = AabbTree(boxes)
     ref = AabbTree(boxes)
+    inner = tree.left >= 0  # NearPrimIter reads both children as one slice
+    assert np.array_equal(tree.right[inner], tree.left[inner] + 1)
     tree.refit(moved)
     node_refit(ref, moved)
     assert np.array_equal(tree.lo, ref.lo) and np.array_equal(tree.hi, ref.hi)

@@ -63,11 +63,21 @@ def test_query_bad_point_exit_2(cube_path):
     assert main(["query", cube_path, "not-a-point"]) == 2
 
 
+@pytest.mark.parametrize("point", ["nan nan nan", "0.5 -inf 0.5", "1e400 0 0"])
+def test_query_non_finite_point_exit_2(cube_path, capsys, point):
+    assert main(["query", cube_path, point]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_query_missing_mesh_exit_2():
     assert main(["query", "/nonexistent/mesh.json", "0 0 0"]) == 2
 
 
-@pytest.mark.parametrize("line", ["0.5 0.5", "0.5 x 0.5"], ids=["two-coords", "not-a-number"])
+@pytest.mark.parametrize(
+    "line",
+    ["0.5 0.5", "0.5 x 0.5", "nan nan nan", "0.5 inf 0.5", "1e400,0,0"],
+    ids=["two-coords", "not-a-number", "nan", "inf", "overflow"],
+)
 def test_query_bad_points_file_line_exit_2(cube_path, tmp_path, capsys, line):
     points = tmp_path / "points.txt"
     points.write_text(f"0.5 0.5 0.5\n{line}\n")
@@ -80,7 +90,14 @@ BAD_MESHES = {
                  '"elements": [0, 1, 2]}'},
     "json-dim4": {"mesh.json": '{"dimension": 4, "vertices": [0, 0, 0, 0, 1, 0, 0, 0, '
                   '0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], "elements": [0, 1, 2, 3, 4]}'},
+    "json-list": {"mesh.json": "[1, 2]"},
+    "json-dim-list": {"mesh.json": '{"dimension": [3], "vertices": [], "elements": []}'},
     "tetgen-nan": {"mesh.node": "3 2\n1 0 0\n2 1 0\n3 nan 1\n", "mesh.ele": "1 3\n1 1 2 3\n"},
+    "tetgen-negative-nodes": {"mesh.node": "-3 3\n", "mesh.ele": "1 4\n1 1 2 3 4\n"},
+    "tetgen-negative-elements": {
+        "mesh.node": "4 3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n",
+        "mesh.ele": "-1 4\n",
+    },
     "tetgen-dim4": {
         "mesh.node": "5 4\n1 0 0 0 0\n2 1 0 0 0\n3 0 1 0 0\n4 0 0 1 0\n5 0 0 0 1\n",
         "mesh.ele": "1 5\n1 1 2 3 4 5\n",

@@ -127,7 +127,3 @@ def test_perpendicular_2d():
     u = geometry.perpendicular_2d(d)
     assert abs(np.dot(u, d)) < 1e-15 and abs(np.linalg.norm(u) - 1) < 1e-15
 
-
-def test_det2():
-    assert geometry.det2((1.0, 0.0), (0.0, 1.0)) == 1.0
-    assert geometry.det2((2.0, 1.0), (4.0, 2.0)) == 0.0

@@ -71,3 +71,27 @@ def test_export_obj_2d(grid2d, tmp_path):
     path = tmp_path / "grid.obj"
     export_boundary_obj(grid2d, path)
     assert "l " in path.read_text()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"mesh"', "3", "null"])
+def test_non_object_document_raises_parse_error(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="must be a JSON object"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "node, ele",
+    [
+        ("-3 3\n", "1 4\n1 1 2 3 4\n"),
+        ("4 -3\n", "1 4\n1 1 2 3 4\n"),
+        ("4 3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n", "-1 4\n"),
+    ],
+    ids=["nodes", "dimension", "elements"],
+)
+def test_tetgen_negative_count_raises_parse_error(tmp_path, node, ele):
+    (tmp_path / "t.node").write_text(node)
+    (tmp_path / "t.ele").write_text(ele)
+    with pytest.raises(ParseError, match="negative"):
+        load_tetgen(tmp_path / "t.node", tmp_path / "t.ele")

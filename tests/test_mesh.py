@@ -3,7 +3,15 @@ import pytest
 
 from boundarypath import geometry, shapes
 from boundarypath.errors import DegenerateFace, NonManifold, ZeroNormal
-from boundarypath.mesh import BOUNDARY, build_adjacency, local_faces, make_mesh
+from boundarypath.mesh import (
+    BOUNDARY,
+    FEATURE_TOL,
+    BoundaryFeature,
+    build_adjacency,
+    local_faces,
+    make_mesh,
+)
+from boundarypath.traversal import exit_face_selection, make_ray_frame
 
 
 def two_glued_tets():
@@ -292,9 +300,14 @@ def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
     fresh = make_mesh(v, base.elements)
     for name in (
         "adjacency", "adj_local", "boundary_faces", "boundary_owner", "boundary_owner_local",
-        "signed_volumes", "inverted_flags", "degenerate_flags",
+        "signed_volumes", "inverted_flags", "degenerate_flags", "bary_rows",
+        "face_diameters", "face_degenerate", "face_unit_normals",
     ):
-        assert np.array_equal(getattr(mesh, name), getattr(fresh, name)), name
+        assert np.array_equal(getattr(mesh, name), getattr(fresh, name), equal_nan=True), name
+    if mesh.dim == 3:
+        assert np.array_equal(mesh.face_edge_normals, fresh.face_edge_normals, equal_nan=True)
+    else:
+        assert mesh.face_edge_normals is None and fresh.face_edge_normals is None
     for g in range(mesh.n_vertices):
         assert mesh.boundary_faces_of_vertex(g) == fresh.boundary_faces_of_vertex(g)
         assert mesh.boundary_vertex_neighbors(g) == fresh.boundary_vertex_neighbors(g)
@@ -303,3 +316,238 @@ def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
     assert edges
     for a, b in edges:
         assert mesh.boundary_faces_of_edge(a, b) == fresh.boundary_faces_of_edge(a, b) != []
+
+
+# -- cached per-element and per-face geometry against the scalar kernels ------
+
+
+def ref_element_contains(mesh, e, p, tol):
+    """element_contains as one barycentric solve per call."""
+    b = geometry.barycentric_coords(p, mesh.vertices[mesh.elements[e]])
+    return bool(np.all(np.isfinite(b)) and np.all(b >= -tol))
+
+
+def ref_closest_point_on_face(mesh, p, face_id):
+    """closest_point_on_face with the diameter, the degeneracy test and the
+    feature tests computed per call, one vertex or edge at a time."""
+    gids = mesh.boundary_faces[face_id]
+    verts = mesh.vertices[gids]
+    if mesh.dim == 3:
+        diam = max(
+            np.linalg.norm(verts[1] - verts[0]),
+            np.linalg.norm(verts[2] - verts[1]),
+            np.linalg.norm(verts[0] - verts[2]),
+        )
+        if diam == 0.0 or np.linalg.norm(
+            geometry.triangle_area_normal(*verts)
+        ) <= 1e-30 * max(diam, 1.0):
+            raise DegenerateFace(f"boundary face {face_id} is degenerate")
+        q, _ = geometry.closest_point_on_triangle(p, *verts)
+        tol = FEATURE_TOL * diam
+        for i in range(3):
+            if np.linalg.norm(q - verts[i]) <= tol:
+                return q, BoundaryFeature("vertex", face_id, (int(gids[i]),))
+        for i in range(3):
+            a, b = verts[i], verts[(i + 1) % 3]
+            eq, _ = geometry.closest_point_on_segment(q, a, b)
+            if np.linalg.norm(q - eq) <= tol:
+                pair = (int(gids[i]), int(gids[(i + 1) % 3]))
+                return q, BoundaryFeature("edge", face_id, pair)
+        return q, BoundaryFeature("face", face_id)
+    diam = float(np.linalg.norm(verts[1] - verts[0]))
+    if diam == 0.0:
+        raise DegenerateFace(f"boundary face {face_id} is degenerate")
+    q, t = geometry.closest_point_on_segment(p, verts[0], verts[1])
+    tol = FEATURE_TOL * diam
+    for i in range(2):
+        if np.linalg.norm(q - verts[i]) <= tol:
+            return q, BoundaryFeature("vertex", face_id, (int(gids[i]),))
+    return q, BoundaryFeature("face", face_id)
+
+
+def det2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def ref_exit_face_selection(mesh, element, in_local, frame, epsilon_i):
+    """exit_face_selection with one np.dot per projected coordinate and the
+    sign tests on numpy scalars."""
+    elem = mesh.elements[element]
+    order = local_faces(mesh.dim)[in_local]
+    verts = mesh.vertices
+    o = frame.origin
+    eps = epsilon_i
+    if mesh.dim == 3:
+        u, v = frame.u, frame.v
+        proj = []
+        for i in order:
+            x = verts[elem[i]] - o
+            proj.append((float(np.dot(x, u)), float(np.dot(x, v))))
+        x3 = verts[elem[in_local]] - o
+        p3 = (float(np.dot(x3, u)), float(np.dot(x3, v)))
+        e01 = (proj[1][0] - proj[0][0], proj[1][1] - proj[0][1])
+        e02 = (proj[2][0] - proj[0][0], proj[2][1] - proj[0][1])
+        det = det2(e01, e02)
+        if abs(det) <= eps:
+            return [int(k) for k in order]
+        sgn = np.sign(det)
+        d = [sgn * det2(p3, q) for q in proj]
+        out = []
+        if d[1] >= -eps and d[2] <= eps:
+            out.append(int(order[0]))
+        if d[2] >= -eps and d[0] <= eps:
+            out.append(int(order[1]))
+        if d[0] >= -eps and d[1] <= eps:
+            out.append(int(order[2]))
+        return out
+    u = frame.u
+    p0 = float(np.dot(verts[elem[order[0]]] - o, u))
+    p1 = float(np.dot(verts[elem[order[1]]] - o, u))
+    p2 = float(np.dot(verts[elem[in_local]] - o, u))
+    out = []
+    if min(p1, p2) <= eps and max(p1, p2) >= -eps:
+        out.append(int(order[0]))
+    if min(p0, p2) <= eps and max(p0, p2) >= -eps:
+        out.append(int(order[1]))
+    return out
+
+
+def both_meshes(base, v):
+    return make_mesh(base.vertices, base.elements), make_mesh(v, base.elements)
+
+
+def test_bary_rows_invert_the_edge_matrix(base_and_scrambled):
+    for mesh in both_meshes(*base_and_scrambled):
+        x = mesh.vertices[mesh.elements]
+        edges = (x[:, 1:] - x[:, :1]).swapaxes(1, 2)
+        ok = ~mesh.degenerate_flags
+        eye = np.broadcast_to(np.eye(mesh.dim), edges[ok].shape)
+        assert np.allclose(mesh.bary_rows[ok] @ edges[ok], eye, atol=1e-8)
+        assert np.isnan(mesh.bary_rows[~ok]).all()
+
+
+def test_face_cache_matches_per_face_formulas(base_and_scrambled):
+    """Bit for bit: the feature tolerance and the culling thresholds sit on
+    these values."""
+    for mesh in both_meshes(*base_and_scrambled):
+        for f in range(mesh.n_boundary_faces):
+            verts = mesh.vertices[mesh.boundary_faces[f]]
+            edges = [verts[(i + 1) % len(verts)] - verts[i] for i in range(mesh.dim if mesh.dim == 3 else 1)]
+            assert mesh.face_diameters[f] == max(np.linalg.norm(e) for e in edges)
+            n = mesh.boundary_face_normal(f)
+            assert np.array_equal(mesh.face_unit_normals[f], n / np.linalg.norm(n))
+            if mesh.dim == 3:
+                for k, e in enumerate(edges):
+                    assert np.array_equal(mesh.face_edge_normals[f, k], np.cross(-n / np.linalg.norm(n), e))
+        assert not mesh.face_degenerate.any()
+
+
+def test_element_contains_matches_solve(base_and_scrambled):
+    rng = np.random.default_rng(11)
+    checked = inside = 0
+    for mesh in both_meshes(*base_and_scrambled):
+        for e in range(mesh.n_elements):
+            x = mesh.vertices[mesh.elements[e]]
+            w = rng.dirichlet(np.ones(mesh.dim + 1), size=6)
+            random = np.concatenate([w @ x, x.mean(axis=0) + rng.normal(scale=0.3, size=(6, mesh.dim))])
+            for p in random:
+                for tol in (0.0, 1e-10):
+                    got = mesh.element_contains(e, p, tol)
+                    assert got == ref_element_contains(mesh, e, p, tol), (e, p, tol)
+                    checked += 1
+                    inside += got
+            # on vertices and edge midpoints the coordinates are zero up to
+            # roundoff, which only the tie tolerance makes a verdict of
+            mids = [0.5 * (x[i] + x[j]) for i in range(len(x)) for j in range(i)]
+            for p in [*x, *mids]:
+                got = mesh.element_contains(e, p, 1e-10)
+                assert got == ref_element_contains(mesh, e, p, 1e-10), (e, p)
+                assert got != mesh.degenerate_flags[e]
+    assert inside > 0 and inside < checked
+
+
+def test_flat_element_contains_nothing(base_and_scrambled):
+    base, v = base_and_scrambled
+    mesh = make_mesh(v, base.elements)
+    assert mesh.degenerate_flags[0]
+    x = mesh.vertices[mesh.elements[0]]
+    for p in [*x, x.mean(axis=0)]:
+        for tol in (0.0, 1e-10, 1.0):
+            assert not mesh.element_contains(0, p, tol)
+            assert not ref_element_contains(mesh, 0, p, tol)
+
+
+def feature_probes(mesh, f, rng):
+    """Query points for face f: random ones around it, and points whose
+    closest point sits on a vertex or an edge, or just inside or outside
+    the FEATURE_TOL band around one."""
+    verts = mesh.vertices[mesh.boundary_faces[f]]
+    center = verts.mean(axis=0)
+    n = mesh.face_unit_normals[f]
+    diam = mesh.face_diameters[f]
+    points = list(center + rng.normal(scale=diam, size=(8, mesh.dim)))
+    # in 2D a face is one edge, whose midpoint is its center
+    mids = [0.5 * (verts[i - 1] + verts[i]) for i in range(3)] if mesh.dim == 3 else []
+    for a in [*verts, *mids]:
+        inward = (center - a) / np.linalg.norm(center - a)
+        for k in (0.0, 0.5, 1.0, 2.0, 1e3):
+            points.append(a + k * FEATURE_TOL * diam * inward + 0.1 * diam * n)
+        points.append(a)
+    return points
+
+
+def test_closest_point_on_face_matches_reference(base_and_scrambled):
+    rng = np.random.default_rng(12)
+    kinds = set()
+    for mesh in both_meshes(*base_and_scrambled):
+        for f in range(mesh.n_boundary_faces):
+            for p in feature_probes(mesh, f, rng):
+                q, feature = mesh.closest_point_on_face(p, f)
+                q_ref, feature_ref = ref_closest_point_on_face(mesh, p, f)
+                assert np.array_equal(q, q_ref) and feature == feature_ref, (f, p)
+                kinds.add(feature.kind)
+    assert kinds == ({"vertex", "edge", "face"} if mesh.dim == 3 else {"vertex", "face"})
+
+
+def test_degenerate_face_flag_matches_reference():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]], float)
+    mesh = make_mesh(verts, np.array([[0, 1, 2, 3], [1, 4, 2, 3]]))
+    v = mesh.vertices.copy()
+    v[4] = v[1]
+    mesh.set_vertices(v)
+    assert mesh.face_degenerate.any() and not mesh.face_degenerate.all()
+    for f in range(mesh.n_boundary_faces):
+        p = np.array([5.0, 5.0, 5.0])
+        if mesh.face_degenerate[f]:
+            for fn in (mesh.closest_point_on_face, lambda p, f: ref_closest_point_on_face(mesh, p, f)):
+                with pytest.raises(DegenerateFace):
+                    fn(p, f)
+        else:
+            assert ref_closest_point_on_face(mesh, p, f)[1] == mesh.closest_point_on_face(p, f)[1]
+
+
+def test_exit_face_selection_matches_reference(base_and_scrambled):
+    rng = np.random.default_rng(13)
+    grazing = 0
+    for mesh in both_meshes(*base_and_scrambled):
+        for e in range(mesh.n_elements):
+            x = mesh.vertices[mesh.elements[e]]
+            mids = [0.5 * (x[i] + x[j]) for i in range(len(x)) for j in range(i)]
+            for k in range(mesh.dim + 1):
+                face = x[list(local_faces(mesh.dim)[k])]
+                s = rng.dirichlet(np.ones(mesh.dim)) @ face
+                rays = [(s, t) for t in [*x, *mids, x.mean(axis=0) + rng.normal(size=mesh.dim)]]
+                if mesh.dim == 3:
+                    # along the entry face's plane: its projection is flat
+                    rays.append((s, s + face[1] - face[0]))
+                for origin, target in rays:
+                    if np.linalg.norm(target - origin) <= 1e-9:
+                        continue
+                    frame = make_ray_frame(origin, target)
+                    for eps in (0.0, 1e-10):
+                        got = exit_face_selection(mesh, e, k, frame, eps)
+                        assert got == ref_exit_face_selection(mesh, e, k, frame, eps), (e, k)
+                    if mesh.dim == 3:
+                        proj = (face - origin) @ frame.uv
+                        grazing += abs(det2(proj[1] - proj[0], proj[2] - proj[0])) <= 1e-10
+    assert mesh.dim == 2 or grazing > 0
