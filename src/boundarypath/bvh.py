@@ -67,6 +67,9 @@ class AabbTree:
             self.depth[l] = self.depth[r] = self.depth[node] + 1
             stack.append((l, ids[order[:half]]))
             stack.append((r, ids[order[half:]]))
+        # the primitive of each node as Python ints, which best-first
+        # enumeration hands out without making a new int per candidate
+        self.prim_ids = self.prim.tolist()
 
     def _alloc(self):
         i = self._n_nodes
@@ -152,9 +155,9 @@ class NearPrimIter:
             if dist > self.radius:
                 self._heap.clear()
                 break
-            pid = tree.prim[node]
+            pid = tree.prim_ids[node]
             if pid >= 0:
-                return int(pid), dist
+                return pid, dist
             left = int(tree.left[node])  # the right child is left + 1
             kids = tree._box_dists(slice(left, left + 2), self.point)
             for child, d in enumerate(kids, left):

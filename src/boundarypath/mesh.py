@@ -1,16 +1,19 @@
 """Simplicial mesh representation: tetrahedral in 3D, triangular in 2D.
 
-Topology (element adjacency, oriented boundary faces) and the boundary
-feature maps (vertex/edge incidence) are built once, at construction.
-Geometry that depends on positions only is derived in one batched pass at
-construction and again on every `set_vertices`, so queries read it instead
-of recomputing it:
+Topology (element adjacency, oriented boundary faces), the boundary
+feature maps (vertex/edge incidence, as grouped arrays) and the
+face-interior feature of each boundary face are built once, at
+construction. Geometry that depends on positions only is derived in one
+batched pass at construction and again on every `set_vertices`, so
+queries read it instead of recomputing it:
 
 - per element: signed volume, inverted/degenerate flags, and the rows of
   the inverse edge matrix that map p - v0 to barycentric coordinates
-  (nan for a flat element);
-- per boundary face: unit outward normal, diameter, degeneracy flag and,
-  in 3D, the in-plane normal of each edge, which feasibility culling reads.
+  (nan for a flat element); whether any inverted or degenerate element
+  owns no boundary face;
+- per boundary face: whether its owner is skipped, unit outward normal,
+  diameter, degeneracy flag and, in 3D, the in-plane normal of each edge,
+  which feasibility culling reads.
 """
 
 from dataclasses import dataclass
@@ -32,7 +35,7 @@ LOCAL_FACES_3D = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 LOCAL_FACES_2D = ((1, 2), (2, 0), (0, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryFeature:
     """Where a closest point sits on a boundary face.
 
@@ -73,28 +76,36 @@ def build_adjacency(elements):
         row = int(order[third + 2].min())
         raise NonManifold([int(g) for g in keys[row]], [row // nv])
     a, b = order[:-1][same], order[1:][same]
-    adjacency = np.full(n_elem * nv, BOUNDARY, dtype=np.int64)
-    adj_local = np.full(n_elem * nv, -1, dtype=np.int64)
+    adjacency = np.full(n_elem * nv, BOUNDARY, dtype=np.int32)
+    adj_local = np.full(n_elem * nv, -1, dtype=np.int8)
     adjacency[a], adj_local[a] = b // nv, b % nv
     adjacency[b], adj_local[b] = a // nv, a % nv
     return adjacency.reshape(n_elem, nv), adj_local.reshape(n_elem, nv)
 
 
-def _feature_maps(boundary_faces, dim):
-    """Boundary faces of each vertex and edge, and the boundary neighbors
-    of each vertex (sorted), keyed by global vertex ids."""
-    vertex_faces = {}
-    edge_faces = {}
-    neighbors = {}
-    for fid, face in enumerate(boundary_faces.tolist()):
-        for g in face:
-            vertex_faces.setdefault(g, []).append(fid)
-        for i in range(dim if dim == 3 else 1):
-            a, b = face[i], face[(i + 1) % dim]
-            edge_faces.setdefault((min(a, b), max(a, b)), []).append(fid)
-            neighbors.setdefault(a, set()).add(b)
-            neighbors.setdefault(b, set()).add(a)
-    return vertex_faces, edge_faces, {g: sorted(n) for g, n in neighbors.items()}
+def _grouped(keys, values, n_keys):
+    """values grouped by integer key, each group in input order: (values,
+    start) with group k at values[start[k]:start[k + 1]]."""
+    order = np.argsort(keys, kind="stable")
+    return values[order], np.searchsorted(keys[order], np.arange(n_keys + 1))
+
+
+def _feature_maps(boundary_faces, n_vertices, dim):
+    """Boundary faces of each vertex, boundary neighbors of each vertex
+    (sorted) and boundary faces of each edge, as grouped arrays. Faces are
+    listed in face id order; edges are keyed by lo * n_vertices + hi of
+    their vertex ids."""
+    n_faces = len(boundary_faces)
+    vertex_faces = _grouped(boundary_faces.ravel(), np.repeat(np.arange(n_faces), dim), n_vertices)
+    # a 3D face has three edges, vertex i to i + 1; a 2D face is one edge
+    a = boundary_faces if dim == 3 else boundary_faces[:, :1]
+    b = boundary_faces[:, [1, 2, 0]] if dim == 3 else boundary_faces[:, 1:]
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    pairs = np.unique(np.concatenate([lo * n_vertices + hi, hi * n_vertices + lo]))
+    neighbors = _grouped(pairs // n_vertices, pairs % n_vertices, n_vertices)
+    edge_keys, edge_ids = np.unique(lo * n_vertices + hi, return_inverse=True)
+    edge_faces = _grouped(edge_ids, np.repeat(np.arange(n_faces), a.shape[1]), len(edge_keys))
+    return vertex_faces, neighbors, (edge_keys, *edge_faces)
 
 
 class SimplicialMesh:
@@ -128,36 +139,55 @@ class SimplicialMesh:
         self.boundary_owner, self.boundary_owner_local = owners, local
         face_idx = np.asarray(local_faces(self.dim))[local]
         self.boundary_faces = self.elements[owners[:, None], face_idx]
-        self._vertex_faces, self._edge_faces, self._vertex_neighbors = _feature_maps(
-            self.boundary_faces, self.dim
+        self._owns_boundary = np.zeros(len(self.elements), dtype=bool)
+        self._owns_boundary[owners] = True
+        self._vertex_faces, self._vertex_neighbors, self._edge_faces = _feature_maps(
+            self.boundary_faces, len(self.vertices), self.dim
         )
+        # a face-interior feature depends on the face id alone
+        self._face_features = [BoundaryFeature("face", f) for f in range(len(owners))]
 
     def _refresh_geometry(self):
-        x = self.vertices[self.elements]
-        a = x[:, 1] - x[:, 0]
-        b = x[:, 2] - x[:, 0]
+        # edge vectors gathered one column at a time, and the barycentric
+        # rows filled and divided in place, keep the temporaries of a
+        # refresh to a few (m, dim) arrays
+        v, el = self.vertices, self.elements
+        v0 = v[el[:, 0]]
+        a = v[el[:, 1]] - v0
+        b = v[el[:, 2]] - v0
+        rows = np.empty((len(el), self.dim, self.dim))
         if self.dim == 3:
             # bit-identical to geometry.signed_volume_of
-            c = x[:, 3] - x[:, 0]
+            c = v[el[:, 3]] - v0
             bc = geometry.cross_rows(b, c)
             det = geometry.row_dots(a, bc)
             vols = det / 6.0
             # rows of the inverse of the edge matrix [a b c]: (b x c,
             # c x a, a x b) / det
-            rows = np.stack([bc, geometry.cross_rows(c, a), geometry.cross_rows(a, b)], axis=1)
+            rows[:, 0] = bc
+            rows[:, 1] = geometry.cross_rows(c, a)
+            rows[:, 2] = geometry.cross_rows(a, b)
         else:
             det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
             vols = det / 2.0
             # rows of the inverse of [a b]: (b1, -b0) / det, (-a1, a0) / det
-            rows = np.stack([b[:, ::-1] * [1.0, -1.0], a[:, ::-1] * [-1.0, 1.0]], axis=1)
+            rows[:, 0, 0], rows[:, 0, 1] = b[:, 1], -b[:, 0]
+            rows[:, 1, 0], rows[:, 1, 1] = -a[:, 1], a[:, 0]
         self.signed_volumes = vols
         self.inverted_flags = vols < 0.0
         self.degenerate_flags = vols == 0.0
+        bad = self.inverted_flags | self.degenerate_flags
+        # per boundary face: its owner is inverted or degenerate
+        self.boundary_face_skipped = bad[self.boundary_owner]
+        # an inverted or degenerate element owning no boundary face makes
+        # queries traverse backward
+        self.has_inverted_interior = bool(np.any(bad & ~self._owns_boundary))
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.bary_rows = rows / det[:, None, None]
+            rows /= det[:, None, None]
         # a flat element has no barycentric coordinates; nan rows make
         # every coordinate nan without raising floating-point warnings
-        self.bary_rows[self.degenerate_flags] = np.nan
+        rows[self.degenerate_flags] = np.nan
+        self.bary_rows = rows
         self._refresh_face_geometry()
 
     def _refresh_face_geometry(self):
@@ -187,10 +217,11 @@ class SimplicialMesh:
     def set_vertices(self, vertices):
         """Replace vertex positions and recompute everything derived from
         them: signed volumes, the inverted/degenerate flags and barycentric
-        rows of the elements, and the unit normals, diameters, degeneracy
-        flags and edge normals of the boundary faces. Topology and the boundary
-        feature maps do not depend on positions and stay. Any BVH built
-        over this mesh must be refit by the caller."""
+        rows of the elements, has_inverted_interior, and the skip flags,
+        unit normals, diameters, degeneracy flags and edge normals of the
+        boundary faces. Topology and the boundary feature maps do not
+        depend on positions and stay. Any BVH built over this mesh must be
+        refit by the caller."""
         vertices = np.ascontiguousarray(vertices, dtype=float)
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must not change")
@@ -220,20 +251,6 @@ class SimplicialMesh:
         generation and collision detection."""
         return bool(self.inverted_flags[e] or self.degenerate_flags[e])
 
-    @property
-    def boundary_face_skipped(self):
-        """Per boundary face: owner is inverted or degenerate."""
-        return self.inverted_flags[self.boundary_owner] | self.degenerate_flags[
-            self.boundary_owner
-        ]
-
-    @property
-    def has_inverted_interior(self):
-        owns_boundary = np.zeros(len(self.elements), dtype=bool)
-        owns_boundary[self.boundary_owner] = True
-        bad = self.inverted_flags | self.degenerate_flags
-        return bool(np.any(bad & ~owns_boundary))
-
     def element_contains(self, e, p, tol=0.0):
         """Whether every barycentric coordinate of p in element e is >= -tol.
         A flat element's coordinates are nan, so it contains nothing."""
@@ -253,15 +270,26 @@ class SimplicialMesh:
 
     # -- boundary feature topology ------------------------------------------
 
+    def _vertex_group(self, grouped, gv):
+        values, start = grouped
+        if not 0 <= gv < len(self.vertices):
+            return []
+        return values[start[gv]:start[gv + 1]].tolist()
+
     def boundary_vertex_neighbors(self, gv):
-        return list(self._vertex_neighbors.get(gv, ()))
+        return self._vertex_group(self._vertex_neighbors, gv)
 
     def boundary_faces_of_vertex(self, gv):
-        return list(self._vertex_faces.get(gv, ()))
+        return self._vertex_group(self._vertex_faces, gv)
 
     def boundary_faces_of_edge(self, a, b):
-        key = (min(int(a), int(b)), max(int(a), int(b)))
-        return list(self._edge_faces.get(key, ()))
+        keys, values, start = self._edge_faces
+        a, b = sorted((int(a), int(b)))
+        key = a * len(self.vertices) + b
+        i = int(np.searchsorted(keys, key))
+        if i == len(keys) or keys[i] != key:
+            return []
+        return values[start[i]:start[i + 1]].tolist()
 
     def boundary_faces_containing_vertex(self, gv):
         return set(self.boundary_faces_of_vertex(gv))
@@ -297,7 +325,7 @@ class SimplicialMesh:
                 i = int(near[0])
                 pair = (int(gids[i]), int(gids[(i + 1) % 3]))
                 return q, BoundaryFeature("edge", face_id, pair)
-        return q, BoundaryFeature("face", face_id)
+        return q, self._face_features[face_id]
 
     def pseudo_normal(self, feature):
         """Unit outward normal at a boundary feature: the face normal on a

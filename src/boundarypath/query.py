@@ -25,7 +25,7 @@ from .traversal import (
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryStats:
     bvh_candidates_tested: int = 0
     traversals_run: int = 0
@@ -52,7 +52,7 @@ class QueryConfig:
         self.epsilon_r = abs(self.epsilon_r)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClosestBoundaryResult:
     point: np.ndarray
     face: int

@@ -250,6 +250,21 @@ def reference_topology(elements, dim):
     return adjacency, adj_local, faces, owners, owner_local
 
 
+def reference_feature_maps(boundary_faces, dim):
+    """Boundary faces of each vertex and edge, and the sorted boundary
+    neighbors of each vertex, as dicts filled one face at a time."""
+    vertex_faces, edge_faces, neighbors = {}, {}, {}
+    for fid, face in enumerate(boundary_faces.tolist()):
+        for g in face:
+            vertex_faces.setdefault(g, []).append(fid)
+        for i in range(dim if dim == 3 else 1):
+            a, b = face[i], face[(i + 1) % dim]
+            edge_faces.setdefault((min(a, b), max(a, b)), []).append(fid)
+            neighbors.setdefault(a, set()).add(b)
+            neighbors.setdefault(b, set()).add(a)
+    return vertex_faces, edge_faces, {g: sorted(n) for g, n in neighbors.items()}
+
+
 def scrambled(mesh, seed, scale):
     """Positions of mesh jittered until elements invert, with element 0
     made exactly flat (all its vertices share the last coordinate)."""
@@ -293,6 +308,19 @@ def test_topology_matches_reference(base_and_scrambled):
     assert base.boundary_owner_local.tolist() == local
 
 
+def test_feature_maps_match_reference(base_and_scrambled):
+    base, _ = base_and_scrambled
+    vertex_faces, edge_faces, neighbors = reference_feature_maps(base.boundary_faces, base.dim)
+    for g in range(-1, base.n_vertices + 1):
+        assert base.boundary_faces_of_vertex(g) == vertex_faces.get(g, [])
+        assert base.boundary_vertex_neighbors(g) == neighbors.get(g, [])
+    for (a, b), fids in edge_faces.items():
+        assert base.boundary_faces_of_edge(a, b) == base.boundary_faces_of_edge(b, a) == fids
+    interior = {tuple(sorted(map(int, e[:2]))) for e in base.elements} - set(edge_faces)
+    for a, b in interior:
+        assert base.boundary_faces_of_edge(a, b) == []
+
+
 def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
     base, v = base_and_scrambled
     mesh = make_mesh(base.vertices, base.elements)
@@ -301,6 +329,7 @@ def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
     for name in (
         "adjacency", "adj_local", "boundary_faces", "boundary_owner", "boundary_owner_local",
         "signed_volumes", "inverted_flags", "degenerate_flags", "bary_rows",
+        "boundary_face_skipped", "has_inverted_interior",
         "face_diameters", "face_degenerate", "face_unit_normals",
     ):
         assert np.array_equal(getattr(mesh, name), getattr(fresh, name), equal_nan=True), name
