@@ -167,6 +167,56 @@ def test_feasible_region_conservative(folded2d, rng):
         assert feasible_region_check(folded2d, s, feat, p, 0.01)
 
 
+def ref_feasible_region_check(mesh, s, feature, p, epsilon_r):
+    """feasible_region_check with one np.dot per neighbor and the face
+    normals and edge cross products computed per call."""
+    thr = -abs(epsilon_r)
+    if feature.kind == "face":
+        return True
+    if feature.kind == "vertex":
+        for nb in mesh.boundary_vertex_neighbors(feature.verts[0]):
+            if float(np.dot(p - s, s - mesh.vertices[nb])) < thr:
+                return False
+        return True
+    g0, g1 = feature.verts
+    v0, v1 = mesh.vertices[g0], mesh.vertices[g1]
+    if float(np.dot(p - v0, v1 - v0)) < thr or float(np.dot(p - v1, v0 - v1)) < thr:
+        return False
+    fids = mesh.boundary_faces_of_edge(g0, g1)
+    if len(fids) != 2:
+        return True
+    n_accord = n_other = None
+    for fid in fids:
+        tri = [int(g) for g in mesh.boundary_faces[fid]]
+        k = tri.index(int(g0))
+        n = mesh.boundary_face_normal(fid)
+        n = n / np.linalg.norm(n)
+        if tri[(k + 1) % 3] == int(g1):
+            n_accord = -n
+        else:
+            n_other = -n
+    if n_accord is None or n_other is None:
+        return True
+    if float(np.dot(p - s, np.cross(n_accord, v1 - v0))) < thr:
+        return False
+    return float(np.dot(p - s, np.cross(n_other, v0 - v1))) >= thr
+
+
+@pytest.mark.parametrize("epsilon_r", [0.0, 0.01])
+def test_feasible_region_matches_reference(folded3d, rng, epsilon_r):
+    # every candidate of seeded queries, so vertex and edge features of
+    # both face orientations around an edge are covered
+    pts, _ = shapes.random_interior_points(folded3d, rng, 40)
+    kinds = {}
+    for p in pts:
+        for f in range(folded3d.n_boundary_faces):
+            s, feat = folded3d.closest_point_on_face(p, f)
+            got = feasible_region_check(folded3d, s, feat, p, epsilon_r)
+            assert got == ref_feasible_region_check(folded3d, s, feat, p, epsilon_r), (f, p)
+            kinds[feat.kind, got] = kinds.get((feat.kind, got), 0) + 1
+    assert {("vertex", False), ("edge", False), ("edge", True)} <= set(kinds)
+
+
 def test_radius_monotonicity(folded3d, rng):
     # accepted candidate distances decrease strictly during one query:
     # implied by shrink-on-accept; observable via the final result being
