@@ -183,11 +183,9 @@ class BoundaryBvh:
         if mesh.n_boundary_faces == 0:
             raise EmptyBoundary("mesh has no boundary faces")
         self.tree = AabbTree(_face_boxes(mesh))
-        self.mesh_version = mesh.version
 
     def refit(self, mesh):
         self.tree.refit(_face_boxes(mesh))
-        self.mesh_version = mesh.version
 
     def nearest_faces(self, point, radius=np.inf):
         return NearPrimIter(self.tree, point, radius)
@@ -205,8 +203,6 @@ class ElementBvh:
         if mesh.n_elements == 0:
             raise ValueError("mesh has no elements")
         self.tree = AabbTree(_element_boxes(mesh))
-        self.mesh_version = mesh.version
 
     def refit(self, mesh):
         self.tree.refit(_element_boxes(mesh))
-        self.mesh_version = mesh.version

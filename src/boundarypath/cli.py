@@ -64,8 +64,8 @@ def _query_config(args):
 
 
 def _add_common(sub):
-    sub.add_argument("--eps-i", type=float, default=1e-10)
-    sub.add_argument("--eps-r", type=float, default=0.01)
+    sub.add_argument("--eps-i", type=_tolerance, default=1e-10)
+    sub.add_argument("--eps-r", type=_tolerance, default=0.01)
     sub.add_argument("--no-culling", action="store_true")
     sub.add_argument("--allow-backward", action="store_true")
     sub.add_argument("--seed", type=int, default=0)
@@ -81,6 +81,17 @@ def _samples(text):
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def _tolerance(text):
+    """argparse type of --eps-i and --eps-r: a finite number of at least 0."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(x) and x >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return x
 
 
 def _parse_point(text, dim, where):

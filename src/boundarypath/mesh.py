@@ -126,7 +126,6 @@ class SimplicialMesh:
 
             raise IndexOutOfRange("element references a vertex out of range")
         self.names = dict(names) if names else {}
-        self.version = 0
         self._build_topology()
         self._refresh_geometry()
 
@@ -143,6 +142,14 @@ class SimplicialMesh:
         self._owns_boundary[owners] = True
         self._vertex_faces, self._vertex_neighbors, self._edge_faces = _feature_maps(
             self.boundary_faces, len(self.vertices), self.dim
+        )
+        # unique boundary edges as sorted (lo, hi) vertex pairs in key
+        # order; in 2D a boundary face is an edge
+        keys = self._edge_faces[0]
+        self.boundary_edges = (
+            self.boundary_faces
+            if self.dim == 2
+            else np.column_stack([keys // len(self.vertices), keys % len(self.vertices)])
         )
         # a face-interior feature depends on the face id alone
         self._face_features = [BoundaryFeature("face", f) for f in range(len(owners))]
@@ -226,7 +233,6 @@ class SimplicialMesh:
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must not change")
         self.vertices = vertices
-        self.version += 1
         self._refresh_geometry()
 
     # -- basic queries -----------------------------------------------------

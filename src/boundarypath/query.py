@@ -9,6 +9,7 @@ distance.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +47,10 @@ class QueryConfig:
     epsilon_r: float = 0.01
     enable_culling: bool = True
     traversal: TraversalConfig = field(default_factory=TraversalConfig)
-    exclude_vertex: int | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.epsilon_r):
+            raise ValueError("epsilon_r must be finite")
         self.epsilon_r = abs(self.epsilon_r)
 
 
@@ -121,12 +123,16 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
     raise ValueError(f"unknown feature kind {feature.kind!r}")
 
 
-def shortest_path_to_boundary(mesh, bvh, p, p_element=None, config=None, scratch=None):
+def shortest_path_to_boundary(
+    mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_vertex=None
+):
     """Closest boundary point of p with a valid straight path, or None.
 
     p_element identifies the topological copy of p when it matters; a p
     inside an inverted or degenerate element has no defined query and
-    returns None.
+    returns None. exclude_vertex makes a self-query of a boundary vertex:
+    the boundary faces around that vertex are not candidates, and
+    culling is off.
     """
     if config is None:
         config = QueryConfig()
@@ -147,15 +153,15 @@ def shortest_path_to_boundary(mesh, bvh, p, p_element=None, config=None, scratch
 
     skip = mesh.boundary_face_skipped
     excl_faces = (
-        mesh.boundary_faces_containing_vertex(config.exclude_vertex)
-        if config.exclude_vertex is not None
+        mesh.boundary_faces_containing_vertex(exclude_vertex)
+        if exclude_vertex is not None
         else ()
     )
     # The feasible-region argument assumes the unconstrained closest boundary
     # point. A self-query excludes the faces around p, so the constrained
     # minimizer can sit outside its own feasible region (e.g. in the plane of
     # a flat patch); culling would then discard it.
-    culling = config.enable_culling and config.exclude_vertex is None
+    culling = config.enable_culling and exclude_vertex is None
 
     best = None
     it = bvh.nearest_faces(p)

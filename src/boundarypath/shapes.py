@@ -5,6 +5,9 @@ for the randomized generators). These are the fixtures behind the unit,
 differential, and stress suites: structured grids with exactly shared
 vertices and edges for degenerate-ray stress, folded bars that
 self-intersect without inverting, and strips with inverted interior bands.
+
+Every grid-based generator, in 2D and 3D, builds its vertices and
+elements as arrays with `_grid` and makes exactly one mesh.
 """
 
 import itertools
@@ -15,20 +18,30 @@ from .mesh import make_mesh
 
 
 def _oriented(vertices, elements):
-    """Swap the last two vertices of any negatively oriented element."""
-    vertices = np.asarray(vertices, dtype=float)
-    elements = np.asarray(elements, dtype=np.int64).copy()
-    for e in range(len(elements)):
-        v = vertices[elements[e]]
-        if v.shape[1] == 3:
-            a, b, c = v[1] - v[0], v[2] - v[0], v[3] - v[0]
-            vol = np.dot(a, np.cross(b, c))
-        else:
-            a, b = v[1] - v[0], v[2] - v[0]
-            vol = a[0] * b[1] - a[1] * b[0]
-        if vol < 0:
-            elements[e, -2], elements[e, -1] = elements[e, -1], elements[e, -2]
-    return vertices, elements
+    """elements with the last two vertices swapped in place wherever the
+    signed volume is negative."""
+    corners = vertices[elements]
+    flip = np.linalg.det(corners[:, 1:] - corners[:, :1]) < 0
+    elements[flip, -2:] = elements[flip, :-3:-1]
+    return elements
+
+
+def _grid(counts, size, origin):
+    """(vertices, elements) of a structured simplex grid with counts[d]
+    cells along axis d. Vertices run in row-major (i, j, k) order. Each
+    cell is split into the path simplices of its main diagonal, one per
+    axis permutation in itertools order, stepping one axis at a time from
+    the cell's low corner to its high one; cell interfaces then share
+    whole faces and grid lines thread exact vertex and edge chains."""
+    axes = [o + s * np.arange(n + 1) / n for n, s, o in zip(counts, size, origin)]
+    vertices = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    ids = np.arange(len(vertices)).reshape([n + 1 for n in counts])
+    steps = np.array(ids.strides) // ids.itemsize  # vertex id step along each axis
+    paths = np.cumsum(steps[list(itertools.permutations(range(len(counts))))], axis=1)
+    paths = np.pad(paths, ((0, 0), (1, 0)))  # every path starts at the low corner
+    low = ids[tuple(slice(n) for n in counts)].reshape(-1, 1, 1)
+    elements = (low + paths).reshape(-1, len(counts) + 1).astype(np.int64)
+    return vertices, _oriented(vertices, elements)
 
 
 def single_tet():
@@ -57,77 +70,31 @@ def cube_five_tets():
         (cid(0, 0, 0), cid(0, 0, 1), cid(1, 0, 1), cid(0, 1, 1)),
         (cid(1, 1, 1), cid(1, 1, 0), cid(0, 1, 1), cid(1, 0, 1)),
     ]
-    verts, elems = _oriented(corners, np.array(elems))
-    return make_mesh(verts, elems)
+    return make_mesh(corners, _oriented(corners, np.array(elems, dtype=np.int64)))
 
 
 def box_grid(nx, ny, nz, size=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     """Structured tetrahedral box: each cell split into the six path
-    tetrahedra of its main diagonal, consistently across cells, so cell
-    interfaces share whole faces and grid lines thread exact vertex and
-    edge chains."""
-    sx, sy, sz = size
-    ox, oy, oz = origin
-    xs = ox + sx * np.arange(nx + 1) / nx
-    ys = oy + sy * np.arange(ny + 1) / ny
-    zs = oz + sz * np.arange(nz + 1) / nz
-    verts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
-
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    perms = list(itertools.permutations((0, 1, 2)))
-    elems = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                base = np.array([i, j, k])
-                for perm in perms:
-                    c = [base.copy()]
-                    for axis in perm:
-                        nxt = c[-1].copy()
-                        nxt[axis] += 1
-                        c.append(nxt)
-                    elems.append([vid(*corner) for corner in c])
-    verts, elems = _oriented(verts, np.array(elems, dtype=np.int64))
-    return make_mesh(verts, elems)
+    tetrahedra of its main diagonal (see `_grid`)."""
+    return make_mesh(*_grid((nx, ny, nz), size, origin))
 
 
 def rect_grid(nx, ny, size=(1.0, 1.0), origin=(0.0, 0.0)):
     """Structured 2D triangle grid, every cell split by the same diagonal."""
-    sx, sy = size
-    ox, oy = origin
-    xs = ox + sx * np.arange(nx + 1) / nx
-    ys = oy + sy * np.arange(ny + 1) / ny
-    verts = np.array([[x, y] for x in xs for y in ys])
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    elems = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            elems.append([a, b, c])
-            elems.append([a, c, d])
-    verts, elems = _oriented(verts, np.array(elems, dtype=np.int64))
-    return make_mesh(verts, elems)
+    return make_mesh(*_grid((nx, ny), size, origin))
 
 
-def _wrap_map_3d(verts, length, inner_radius, total_angle):
-    # clockwise so the map preserves orientation (det J = c (R0 + y) > 0)
-    x, y, z = verts[:, 0], verts[:, 1], verts[:, 2]
-    theta = -total_angle * x / length
-    r = inner_radius + y
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-
-
-def _wrap_map_2d(verts, length, inner_radius, total_angle):
-    x, y = verts[:, 0], verts[:, 1]
-    theta = -total_angle * x / length
-    r = inner_radius + y
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+def _wound(counts, thickness, inner_radius, total_angle, pitch=0.0):
+    """A straight bar (3D) or strip (2D) of the given thickness, wrapped
+    around an annulus by total_angle, its radius growing by pitch per
+    turn. Clockwise, so the map preserves orientation (det J = c (R0 + y)
+    > 0 for pitch 0)."""
+    length = inner_radius * total_angle  # roughly unit aspect cells
+    size = (length,) + (thickness,) * (len(counts) - 1)
+    verts, elems = _grid(counts, size, (0.0,) * len(counts))
+    theta = -total_angle * verts[:, 0] / length
+    r = inner_radius + verts[:, 1] + pitch * (-theta) / (2.0 * np.pi)
+    return make_mesh(np.column_stack([r * np.cos(theta), r * np.sin(theta), verts[:, 2:]]), elems)
 
 
 def folded_bar(nx, ny, nz, thickness=0.3, inner_radius=1.0, total_angle=2.5 * np.pi):
@@ -135,10 +102,7 @@ def folded_bar(nx, ny, nz, thickness=0.3, inner_radius=1.0, total_angle=2.5 * np
     around an annulus by more than a full turn, so the two ends occupy the
     same region of space while every element keeps positive volume (for
     reasonable resolutions; asserted by the tests that use it)."""
-    length = inner_radius * total_angle  # roughly unit aspect cells
-    bar = box_grid(nx, ny, nz, size=(length, thickness, thickness))
-    wrapped = _wrap_map_3d(bar.vertices, length, inner_radius, total_angle)
-    return make_mesh(wrapped, bar.elements)
+    return _wound((nx, ny, nz), thickness, inner_radius, total_angle)
 
 
 def spiral_bar(
@@ -158,21 +122,12 @@ def spiral_bar(
     invalid: the hard case for the shrinking-radius query."""
     if pitch is None:
         pitch = 0.5 * thickness
-    length = inner_radius * total_angle
-    bar = box_grid(nx, ny, nz, size=(length, thickness, thickness))
-    x, y, z = bar.vertices[:, 0], bar.vertices[:, 1], bar.vertices[:, 2]
-    theta = -total_angle * x / length
-    r = inner_radius + y + pitch * (-theta) / (2.0 * np.pi)
-    verts = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-    return make_mesh(verts, bar.elements)
+    return _wound((nx, ny, nz), thickness, inner_radius, total_angle, pitch)
 
 
 def folded_strip(nx, ny, thickness=0.3, inner_radius=1.0, total_angle=2.5 * np.pi):
     """2D analog of folded_bar."""
-    length = inner_radius * total_angle
-    bar = rect_grid(nx, ny, size=(length, thickness))
-    wrapped = _wrap_map_2d(bar.vertices, length, inner_radius, total_angle)
-    return make_mesh(wrapped, bar.elements)
+    return _wound((nx, ny), thickness, inner_radius, total_angle)
 
 
 def pleated_strip(cols=8, rows_per_band=2, width=4.0, band_height=1.0):
@@ -184,18 +139,15 @@ def pleated_strip(cols=8, rows_per_band=2, width=4.0, band_height=1.0):
     genuinely interior inversions. Queries from the top band must traverse
     the inverted band to reach the bottom boundary.
     """
-    ny = 3 * rows_per_band
-    base = rect_grid(cols, ny, size=(width, 3.0 * band_height))
-    y = base.vertices[:, 1].copy()
+    verts, elems = _grid((cols, 3 * rows_per_band), (width, 3.0 * band_height), (0.0, 0.0))
+    y = verts[:, 1]
     h = band_height
-    out = np.where(
+    verts[:, 1] = np.where(
         y <= h,
         y,
         np.where(y <= 2 * h, h - 0.75 * (y - h), 0.25 * h + 1.0 * (y - 2 * h)),
     )
-    verts = base.vertices.copy()
-    verts[:, 1] = out
-    return make_mesh(verts, base.elements)
+    return make_mesh(verts, elems)
 
 
 def inverted_path_strip():
@@ -228,83 +180,65 @@ def inverted_path_strip():
     mesh = make_mesh(verts, elems)
     s = np.array([0.7, 0.0])
     p = np.array([0.7, 0.35])
-    start_face = None
-    for f in range(mesh.n_boundary_faces):
-        a, b = mesh.boundary_face_vertices(f)
-        if a[1] == 0.0 and b[1] == 0.0:
-            start_face = f
-            break
-    assert start_face is not None
-    return mesh, s, start_face, p
+    # the first boundary face on the line y = 0
+    on_bottom = np.all(verts[mesh.boundary_faces, 1] == 0.0, axis=1)
+    return mesh, s, int(np.flatnonzero(on_bottom)[0]), p
 
 
 def flipped_corner_grid(nx=4, ny=4):
     """2D grid with one inverted element that owns boundary faces: the
     corner vertex, used by exactly one triangle, is reflected across that
     triangle's opposite edge."""
-    mesh = rect_grid(nx, ny)
+    verts, elems = _grid((nx, ny), (1.0, 1.0), (0.0, 0.0))
     # vertex (0, 0) appears only in triangle (v00, v10, v11)
-    v0 = mesh.vertices[0].copy()
-    i10 = ny + 1
-    i11 = ny + 2
-    a = mesh.vertices[i10]
-    b = mesh.vertices[i11]
+    v0 = verts[0].copy()
+    a = verts[ny + 1]
+    b = verts[ny + 2]
     ab = b - a
     t = np.dot(v0 - a, ab) / np.dot(ab, ab)
-    foot = a + t * ab
-    verts = mesh.vertices.copy()
-    verts[0] = 2 * foot - v0
-    return make_mesh(verts, mesh.elements)
+    verts[0] = 2 * (a + t * ab) - v0
+    return make_mesh(verts, elems)
+
+
+def _deformed(rng, counts, amplitude, modes):
+    """Unit grid under a smooth random displacement of `modes` sine
+    modes, halved until no element is inverted or degenerate."""
+    dim = len(counts)
+    verts, elems = _grid(counts, (1.0,) * dim, (0.0,) * dim)
+    disp = np.zeros_like(verts)
+    for _ in range(modes):
+        k = rng.uniform(1.0, 3.0, size=(dim, dim))
+        phase = rng.uniform(0.0, 2 * np.pi, size=dim)
+        amp = rng.normal(size=(dim,))
+        disp += np.sin(verts @ k.T * np.pi + phase) * amp
+    disp *= amplitude / max(np.abs(disp).max(), 1e-12)
+    mesh = make_mesh(verts + disp, elems)
+    while mesh.inverted_flags.any() or mesh.degenerate_flags.any():
+        disp *= 0.5
+        mesh.set_vertices(verts + disp)
+    return mesh
 
 
 def deformed_blob(rng, nx=3, ny=3, nz=3, amplitude=0.25, modes=3):
     """Smooth random deformation of a box grid, amplitude-halved until all
     elements stay positively oriented. Returns an intersection-free mesh."""
-    base = box_grid(nx, ny, nz)
-    disp = np.zeros_like(base.vertices)
-    for _ in range(modes):
-        k = rng.uniform(1.0, 3.0, size=(3, 3))
-        phase = rng.uniform(0.0, 2 * np.pi, size=3)
-        amp = rng.normal(size=(3,))
-        arg = base.vertices @ k.T * np.pi + phase
-        disp += np.sin(arg) * amp
-    disp *= amplitude / max(np.abs(disp).max(), 1e-12)
-    while True:
-        mesh = make_mesh(base.vertices + disp, base.elements)
-        if not mesh.inverted_flags.any() and not mesh.degenerate_flags.any():
-            return mesh
-        disp *= 0.5
+    return _deformed(rng, (nx, ny, nz), amplitude, modes)
 
 
 def deformed_sheet(rng, nx=4, ny=4, amplitude=0.25, modes=3):
     """2D counterpart of deformed_blob."""
-    base = rect_grid(nx, ny)
-    disp = np.zeros_like(base.vertices)
-    for _ in range(modes):
-        k = rng.uniform(1.0, 3.0, size=(2, 2))
-        phase = rng.uniform(0.0, 2 * np.pi, size=2)
-        amp = rng.normal(size=(2,))
-        arg = base.vertices @ k.T * np.pi + phase
-        disp += np.sin(arg) * amp
-    disp *= amplitude / max(np.abs(disp).max(), 1e-12)
-    while True:
-        mesh = make_mesh(base.vertices + disp, base.elements)
-        if not mesh.inverted_flags.any() and not mesh.degenerate_flags.any():
-            return mesh
-        disp *= 0.5
+    return _deformed(rng, (nx, ny), amplitude, modes)
 
 
 def random_interior_points(mesh, rng, n):
     """Sample n points uniformly-ish inside non-skipped elements, weighted
     by absolute volume. Returns (points (n, dim), element ids (n,))."""
-    weights = np.abs(mesh.signed_volumes).astype(float)
-    for e in range(mesh.n_elements):
-        if mesh.element_skipped(e):
-            weights[e] = 0.0
+    weights = np.abs(mesh.signed_volumes)
+    weights[mesh.inverted_flags | mesh.degenerate_flags] = 0.0
     weights = weights / weights.sum()
     elems = rng.choice(mesh.n_elements, size=n, p=weights)
-    points = np.empty((n, mesh.dim))
-    for row, e in enumerate(elems):
-        bary = rng.dirichlet(np.ones(mesh.dim + 1))
-        points[row] = bary @ mesh.vertices[mesh.elements[e]]
+    bary = rng.dirichlet(np.ones(mesh.dim + 1), size=n)
+    # a stack of (1, dim + 1) @ (dim + 1, dim) products rounds as the
+    # per-point bary @ vertices did
+    points = (bary[:, None] @ mesh.vertices[mesh.elements[elems]])[:, 0]
     return points, elems.astype(np.int64)

@@ -14,7 +14,8 @@ testing one probe at a time.
 """
 
 import json
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -241,7 +242,7 @@ def dcd_edge_tet(state, elem_bvhs):
     """
     contacts = []
     for ma, mesh_a in enumerate(state.meshes):
-        edges = _boundary_edges(mesh_a)
+        edges = mesh_a.boundary_edges
         pos = state.positions[state.mesh_slice(ma)]
         a, b = pos[edges[:, 0]], pos[edges[:, 1]]
         hits = []
@@ -267,14 +268,6 @@ def dcd_edge_tet(state, elem_bvhs):
             va, vb = edges[k].tolist()
             contacts.append((ma, (va, vb), (1.0 - t, t), point, m, el))
     return contacts
-
-
-def _boundary_edges(mesh):
-    """(m, 2) local vertex ids of the boundary edges: the boundary faces
-    in 2D, their unique sorted edges in 3D."""
-    if mesh.dim == 2:
-        return mesh.boundary_faces
-    return _unique_edges(mesh.boundary_faces)
 
 
 def build_collision_constraint(x, query_result, mesh, compliance=0.0, subject=None):
@@ -346,18 +339,16 @@ def _build_constraints(state, runtime, config):
     steps_total = 0
     cands_total = 0
     for ma, ids, w, point, mb, e in vertex_contacts + edge_contacts:
-        qcfg = config.query
-        if ma == mb and len(ids) == 1:
-            # self-collision probe sits on its own boundary: exclude the
-            # vertex's zero-distance faces from candidacy
-            qcfg = replace(qcfg, exclude_vertex=int(ids[0]))
+        # a self-collision vertex probe sits on its own boundary: exclude
+        # the vertex's zero-distance faces from candidacy
         res = shortest_path_to_boundary(
             state.meshes[mb],
             runtime.boundary_bvhs[mb],
             point,
             p_element=e,
-            config=qcfg,
+            config=config.query,
             scratch=runtime.scratch,
+            exclude_vertex=int(ids[0]) if ma == mb and len(ids) == 1 else None,
         )
         if res is None:
             continue
@@ -503,21 +494,61 @@ def _config(cls, doc, path, where, convert=()):
         raise ParseError(path, 0, f"bad {where}: {exc}") from exc
 
 
+def _finite(value, what):
+    """A JSON number as a float. Raises ValueError for any other value,
+    nan and infinities included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _place(mesh, spec):
+    """Scale, then translate, a scene entry's mesh in place; returns its
+    per-vertex masses, or None for unit mass. Raises ValueError for an
+    unknown key or a bad value."""
+    unknown = sorted(set(spec) - {"path", "translate", "scale", "mass"})
+    if unknown:
+        raise ValueError(f"unknown keys: {', '.join(unknown)}")
+    scale = _finite(spec.get("scale", 1.0), "scale")
+    if scale <= 0.0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    translate = spec.get("translate", [0.0] * mesh.dim)
+    if not isinstance(translate, list) or len(translate) != mesh.dim:
+        raise ValueError(f"translate must be a list of {mesh.dim} numbers for a {mesh.dim}D mesh")
+    verts = mesh.vertices * scale + [_finite(x, "translate") for x in translate]
+    if not np.all(np.isfinite(verts)):
+        raise ValueError("scaled vertex coordinates overflow")
+    mesh.set_vertices(verts)
+    mass = spec.get("mass")
+    if mass is None:
+        return None
+    if _finite(mass, "mass") < 0.0:
+        raise ValueError(f"mass must be >= 0, got {mass}")
+    return np.full(mesh.n_vertices, float(mass))
+
+
 def load_scene(path):
     """JSON scene: {"meshes": [{"path", "translate"?, "scale"?,
     "mass"?}], "config": {SimConfig fields}}. The config's "query" object
     holds QueryConfig fields, and its "traversal" object TraversalConfig
     fields. Returns (state, config). Raises ParseError for a document of
-    another shape, an unknown config key at any level or a config value
-    that the config classes reject."""
+    another shape, an unknown key in a mesh entry or in the config at any
+    level, a value that a mesh entry or the config classes reject, or
+    meshes of different dimensions."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, exc.msg) from exc
     specs = doc.get("meshes") if isinstance(doc, dict) else None
-    if not isinstance(specs, list) or not all(isinstance(m, dict) and "path" in m for m in specs):
-        raise ParseError(path, 0, 'a scene needs a "meshes" list of {"path": ...} objects')
+    if (
+        not isinstance(specs, list)
+        or not specs
+        or not all(isinstance(m, dict) and isinstance(m.get("path"), str) for m in specs)
+    ):
+        raise ParseError(
+            path, 0, 'a scene needs a non-empty "meshes" list of {"path": ...} objects'
+        )
 
     def traversal(d):
         return _config(TraversalConfig, d, path, "config.query.traversal")
@@ -535,15 +566,16 @@ def load_scene(path):
     meshes = []
     masses = []
     base = path.rsplit("/", 1)[0] if "/" in path else "."
-    for spec_m in specs:
-        mpath = spec_m["path"]
+    for i, spec in enumerate(specs):
+        mpath = spec["path"]
         if not mpath.startswith("/"):
             mpath = f"{base}/{mpath}"
         mesh = load_mesh(mpath)
-        verts = mesh.vertices * float(spec_m.get("scale", 1.0))
-        verts = verts + np.asarray(spec_m.get("translate", [0.0] * mesh.dim), float)
-        mesh.set_vertices(verts)
+        try:
+            masses.append(_place(mesh, spec))
+        except ValueError as exc:
+            raise ParseError(path, 0, f"bad meshes[{i}]: {exc}") from exc
         meshes.append(mesh)
-        mass = spec_m.get("mass")
-        masses.append(None if mass is None else np.full(mesh.n_vertices, float(mass)))
+    if len({mesh.dim for mesh in meshes}) > 1:
+        raise ParseError(path, 0, "all meshes in a scene must share a dimension")
     return make_state(meshes, masses), config

@@ -8,6 +8,7 @@ the brute-force oracle keeps; an optional backward mode handles inverted
 interior elements.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,10 +58,10 @@ class TraversalConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if self.cutoff_factor < 1.0:
-            raise ValueError("cutoff_factor must be >= 1")
-        if self.epsilon_i < 0.0:
-            raise ValueError("epsilon_i must be >= 0")
+        if not (math.isfinite(self.cutoff_factor) and self.cutoff_factor >= 1.0):
+            raise ValueError("cutoff_factor must be finite and >= 1")
+        if not (math.isfinite(self.epsilon_i) and self.epsilon_i >= 0.0):
+            raise ValueError("epsilon_i must be finite and >= 0")
 
 
 @dataclass

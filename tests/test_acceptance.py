@@ -387,10 +387,9 @@ def test_criterion_6_zero_length_rejection():
         for v in sorted(boundary_vertex_set(mesh)):
             samples += 1
             p = mesh.vertices[v]
-            cfg = QueryConfig(exclude_vertex=v)
             res = shortest_path_to_boundary(
-                mesh, bvh, p, p_element=incident_element(mesh, v), config=cfg,
-                scratch=scratch,
+                mesh, bvh, p, p_element=incident_element(mesh, v), scratch=scratch,
+                exclude_vertex=v,
             )
             ref = oracle_closest_boundary(mesh, p, exclude_vertex=v)
             if res is None or ref is None:
@@ -448,9 +447,9 @@ def test_criterion_7_rest_shape_comparison():
         bary = barycentric_coords(p, deformed.vertices[deformed.elements[elem]])
         if float(bary.min()) <= 1e-6:
             continue  # grazing contact, not a real penetration
-        cfg = QueryConfig(exclude_vertex=v if v in bverts else None)
         res = shortest_path_to_boundary(
-            deformed, bvh, p, p_element=elem, config=cfg, scratch=scratch
+            deformed, bvh, p, p_element=elem, scratch=scratch,
+            exclude_vertex=v if v in bverts else None,
         )
         if res is None:
             violations += 1

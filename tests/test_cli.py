@@ -123,6 +123,20 @@ def test_samples_below_one_exit_2(cube_path, command):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--eps-i", "-1"), ("--eps-i", "nan"), ("--eps-i", "inf"),
+        ("--eps-r", "nan"), ("--eps-r", "-0.5"), ("--eps-r", "abc"),
+    ],
+)
+def test_query_bad_tolerance_exit_2(cube_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as err:
+        main(["query", cube_path, "0.5 0.5 0.5", flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_validate_clean(cube_path, capsys):
     rc = main(["validate", cube_path, "--samples", "10", "--seed", "3"])
     assert rc == 0
@@ -217,14 +231,29 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"bogus": 1}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"stiffness_k": 1e4}}',
         '{"meshes": [{"path": "box.json"}], "config": {"include_centroids": false}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"query": {"exclude_vertex": 4}}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"query": {"epsilon_r": NaN}}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"epsilon_i": Infinity}}}}',
+        '{"meshes": []}',
+        '{"meshes": [{"path": "box.json", "translate": [1, 2]}]}',
+        '{"meshes": [{"path": "box.json", "translate": [NaN, 0, 0]}]}',
+        '{"meshes": [{"path": "box.json", "scale": "abc"}]}',
+        '{"meshes": [{"path": "box.json", "scale": 0}]}',
+        '{"meshes": [{"path": "box.json", "mass": "x"}]}',
+        '{"meshes": [{"path": "box.json", "mas": 2}]}',
+        '{"meshes": [{"path": "box.json"}, {"path": "sheet.json"}]}',
     ],
     ids=[
         "no-meshes", "meshes-not-list", "unknown-key", "friction", "not-json",
         "dt-zero", "iterations-zero", "query-unknown-key", "stiffness_k", "include_centroids",
+        "query-exclude-vertex", "epsilon-r-nan", "epsilon-i-inf", "meshes-empty",
+        "translate-2d", "translate-nan", "scale-string", "scale-zero", "mass-string",
+        "mesh-unknown-key", "mixed-dimensions",
     ],
 )
 def test_simulate_bad_scene_exit_2(tmp_path, capsys, scene):
     save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
+    save_mesh(shapes.rect_grid(1, 1), tmp_path / "sheet.json")
     (tmp_path / "scene.json").write_text(scene)
     assert main(["simulate", str(tmp_path / "scene.json"), "--substeps", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -219,7 +219,6 @@ def test_set_vertices_refreshes_geometry(tri):
     v[[1, 2]] = v[[2, 1]]
     mesh.set_vertices(v)
     assert mesh.inverted_flags[0]
-    assert mesh.version == 1
 
 
 # -- array-built topology and volumes against per-element references --------
@@ -319,6 +318,18 @@ def test_feature_maps_match_reference(base_and_scrambled):
     interior = {tuple(sorted(map(int, e[:2]))) for e in base.elements} - set(edge_faces)
     for a, b in interior:
         assert base.boundary_faces_of_edge(a, b) == []
+
+
+def test_boundary_edges_match_reference(base_and_scrambled):
+    base, _ = base_and_scrambled
+    faces = base.boundary_faces
+    if base.dim == 2:
+        ref = faces
+    else:
+        # the unique sorted vertex pairs of all face edges
+        ref = np.unique(np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
+    assert base.boundary_edges.dtype == ref.dtype
+    assert np.array_equal(base.boundary_edges, ref)
 
 
 def test_set_vertices_matches_fresh_mesh(base_and_scrambled):

@@ -114,8 +114,7 @@ def test_boundary_vertex_self_query(folded2d):
     vids = sorted({int(v) for f in mesh.boundary_faces for v in f})[:40]
     for v in vids:
         p = mesh.vertices[v]
-        cfg = QueryConfig(exclude_vertex=v)
-        res = shortest_path_to_boundary(mesh, bvh, p, config=cfg)
+        res = shortest_path_to_boundary(mesh, bvh, p, exclude_vertex=v)
         if res is None:
             continue
         assert np.linalg.norm(res.point - p) > 1e-12
@@ -253,11 +252,11 @@ def test_culling_disabled_for_self_queries(folded3d):
         e = int(np.argwhere(folded3d.elements == v)[0][0])
         on = shortest_path_to_boundary(
             folded3d, bvh, folded3d.vertices[v], p_element=e,
-            config=QueryConfig(exclude_vertex=v, enable_culling=True),
+            config=QueryConfig(enable_culling=True), exclude_vertex=v,
         )
         off = shortest_path_to_boundary(
             folded3d, bvh, folded3d.vertices[v], p_element=e,
-            config=QueryConfig(exclude_vertex=v, enable_culling=False),
+            config=QueryConfig(enable_culling=False), exclude_vertex=v,
         )
         assert on is not None and off is not None
         assert on.face == off.face and on.distance == off.distance

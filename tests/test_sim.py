@@ -157,7 +157,7 @@ def ref_dcd_edge_tet(state, elem_bvhs):
     contacts = []
     for ma, mesh_a in enumerate(state.meshes):
         base = int(state.offsets[ma])
-        for va, vb in sim._boundary_edges(mesh_a).tolist():
+        for va, vb in mesh_a.boundary_edges.tolist():
             a = state.positions[base + va]
             b = state.positions[base + vb]
             best = None

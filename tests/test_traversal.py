@@ -5,6 +5,7 @@ from conftest import containing_elements
 from boundarypath import oracle, shapes
 from boundarypath.errors import ZeroLengthSegment
 from boundarypath.mesh import make_mesh
+from boundarypath.query import QueryConfig
 from boundarypath.traversal import (
     TraversalConfig,
     TraversalScratch,
@@ -208,7 +209,16 @@ def test_trace_output(tet):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TraversalConfig(cutoff_factor=0.5)
-    with pytest.raises(ValueError):
-        TraversalConfig(epsilon_i=-1e-10)
+    for bad in (
+        dict(cutoff_factor=0.5),
+        dict(cutoff_factor=np.nan),
+        dict(cutoff_factor=np.inf),
+        dict(epsilon_i=-1e-10),
+        dict(epsilon_i=np.nan),
+        dict(epsilon_i=np.inf),
+    ):
+        with pytest.raises(ValueError):
+            TraversalConfig(**bad)
+    for eps_r in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            QueryConfig(epsilon_r=eps_r)
