@@ -1,6 +1,6 @@
 """Axis-aligned bounding box hierarchies.
 
-One tree type backs both the boundary-face hierarchy (shrinking-radius
+One tree type backs both the boundary-face hierarchy (best-first
 closest-primitive enumeration) and the element-level hierarchy used by
 discrete collision detection. Box overlap answers a whole batch of query
 boxes in one level-by-level walk, and refit sweeps the tree one level at
@@ -9,10 +9,10 @@ Rebuild is only needed on topology change.
 """
 
 import heapq
+import math
 
 import numpy as np
 
-from . import geometry
 from .errors import EmptyBoundary
 
 
@@ -92,12 +92,6 @@ class AabbTree:
             self.lo[nodes] = np.minimum(self.lo[l], self.lo[r])
             self.hi[nodes] = np.maximum(self.hi[l], self.hi[r])
 
-    def _box_dists(self, nodes, p):
-        """Distances from p to the boxes of `nodes` (a slice), as a list of
-        floats."""
-        d = np.maximum(self.lo[nodes] - p, 0.0) + np.maximum(p - self.hi[nodes], 0.0)
-        return geometry.row_norms(d).tolist()
-
     def box_overlap(self, lo, hi):
         """Every (box, primitive) pair whose boxes intersect, for k query
         boxes given as (k, dim) corner arrays. Touching boxes intersect.
@@ -129,40 +123,48 @@ class AabbTree:
         return box[order], prim[order]
 
 
+def _box_dist(lo, hi, p):
+    """Distance from the point p to the box [lo, hi], all on Python floats."""
+    s = 0.0
+    for l, h, x in zip(lo, hi, p):
+        d = l - x if x < l else (x - h if x > h else 0.0)
+        s += d * d
+    return math.sqrt(s)
+
+
 class NearPrimIter:
     """Best-first enumeration of primitives by lower-bound distance to a
-    point. `shrink(r)` tightens the search radius; nodes farther than the
-    current radius are pruned. Yields each primitive at most once, in
-    non-decreasing lower-bound order."""
+    point. Yields each primitive once, as (primitive, lower bound), in
+    non-decreasing lower-bound order. `bound` is a lower bound on the
+    distance of every primitive not yet yielded."""
 
-    def __init__(self, tree, point, radius=np.inf):
+    def __init__(self, tree, point):
         self.tree = tree
-        self.point = np.asarray(point, dtype=float)
-        self.radius = float(radius)
-        self._heap = [(tree._box_dists(slice(0, 1), self.point)[0], 0)]
+        self.point = np.asarray(point, dtype=float).tolist()
+        self._heap = [(_box_dist(tree.lo[0].tolist(), tree.hi[0].tolist(), self.point), 0)]
 
-    def shrink(self, radius):
-        if radius < self.radius:
-            self.radius = float(radius)
+    @property
+    def bound(self):
+        return self._heap[0][0] if self._heap else math.inf
 
     def __iter__(self):
         return self
 
     def __next__(self):
         tree = self.tree
-        while self._heap:
-            dist, node = heapq.heappop(self._heap)
-            if dist > self.radius:
-                self._heap.clear()
-                break
+        heap = self._heap
+        p = self.point
+        while heap:
+            dist, node = heapq.heappop(heap)
             pid = tree.prim_ids[node]
             if pid >= 0:
                 return pid, dist
-            left = int(tree.left[node])  # the right child is left + 1
-            kids = tree._box_dists(slice(left, left + 2), self.point)
-            for child, d in enumerate(kids, left):
-                if d <= self.radius:
-                    heapq.heappush(self._heap, (d, child))
+            # both children in one slice; the right child is left + 1
+            left = int(tree.left[node])
+            lo_l, lo_r = tree.lo[left:left + 2].tolist()
+            hi_l, hi_r = tree.hi[left:left + 2].tolist()
+            heapq.heappush(heap, (_box_dist(lo_l, hi_l, p), left))
+            heapq.heappush(heap, (_box_dist(lo_r, hi_r, p), left + 1))
         raise StopIteration
 
 
@@ -187,8 +189,8 @@ class BoundaryBvh:
     def refit(self, mesh):
         self.tree.refit(_face_boxes(mesh))
 
-    def nearest_faces(self, point, radius=np.inf):
-        return NearPrimIter(self.tree, point, radius)
+    def nearest_faces(self, point):
+        return NearPrimIter(self.tree, point)
 
 
 def build_boundary_bvh(mesh):

@@ -31,7 +31,7 @@ from .errors import MeshError, ParseError
 from .meshio import export_boundary_obj, load_mesh, save_mesh
 from .query import QueryConfig, shortest_path_to_boundary
 from .sim import SimRuntime, count_penetrations, load_scene, xpbd_substep
-from .traversal import TraversalConfig, TraversalScratch, is_valid_path
+from .traversal import TraversalConfig, TraversalScratch, format_trace, is_valid_path
 
 
 @dataclass
@@ -127,14 +127,20 @@ def cmd_query(args):
     if len(points) == 0:
         raise SystemExit2("no query points given")
     config = _query_config(args)
+    scratch = TraversalScratch(config.traversal)
 
     records = []
     for p in points:
-        res = shortest_path_to_boundary(mesh, bvh, p, config=config)
+        res = shortest_path_to_boundary(mesh, bvh, p, config=config, scratch=scratch)
         if res is None:
-            records.append({"query_point": [float(x) for x in p], "result": None})
+            rec = {"query_point": [float(x) for x in p], "result": None}
         else:
-            records.append(res.as_dict(query_point=p))
+            rec = res.as_dict(query_point=p)
+        if args.trace:
+            # the query returns after the answer's traversal, so the
+            # scratch holds its trace
+            rec["trace"] = format_trace(scratch.trace).splitlines() if res is not None else []
+        records.append(rec)
     payload = json.dumps({"mesh": args.mesh, "results": records}, indent=2)
     if args.out:
         out = Path(args.out)
@@ -354,10 +360,10 @@ def cmd_bench(args):
             for p, e in zip(points, elems)
         ]
         answers.append([None if r is None else (r.face, r.distance) for r in results])
-        stats = [r.stats for r in results if r is not None]
-        cands = [st.bvh_candidates_tested for st in stats]
-        travs = [st.traversals_run for st in stats]
-        visited = [st.elements_visited for st in stats]
+        answered = [r for r in results if r is not None]
+        cands = [r.bvh_candidates_tested for r in answered]
+        travs = [r.traversals_run for r in answered]
+        visited = [r.elements_visited for r in answered]
         rows.append(
             (
                 label,
@@ -438,7 +444,9 @@ def build_parser():
     q.add_argument("point", nargs="*", help='query point, e.g. "0.5 0.5 0.5"')
     q.add_argument("--points-file", default=None)
     q.add_argument("--path-obj", default=None)
-    q.add_argument("--trace", action="store_true")
+    q.add_argument(
+        "--trace", action="store_true", help="add the trace of each answer's traversal"
+    )
     _add_common(q)
     q.set_defaults(fn=cmd_query)
 

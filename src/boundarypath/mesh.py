@@ -11,9 +11,11 @@ queries read it instead of recomputing it:
   the inverse edge matrix that map p - v0 to barycentric coordinates
   (nan for a flat element); whether any inverted or degenerate element
   owns no boundary face;
-- per boundary face: whether its owner is skipped, unit outward normal,
-  diameter, degeneracy flag and, in 3D, the in-plane normal of each edge,
-  which feasibility culling reads.
+- per boundary face: whether its owner is skipped, area-weighted and unit
+  outward normals, diameter, degeneracy flag, the barycentric floors
+  above which the closest-point classifier needs no tolerance tests and,
+  in 3D, the in-plane normal of each edge, which feasibility culling
+  reads.
 """
 
 from dataclasses import dataclass
@@ -205,14 +207,32 @@ class SimplicialMesh:
         else:
             edges = f[:, 1:] - f[:, :1]
             n = edges[:, 0, ::-1] * [1.0, -1.0]
-        diam = geometry.row_norms(edges).max(axis=1)
+        lengths = geometry.row_norms(edges)
+        diam = lengths.max(axis=1)
         n_len = geometry.row_norms(n)
         self.face_diameters = diam
         self.face_degenerate = diam == 0.0
         if self.dim == 3:
             self.face_degenerate |= n_len <= 1e-30 * np.maximum(diam, 1.0)
+        self.face_area_normals = n
         with np.errstate(divide="ignore", invalid="ignore"):
             self.face_unit_normals = n / n_len[:, None]
+            # each face vertex's distance to the face's edge (3D) or vertex
+            # (2D) that does not touch it: twice the area over that edge's
+            # length, or the length
+            if self.dim == 3:
+                heights = n_len[:, None] / lengths[:, [1, 2, 0]]
+            else:
+                heights = lengths[:, [0, 0]]
+            # a closest point whose barycentric k is above floors[k] lies
+            # farther than 2 * FEATURE_TOL * diameter from every edge and
+            # vertex away from vertex k
+            floors = (2.0 * FEATURE_TOL) * diam[:, None] / heights
+        # where the roundoff of the coordinates could reach the tolerance,
+        # the floors are infinite and the tolerance tests decide
+        noisy = np.abs(f).max(axis=(1, 2)) > diam * (FEATURE_TOL / (64.0 * np.finfo(float).eps))
+        floors[noisy] = np.inf
+        self.face_bary_floors = floors
         # 3D only: edge k of each face crossed into the face's plane,
         # (-n) x (edge k), which points away from the face
         self.face_edge_normals = (
@@ -225,13 +245,16 @@ class SimplicialMesh:
         """Replace vertex positions and recompute everything derived from
         them: signed volumes, the inverted/degenerate flags and barycentric
         rows of the elements, has_inverted_interior, and the skip flags,
-        unit normals, diameters, degeneracy flags and edge normals of the
-        boundary faces. Topology and the boundary feature maps do not
-        depend on positions and stay. Any BVH built over this mesh must be
-        refit by the caller."""
+        normals, diameters, degeneracy flags, barycentric floors and edge
+        normals of the boundary faces. Topology and the boundary feature
+        maps do not depend on positions and stay. Any BVH built over this
+        mesh must be refit by the caller. Raises ValueError, as the
+        constructor does, for another shape or non-finite coordinates."""
         vertices = np.ascontiguousarray(vertices, dtype=float)
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must not change")
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("vertex coordinates must be finite")
         self.vertices = vertices
         self._refresh_geometry()
 
@@ -269,10 +292,7 @@ class SimplicialMesh:
     def boundary_face_normal(self, face_id):
         """Outward area-weighted normal (not unit) of a boundary face, per
         the owning element's orientation."""
-        v = self.boundary_face_vertices(face_id)
-        if self.dim == 3:
-            return geometry.triangle_area_normal(v[0], v[1], v[2])
-        return geometry.edge_outward_normal_2d(v[0], v[1])
+        return self.face_area_normals[face_id].copy()
 
     # -- boundary feature topology ------------------------------------------
 
@@ -306,16 +326,34 @@ class SimplicialMesh:
         """Euclidean closest point to p on a boundary face, with feature
         classification. A point within FEATURE_TOL * diameter of an edge or
         vertex is classified as that feature; the first such vertex wins,
-        then the first such edge."""
+        then the first such edge.
+
+        Most points are classified from the barycentrics of the closest
+        point's region alone: its nonzero coordinates name the feature when
+        each is above its floor in face_bary_floors, which puts the point
+        beyond twice the tolerance from every other feature. The others
+        take the tolerance tests, which give the same answer."""
         if self.face_degenerate[face_id]:
             raise DegenerateFace(f"boundary face {face_id} is degenerate")
         gids = self.boundary_faces[face_id]
         verts = self.vertices[gids]
-        tol = FEATURE_TOL * self.face_diameters[face_id]
         if self.dim == 3:
-            q, _ = geometry.closest_point_on_triangle(p, *verts)
+            q, bary = geometry.closest_point_on_triangle(p, *verts)
         else:
-            q, _ = geometry.closest_point_on_segment(p, verts[0], verts[1])
+            q, t = geometry.closest_point_on_segment(p, verts[0], verts[1])
+            bary = (1.0 - t, t)
+        on = [k for k, b in enumerate(bary) if b != 0.0]
+        floors = self.face_bary_floors[face_id].tolist()
+        if all(bary[k] > floors[k] for k in on):
+            if len(on) == len(bary):
+                return q, self._face_features[face_id]
+            g = gids.tolist()
+            if len(on) == 1:
+                return q, BoundaryFeature("vertex", face_id, (g[on[0]],))
+            # an edge of a triangle, named in the face's edge order
+            i, j = on
+            return q, BoundaryFeature("edge", face_id, (g[i], g[j]) if j == i + 1 else (g[j], g[i]))
+        tol = FEATURE_TOL * self.face_diameters[face_id]
         qv = q - verts
         near = np.flatnonzero(geometry.row_norms(qv) <= tol)
         if len(near):
@@ -337,14 +375,14 @@ class SimplicialMesh:
         """Unit outward normal at a boundary feature: the face normal on a
         face interior, the area-weighted average of adjacent boundary face
         normals on an edge or vertex."""
+        normals = self.face_area_normals
+        # sum() adds the rows one at a time, in face order
         if feature.kind == "face":
-            n = self.boundary_face_normal(feature.face_id)
+            n = normals[feature.face_id]
         elif feature.kind == "edge":
-            fids = self.boundary_faces_of_edge(*feature.verts)
-            n = sum(self.boundary_face_normal(f) for f in fids)
+            n = sum(normals[self.boundary_faces_of_edge(*feature.verts)])
         elif feature.kind == "vertex":
-            fids = self.boundary_faces_of_vertex(feature.verts[0])
-            n = sum(self.boundary_face_normal(f) for f in fids)
+            n = sum(normals[self.boundary_faces_of_vertex(feature.verts[0])])
         else:
             raise ValueError(f"unknown feature kind {feature.kind!r}")
         norm = float(np.linalg.norm(n))

@@ -1,15 +1,19 @@
 """Shortest-path-to-boundary query.
 
-Enumerates candidate boundary faces approximately nearest-first from the
-boundary BVH, takes the Euclidean closest point on each face as the only
-candidate the face can contribute, culls candidates whose local feasible
-region excludes the query point, and validates the survivors with the
-topological ray traversal. The query radius shrinks to the best validated
-distance.
+Enumerates boundary faces by lower-bound distance from the boundary BVH
+and takes the Euclidean closest point on each face as the only candidate
+the face can contribute. Candidates are validated in exact (distance,
+face id) order: a candidate is culled when its local feasible region
+excludes the query point, and otherwise checked with the topological ray
+traversal, once its distance is below the lower bound of every face not
+yet enumerated. The first valid candidate is the answer, so of several
+candidates at the same distance the lowest face id wins.
 """
 
+import heapq
 import logging
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,13 +58,54 @@ class QueryConfig:
         self.epsilon_r = abs(self.epsilon_r)
 
 
-@dataclass(slots=True)
 class ClosestBoundaryResult:
-    point: np.ndarray
-    face: int
-    feature: object
-    distance: float
-    stats: QueryStats
+    """A query's answer: the boundary point, its face and feature, its
+    distance, and the query's work counters.
+
+    Callers may keep results by the thousand (the benchmark keeps every
+    round's), so the numbers are packed into one bytes object: the point's
+    float64 coordinates, then the distance and the three counters. The
+    attributes read them back; `point` is a read-only array view."""
+
+    __slots__ = ("_packed", "face", "feature")
+    _TAIL = struct.Struct("=d3I")  # distance, then the three counters
+
+    def __init__(
+        self, point, face, feature, distance,
+        bvh_candidates_tested=0, traversals_run=0, elements_visited=0,
+    ):
+        self._packed = np.asarray(point, dtype=float).tobytes() + self._TAIL.pack(
+            distance, bvh_candidates_tested, traversals_run, elements_visited
+        )
+        self.face = face
+        self.feature = feature
+
+    def _tail(self):
+        return self._TAIL.unpack_from(self._packed, len(self._packed) - self._TAIL.size)
+
+    @property
+    def point(self):
+        return np.frombuffer(self._packed, count=(len(self._packed) - self._TAIL.size) // 8)
+
+    @property
+    def distance(self):
+        return self._tail()[0]
+
+    @property
+    def bvh_candidates_tested(self):
+        return self._tail()[1]
+
+    @property
+    def traversals_run(self):
+        return self._tail()[2]
+
+    @property
+    def elements_visited(self):
+        return self._tail()[3]
+
+    @property
+    def stats(self):
+        return QueryStats(*self._tail()[1:])
 
     def as_dict(self, query_point=None):
         rec = {
@@ -127,6 +172,8 @@ def shortest_path_to_boundary(
     mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_vertex=None
 ):
     """Closest boundary point of p with a valid straight path, or None.
+    Of several such points at the same distance, the one on the lowest
+    face id is returned.
 
     p_element identifies the topological copy of p when it matters; a p
     inside an inverted or degenerate element has no defined query and
@@ -139,7 +186,6 @@ def shortest_path_to_boundary(
     if scratch is None:
         scratch = TraversalScratch(config.traversal)
     p = np.asarray(p, dtype=float)
-    stats = QueryStats()
 
     if p_element is not None and mesh.element_skipped(int(p_element)):
         log.warning(
@@ -163,31 +209,40 @@ def shortest_path_to_boundary(
     # a flat patch); culling would then discard it.
     culling = config.enable_culling and exclude_vertex is None
 
-    best = None
+    n_candidates = n_traversals = n_visited = 0
+    # heap of (distance, face, point, feature); an enumerated face waits
+    # under its lower bound, with no point, until it reaches the top
+    pending = []
     it = bvh.nearest_faces(p)
-    for face, _lb in it:
-        stats.bvh_candidates_tested += 1
-        if skip[face] or face in excl_faces:
-            continue
-        try:
-            s, feature = mesh.closest_point_on_face(p, face)
-        except DegenerateFace:
-            continue
-        d = float(np.linalg.norm(s - p))
-        if best is not None and d >= best.distance:
-            continue
-        if culling and not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
-            continue
-        stats.traversals_run += 1
-        try:
-            res = validate(
-                mesh, s, face, p, p_element, config.traversal, scratch
-            )
-        except ZeroLengthSegment:
-            # self candidate of a boundary point; never a valid path
-            continue
-        stats.elements_visited += res.elements_visited
-        if res.valid:
-            best = ClosestBoundaryResult(s, int(face), feature, d, stats)
-            it.shrink(d)
-    return best
+    while True:
+        # Every face not yet enumerated is at least `bound` away, so a
+        # pending candidate nearer than that cannot tie with one to come.
+        bound = it.bound
+        while pending and pending[0][0] < bound:
+            d, face, s, feature = heapq.heappop(pending)
+            if s is None:
+                try:
+                    s, feature = mesh.closest_point_on_face(p, face)
+                except DegenerateFace:
+                    continue
+                heapq.heappush(pending, (float(np.linalg.norm(s - p)), face, s, feature))
+                continue
+            if culling and not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
+                continue
+            n_traversals += 1
+            try:
+                res = validate(mesh, s, face, p, p_element, config.traversal, scratch)
+            except ZeroLengthSegment:
+                # self candidate of a boundary point; never a valid path
+                continue
+            n_visited += res.elements_visited
+            if res.valid:
+                return ClosestBoundaryResult(
+                    s, face, feature, d, n_candidates, n_traversals, n_visited
+                )
+        if bound == math.inf:
+            return None
+        face, lb = next(it)
+        n_candidates += 1
+        if not (skip[face] or face in excl_faces):
+            heapq.heappush(pending, (lb, face, None, None))

@@ -119,7 +119,7 @@ def spiral_bar(
     offset. Unlike folded_bar, whose overlapping turns coincide exactly, a
     point inside one turn here sees the other turn's boundary strictly
     closer than its own, which makes the nearest boundary candidates
-    invalid: the hard case for the shrinking-radius query."""
+    invalid: the hard case for a nearest-valid-candidate query."""
     if pitch is None:
         pitch = 0.5 * thickness
     return _wound((nx, ny, nz), thickness, inner_radius, total_angle, pitch)

@@ -42,6 +42,14 @@ class SimConfig:
     query: QueryConfig = field(default_factory=QueryConfig)
 
     def __post_init__(self):
+        numbers = (
+            self.dt, *self.gravity, self.collision_compliance, self.material_compliance,
+            self.damping, self.contact_margin,
+        )
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError(
+                "dt, gravity, the compliances, damping and contact_margin must be finite"
+            )
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.iterations < 1:
@@ -352,8 +360,8 @@ def _build_constraints(state, runtime, config):
         )
         if res is None:
             continue
-        steps_total += res.stats.elements_visited
-        cands_total += res.stats.bvh_candidates_tested
+        steps_total += res.elements_visited
+        cands_total += res.bvh_candidates_tested
         constraints.append(
             build_collision_constraint(
                 point,
@@ -421,6 +429,12 @@ def xpbd_substep(state, config, runtime=None):
     movable = state.inv_mass > 0
     state.velocities[movable] += dt * g
     state.positions[movable] += dt * state.velocities[movable]
+    # the meshes reject non-finite positions, so check before they take them
+    if not np.all(np.isfinite(state.positions)):
+        raise NumericalBlowup(
+            f"non-finite predicted positions in substep {state.substeps_done + 1}",
+            state_dump=state.dump(),
+        )
 
     runtime.refit(state)
     constraints, n_vc, n_ec, steps, cands = _build_constraints(state, runtime, config)

@@ -62,56 +62,7 @@ def incident_element(mesh, v):
     return int(np.argwhere(mesh.elements == v)[0][0])
 
 
-# --- corpus shared by criteria 1-3 -----------------------------------------
-
-FOLD_PARAMS = [
-    # (nx, ny, nz, thickness, inner_radius, total_angle); all wrap > 2 pi,
-    # so the two bar ends overlap in space; 200-2000 tets each
-    (10, 2, 2, 0.30, 1.0, 2.5 * np.pi),
-    (12, 2, 2, 0.25, 0.8, 2.2 * np.pi),
-    (14, 2, 2, 0.30, 1.2, 2.8 * np.pi),
-    (16, 2, 2, 0.35, 1.0, 2.4 * np.pi),
-    (18, 2, 2, 0.30, 0.9, 2.6 * np.pi),
-    (20, 2, 2, 0.25, 1.1, 2.3 * np.pi),
-    (22, 2, 2, 0.30, 1.0, 2.7 * np.pi),
-    (24, 2, 2, 0.30, 1.0, 2.5 * np.pi),
-    (26, 2, 2, 0.25, 0.8, 2.2 * np.pi),
-    (28, 2, 2, 0.30, 1.2, 2.8 * np.pi),
-    (8, 3, 3, 0.30, 1.0, 2.5 * np.pi),
-    (10, 3, 3, 0.25, 0.9, 2.3 * np.pi),
-    (12, 3, 3, 0.30, 1.1, 2.6 * np.pi),
-    (14, 3, 3, 0.35, 1.0, 2.4 * np.pi),
-    (16, 3, 3, 0.30, 1.0, 2.5 * np.pi),
-    (18, 3, 3, 0.25, 0.8, 2.2 * np.pi),
-    (20, 3, 3, 0.30, 1.2, 2.8 * np.pi),
-    (22, 3, 3, 0.30, 1.0, 2.4 * np.pi),
-    (24, 3, 3, 0.25, 1.0, 2.6 * np.pi),
-    (26, 3, 3, 0.30, 0.9, 2.3 * np.pi),
-]
-POINTS_PER_MESH = 50
-
-
-@pytest.fixture(scope="session")
-def folded_corpus():
-    rng = np.random.default_rng(20240817)
-    corpus = []
-    for params in FOLD_PARAMS:
-        nx, ny, nz, th, r0, ang = params
-        mesh = shapes.folded_bar(nx, ny, nz, thickness=th, inner_radius=r0, total_angle=ang)
-        assert 200 <= mesh.n_elements <= 2000, params
-        assert not any(mesh.element_skipped(e) for e in range(mesh.n_elements)), params
-        assert ang > 2 * np.pi  # ends overlap: the mesh self-intersects
-        points, elems = shapes.random_interior_points(mesh, rng, POINTS_PER_MESH)
-        corpus.append(
-            {
-                "params": params,
-                "mesh": mesh,
-                "bvh": build_boundary_bvh(mesh),
-                "points": points,
-                "elems": elems,
-            }
-        )
-    return corpus
+# --- corpus shared by criteria 1-3: the folded_corpus fixture --------------
 
 
 def run_corpus_queries(folded_corpus, config):

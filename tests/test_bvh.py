@@ -25,7 +25,7 @@ def test_cube_center_enumerates_all(cube):
 def test_radius_pruning_never_drops_close_faces(cube):
     p = np.full(3, 0.5)
     bvh = BoundaryBvh(cube)
-    got = {f for f, _ in bvh.nearest_faces(p, radius=0.6)}
+    got = {f for f, lb in bvh.nearest_faces(p) if lb <= 0.6}
     for f in range(cube.n_boundary_faces):
         if brute_face_distance(cube, f, p) < 0.6:
             assert f in got
@@ -35,25 +35,31 @@ def test_lower_bound_is_a_lower_bound(folded3d, rng):
     bvh = BoundaryBvh(folded3d)
     for _ in range(20):
         p = rng.normal(size=3)
-        for f, lb in bvh.nearest_faces(p, radius=1.0):
-            assert lb <= brute_face_distance(folded3d, f, p) + 1e-12
+        for f, lb in bvh.nearest_faces(p):
+            if lb <= 1.0:
+                assert lb <= brute_face_distance(folded3d, f, p) + 1e-12
 
 
-def test_shrink_stops_enumeration(cube):
-    it = NearPrimIter(BoundaryBvh(cube).tree, np.full(3, 0.5))
-    first = next(it)
-    it.shrink(first[1])  # nothing can beat the current lower bound
-    remaining = list(it)
-    assert all(lb <= first[1] for _, lb in remaining)
+def test_bound_bounds_every_later_primitive(folded3d, rng):
+    bvh = BoundaryBvh(folded3d)
+    for _ in range(10):
+        it = bvh.nearest_faces(rng.normal(size=3))
+        bounds, lbs = [], []
+        while it.bound < np.inf:
+            bounds.append(it.bound)
+            lbs.append(next(it)[1])
+        assert len(lbs) == folded3d.n_boundary_faces
+        assert all(b <= min(lbs[i:]) for i, b in enumerate(bounds))
+        assert list(it) == []
 
 
 def test_refit_translation(cube):
     mesh = make_mesh(cube.vertices, cube.elements)
     bvh = BoundaryBvh(mesh)
-    before = {f for f, _ in bvh.nearest_faces(np.full(3, 0.5), radius=0.51)}
+    before = {f for f, lb in bvh.nearest_faces(np.full(3, 0.5)) if lb <= 0.51}
     mesh.set_vertices(mesh.vertices + np.array([1.0, 0, 0]))
     bvh.refit(mesh)
-    after = {f for f, _ in bvh.nearest_faces(np.array([1.5, 0.5, 0.5]), radius=0.51)}
+    after = {f for f, lb in bvh.nearest_faces(np.array([1.5, 0.5, 0.5])) if lb <= 0.51}
     assert before == after
 
 

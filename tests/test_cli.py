@@ -29,6 +29,24 @@ def test_query_cube_center(cube_path, capsys):
     assert doc["results"][0]["distance"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_query_trace_runs_from_face_owner_to_point(tmp_path, capsys):
+    mesh = shapes.folded_bar(8, 2, 2)
+    path = tmp_path / "bar.json"
+    save_mesh(mesh, path)
+    points, _ = shapes.random_interior_points(mesh, np.random.default_rng(3), 5)
+    argv = ["query", str(path), *(" ".join(repr(float(x)) for x in p) for p in points)]
+    assert main([*argv, "--trace"]) == 0
+    records = json.loads(capsys.readouterr().out)["results"]
+    assert len(records) == len(points)
+    for p, rec in zip(points, records):
+        elements = [int(line.split()[0].removeprefix("element=")) for line in rec["trace"]]
+        assert elements[0] == mesh.boundary_owner[rec["face"]]
+        assert mesh.element_contains(elements[-1], p, 1e-10)
+    assert any(len(rec["trace"]) > 1 for rec in records)
+    assert main(argv) == 0
+    assert "trace" not in json.loads(capsys.readouterr().out)["results"][0]
+
+
 def test_query_writes_manifest_and_obj(cube_path, tmp_path):
     out = tmp_path / "run"
     obj = tmp_path / "paths.obj"
@@ -170,8 +188,12 @@ def test_fuzz_short_run_clean(capsys):
 
 
 def test_bench_culling_benefit(tmp_path, capsys):
-    path = tmp_path / "folded.json"
-    save_mesh(shapes.folded_strip(40, 3), path)
+    # turns that interpenetrate at an offset put invalid edge and vertex
+    # candidates nearer than the answer, which culling skips; on a folded
+    # strip, whose turns coincide, the nearest candidate is nearly always
+    # the answer, so culling has nothing left to skip
+    path = tmp_path / "spiral.json"
+    save_mesh(shapes.spiral_bar(20, 3, 3), path)
     rc = main(["bench", str(path), "--samples", "40", "--seed", "2"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -227,6 +249,12 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"meshes": [{"path": "box.json"}], "config": {"friction": 0.5}}',
         '{"meshes": [',
         '{"meshes": [{"path": "box.json"}], "config": {"dt": 0}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"dt": NaN}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"dt": Infinity}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"gravity": [0, NaN, 0]}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"damping": NaN}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"contact_margin": NaN}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"collision_compliance": Infinity}}',
         '{"meshes": [{"path": "box.json"}], "config": {"iterations": 0}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"bogus": 1}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"stiffness_k": 1e4}}',
@@ -245,7 +273,8 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
     ],
     ids=[
         "no-meshes", "meshes-not-list", "unknown-key", "friction", "not-json",
-        "dt-zero", "iterations-zero", "query-unknown-key", "stiffness_k", "include_centroids",
+        "dt-zero", "dt-nan", "dt-inf", "gravity-nan", "damping-nan", "contact-margin-nan",
+        "compliance-inf", "iterations-zero", "query-unknown-key", "stiffness_k", "include_centroids",
         "query-exclude-vertex", "epsilon-r-nan", "epsilon-i-inf", "meshes-empty",
         "translate-2d", "translate-nan", "scale-string", "scale-zero", "mass-string",
         "mesh-unknown-key", "mixed-dimensions",

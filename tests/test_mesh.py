@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import ref_closest_point_on_face, ref_pseudo_normal
 
 from boundarypath import geometry, shapes
 from boundarypath.errors import DegenerateFace, NonManifold, ZeroNormal
@@ -221,6 +222,20 @@ def test_set_vertices_refreshes_geometry(tri):
     assert mesh.inverted_flags[0]
 
 
+@pytest.mark.parametrize("how", ["constructor", "set_vertices"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_vertices_rejected(tri, how, bad):
+    mesh = make_mesh(tri.vertices, tri.elements)
+    v = tri.vertices.copy()
+    v[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        if how == "constructor":
+            make_mesh(v, tri.elements)
+        else:
+            mesh.set_vertices(v)
+    assert np.array_equal(mesh.vertices, tri.vertices)
+
+
 # -- array-built topology and volumes against per-element references --------
 
 
@@ -341,7 +356,8 @@ def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
         "adjacency", "adj_local", "boundary_faces", "boundary_owner", "boundary_owner_local",
         "signed_volumes", "inverted_flags", "degenerate_flags", "bary_rows",
         "boundary_face_skipped", "has_inverted_interior",
-        "face_diameters", "face_degenerate", "face_unit_normals",
+        "face_diameters", "face_degenerate", "face_area_normals", "face_unit_normals",
+        "face_bary_floors",
     ):
         assert np.array_equal(getattr(mesh, name), getattr(fresh, name), equal_nan=True), name
     if mesh.dim == 3:
@@ -365,44 +381,6 @@ def ref_element_contains(mesh, e, p, tol):
     """element_contains as one barycentric solve per call."""
     b = geometry.barycentric_coords(p, mesh.vertices[mesh.elements[e]])
     return bool(np.all(np.isfinite(b)) and np.all(b >= -tol))
-
-
-def ref_closest_point_on_face(mesh, p, face_id):
-    """closest_point_on_face with the diameter, the degeneracy test and the
-    feature tests computed per call, one vertex or edge at a time."""
-    gids = mesh.boundary_faces[face_id]
-    verts = mesh.vertices[gids]
-    if mesh.dim == 3:
-        diam = max(
-            np.linalg.norm(verts[1] - verts[0]),
-            np.linalg.norm(verts[2] - verts[1]),
-            np.linalg.norm(verts[0] - verts[2]),
-        )
-        if diam == 0.0 or np.linalg.norm(
-            geometry.triangle_area_normal(*verts)
-        ) <= 1e-30 * max(diam, 1.0):
-            raise DegenerateFace(f"boundary face {face_id} is degenerate")
-        q, _ = geometry.closest_point_on_triangle(p, *verts)
-        tol = FEATURE_TOL * diam
-        for i in range(3):
-            if np.linalg.norm(q - verts[i]) <= tol:
-                return q, BoundaryFeature("vertex", face_id, (int(gids[i]),))
-        for i in range(3):
-            a, b = verts[i], verts[(i + 1) % 3]
-            eq, _ = geometry.closest_point_on_segment(q, a, b)
-            if np.linalg.norm(q - eq) <= tol:
-                pair = (int(gids[i]), int(gids[(i + 1) % 3]))
-                return q, BoundaryFeature("edge", face_id, pair)
-        return q, BoundaryFeature("face", face_id)
-    diam = float(np.linalg.norm(verts[1] - verts[0]))
-    if diam == 0.0:
-        raise DegenerateFace(f"boundary face {face_id} is degenerate")
-    q, t = geometry.closest_point_on_segment(p, verts[0], verts[1])
-    tol = FEATURE_TOL * diam
-    for i in range(2):
-        if np.linalg.norm(q - verts[i]) <= tol:
-            return q, BoundaryFeature("vertex", face_id, (int(gids[i]),))
-    return q, BoundaryFeature("face", face_id)
 
 
 def det2(a, b):
@@ -475,6 +453,10 @@ def test_face_cache_matches_per_face_formulas(base_and_scrambled):
             edges = [verts[(i + 1) % len(verts)] - verts[i] for i in range(mesh.dim if mesh.dim == 3 else 1)]
             assert mesh.face_diameters[f] == max(np.linalg.norm(e) for e in edges)
             n = mesh.boundary_face_normal(f)
+            if mesh.dim == 3:
+                assert np.array_equal(n, geometry.triangle_area_normal(*verts))
+            else:
+                assert np.array_equal(n, geometry.edge_outward_normal_2d(*verts))
             assert np.array_equal(mesh.face_unit_normals[f], n / np.linalg.norm(n))
             if mesh.dim == 3:
                 for k, e in enumerate(edges):
@@ -520,19 +502,23 @@ def test_flat_element_contains_nothing(base_and_scrambled):
 def feature_probes(mesh, f, rng):
     """Query points for face f: random ones around it, and points whose
     closest point sits on a vertex or an edge, or just inside or outside
-    the FEATURE_TOL band around one."""
+    the FEATURE_TOL band around one, both off the face and in its plane,
+    where the closest point is the query point itself."""
     verts = mesh.vertices[mesh.boundary_faces[f]]
     center = verts.mean(axis=0)
     n = mesh.face_unit_normals[f]
     diam = mesh.face_diameters[f]
     points = list(center + rng.normal(scale=diam, size=(8, mesh.dim)))
     # in 2D a face is one edge, whose midpoint is its center
-    mids = [0.5 * (verts[i - 1] + verts[i]) for i in range(3)] if mesh.dim == 3 else []
-    for a in [*verts, *mids]:
+    on_edges = []
+    if mesh.dim == 3:
+        t = [0.5, rng.random()]
+        on_edges = [verts[i - 1] + t[j] * (verts[i] - verts[i - 1]) for j in range(2) for i in range(3)]
+    for a, heights in [*((v, (0.0, 0.1 * diam)) for v in verts), *((e, (0.0,)) for e in on_edges)]:
         inward = (center - a) / np.linalg.norm(center - a)
-        for k in (0.0, 0.5, 1.0, 2.0, 1e3):
-            points.append(a + k * FEATURE_TOL * diam * inward + 0.1 * diam * n)
-        points.append(a)
+        for k in (0.0, 0.5, 1.0, 2.0, 3.0, 1e3):
+            for height in heights:
+                points.append(a + k * FEATURE_TOL * diam * inward + height * n)
     return points
 
 
@@ -547,6 +533,22 @@ def test_closest_point_on_face_matches_reference(base_and_scrambled):
                 assert np.array_equal(q, q_ref) and feature == feature_ref, (f, p)
                 kinds.add(feature.kind)
     assert kinds == ({"vertex", "edge", "face"} if mesh.dim == 3 else {"vertex", "face"})
+
+
+def test_pseudo_normal_matches_per_face_cross(base_and_scrambled):
+    for mesh in both_meshes(*base_and_scrambled):
+        features = [BoundaryFeature("face", f) for f in range(mesh.n_boundary_faces)]
+        features += [BoundaryFeature("vertex", 0, (int(g),)) for g in np.unique(mesh.boundary_faces)]
+        if mesh.dim == 3:
+            features += [BoundaryFeature("edge", 0, (int(a), int(b))) for a, b in mesh.boundary_edges]
+        for feature in features:
+            try:
+                ref = ref_pseudo_normal(mesh, feature)
+            except ZeroNormal:
+                with pytest.raises(ZeroNormal):
+                    mesh.pseudo_normal(feature)
+                continue
+            assert np.array_equal(mesh.pseudo_normal(feature), ref), feature
 
 
 def test_degenerate_face_flag_matches_reference():

@@ -34,6 +34,8 @@ def test_result_soundness(folded2d, rng):
         # re-check independently: the returned segment is a valid path
         assert is_valid_path(folded2d, res.point, res.face, p).valid
         assert res.distance == pytest.approx(np.linalg.norm(res.point - p))
+        # a result's point is a read-only view of its stored coordinates
+        assert res.point.shape == (2,) and not res.point.flags.writeable
 
 
 def test_fold_rejects_nearest_flap(folded2d, rng):
@@ -217,9 +219,9 @@ def test_feasible_region_matches_reference(folded3d, rng, epsilon_r):
 
 
 def test_radius_monotonicity(folded3d, rng):
-    # accepted candidate distances decrease strictly during one query:
-    # implied by shrink-on-accept; observable via the final result being
-    # minimal among valid candidates
+    # candidates are validated in exact distance order and the first valid
+    # one is returned, so no valid candidate is nearer than the answer:
+    # observable via the final result being minimal among valid candidates
     bvh = build_boundary_bvh(folded3d)
     pts, els = shapes.random_interior_points(folded3d, rng, 10)
     for p, e in zip(pts, els):

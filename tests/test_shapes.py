@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from test_acceptance import FOLD_PARAMS
+from conftest import FOLD_PARAMS
 
 from boundarypath import cli, shapes
 from boundarypath.mesh import make_mesh
