@@ -20,9 +20,10 @@ class AabbTree:
     """Binary AABB tree, median split on the longest centroid axis.
 
     Nodes are stored in arrays; the two children of a node are allocated
-    together, so right == left + 1. The build records each node's depth,
-    for the level-order refit, and each primitive's rank in the leaf order
-    of a right-first depth-first walk, which orders box_overlap's output.
+    together, so the right child of node i is left[i] + 1. The build
+    records each node's depth, for the level-order refit, and each
+    primitive's rank in the leaf order of a right-first depth-first walk,
+    which orders box_overlap's output; refit then computes every box.
     """
 
     def __init__(self, boxes):
@@ -30,28 +31,22 @@ class AabbTree:
         n = len(boxes)
         if n == 0:
             raise ValueError("cannot build a tree over zero primitives")
-        self.n_prims = n
         max_nodes = 2 * n - 1
         self.lo = np.empty((max_nodes, boxes.shape[2]))
         self.hi = np.empty((max_nodes, boxes.shape[2]))
         self.left = np.full(max_nodes, -1, dtype=np.int64)
-        self.right = np.full(max_nodes, -1, dtype=np.int64)
         self.prim = np.full(max_nodes, -1, dtype=np.int64)
         self.depth = np.zeros(max_nodes, dtype=np.int64)
         self.rank = np.empty(n, dtype=np.int64)  # leaf visit order per primitive
-        self._n_nodes = 0
         centroids = 0.5 * (boxes[:, 0] + boxes[:, 1])
         # iterative build: (node index, primitive id array); popping the
         # right child first visits the leaves in the order box_overlap
         # reports them
-        root = self._alloc()
-        stack = [(root, np.arange(n))]
+        stack = [(0, np.arange(n))]
+        n_nodes = 1
         n_leaves = 0
         while stack:
             node, ids = stack.pop()
-            sub = boxes[ids]
-            self.lo[node] = sub[:, 0].min(axis=0)
-            self.hi[node] = sub[:, 1].max(axis=0)
             if len(ids) == 1:
                 self.prim[node] = ids[0]
                 self.rank[ids[0]] = n_leaves
@@ -61,20 +56,16 @@ class AabbTree:
             axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
             order = np.argsort(cen[:, axis], kind="stable")
             half = len(ids) // 2
-            l, r = self._alloc(), self._alloc()
+            l = n_nodes
+            n_nodes += 2
             self.left[node] = l
-            self.right[node] = r
-            self.depth[l] = self.depth[r] = self.depth[node] + 1
+            self.depth[l:l + 2] = self.depth[node] + 1
             stack.append((l, ids[order[:half]]))
-            stack.append((r, ids[order[half:]]))
+            stack.append((l + 1, ids[order[half:]]))
+        self.refit(boxes)
         # the primitive of each node as Python ints, which best-first
         # enumeration hands out without making a new int per candidate
         self.prim_ids = self.prim.tolist()
-
-    def _alloc(self):
-        i = self._n_nodes
-        self._n_nodes += 1
-        return i
 
     def refit(self, boxes):
         """Leaves take their primitives' boxes; internal nodes are swept
@@ -88,9 +79,9 @@ class AabbTree:
         inner = np.flatnonzero(~leaf)
         for d in range(int(self.depth.max()) - 1, -1, -1):
             nodes = inner[self.depth[inner] == d]
-            l, r = self.left[nodes], self.right[nodes]
-            self.lo[nodes] = np.minimum(self.lo[l], self.lo[r])
-            self.hi[nodes] = np.maximum(self.hi[l], self.hi[r])
+            l = self.left[nodes]
+            self.lo[nodes] = np.minimum(self.lo[l], self.lo[l + 1])
+            self.hi[nodes] = np.maximum(self.hi[l], self.hi[l + 1])
 
     def box_overlap(self, lo, hi):
         """Every (box, primitive) pair whose boxes intersect, for k query
@@ -116,7 +107,8 @@ class AabbTree:
             out_prim.append(pid[leaf])
             box, node = box[~leaf], node[~leaf]
             box = np.concatenate([box, box])
-            node = np.concatenate([self.left[node], self.right[node]])
+            left = self.left[node]
+            node = np.concatenate([left, left + 1])
         box = np.concatenate(out_box)
         prim = np.concatenate(out_prim)
         order = np.lexsort((self.rank[prim], box))

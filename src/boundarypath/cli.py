@@ -58,17 +58,21 @@ def _query_config(args):
     )
     return QueryConfig(
         epsilon_r=args.eps_r,
-        enable_culling=not args.no_culling,
+        enable_culling=not getattr(args, "no_culling", False),
         traversal=traversal,
     )
 
 
-def _add_common(sub):
+def _add_common(sub, seed=True, no_culling=True):
+    """The query flags and --out; --seed for the subcommands that sample
+    points, and --no-culling for those that do not run both modes."""
     sub.add_argument("--eps-i", type=_tolerance, default=1e-10)
     sub.add_argument("--eps-r", type=_tolerance, default=0.01)
-    sub.add_argument("--no-culling", action="store_true")
+    if no_culling:
+        sub.add_argument("--no-culling", action="store_true")
     sub.add_argument("--allow-backward", action="store_true")
-    sub.add_argument("--seed", type=int, default=0)
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=str, default=None)
 
 
@@ -171,21 +175,14 @@ def _write_path_obj(path, points, records):
 
 
 def _manifest(args, inputs):
-    """Replay manifest. The query flags and the seed are recorded for the
-    subcommands that take them; `simulate` reads its query config from
-    the scene file, so its manifest records no overrides."""
-    overrides = {}
-    if args.command != "simulate":
-        overrides = {
-            "eps_i": args.eps_i,
-            "eps_r": args.eps_r,
-            "no_culling": args.no_culling,
-            "allow_backward": args.allow_backward,
-        }
+    """Replay manifest. It records the query flags and the seed that the
+    subcommand has; `simulate` reads its query config from the scene
+    file, so its manifest records no overrides."""
+    flags = ("eps_i", "eps_r", "no_culling", "allow_backward")
     return RunManifest(
         command=args.command,
         inputs=list(inputs),
-        overrides=overrides,
+        overrides={k: getattr(args, k) for k in flags if hasattr(args, k)},
         seed=getattr(args, "seed", None),
         output_dir=args.out or "",
         argv=sys.argv[1:],
@@ -349,7 +346,13 @@ def cmd_bench(args):
     bvh = build_boundary_bvh(mesh)
     points, elems = shapes.random_interior_points(mesh, rng, args.samples)
     base = _query_config(args)
-    rows = []
+    # per column name, the result counter it reads
+    columns = (
+        ("candidates", "bvh_candidates_tested"),
+        ("traversals", "traversals_run"),
+        ("elements_visited", "elements_visited"),
+    )
+    lines = ["mode," + ",".join(f"mean_{name},max_{name}" for name, _ in columns)]
     answers = []
     for label, cfg in (
         ("culling_on", replace(base, enable_culling=True)),
@@ -361,28 +364,11 @@ def cmd_bench(args):
         ]
         answers.append([None if r is None else (r.face, r.distance) for r in results])
         answered = [r for r in results if r is not None]
-        cands = [r.bvh_candidates_tested for r in answered]
-        travs = [r.traversals_run for r in answered]
-        visited = [r.elements_visited for r in answered]
-        rows.append(
-            (
-                label,
-                np.mean(cands),
-                np.max(cands),
-                np.mean(travs),
-                np.max(travs),
-                np.mean(visited),
-                np.max(visited),
-            )
-        )
-    header = (
-        "mode,mean_candidates,max_candidates,mean_traversals,"
-        "max_traversals,mean_elements_visited,max_elements_visited"
-    )
-    lines = [header] + [
-        f"{r[0]},{r[1]:.3f},{int(r[2])},{r[3]:.3f},{int(r[4])},{r[5]:.3f},{int(r[6])}"
-        for r in rows
-    ]
+        cells = [label]
+        for _, attr in columns:
+            values = [getattr(r, attr) for r in answered]
+            cells += [f"{np.mean(values):.3f}", str(int(np.max(values)))]
+        lines.append(",".join(cells))
     text = "\n".join(lines)
     print(text)
     if args.out:
@@ -447,7 +433,7 @@ def build_parser():
     q.add_argument(
         "--trace", action="store_true", help="add the trace of each answer's traversal"
     )
-    _add_common(q)
+    _add_common(q, seed=False)
     q.set_defaults(fn=cmd_query)
 
     v = subs.add_parser("validate", help="differential check against the reference")
@@ -468,7 +454,7 @@ def build_parser():
     b = subs.add_parser("bench", help="query statistics with and without culling")
     b.add_argument("mesh")
     b.add_argument("--samples", type=_samples, default=100)
-    _add_common(b)
+    _add_common(b, no_culling=False)
     b.set_defaults(fn=cmd_bench)
 
     s = subs.add_parser("simulate", help="run a scene")

@@ -272,9 +272,6 @@ class SimplicialMesh:
     def n_boundary_faces(self):
         return len(self.boundary_faces)
 
-    def signed_volume(self, e):
-        return float(self.signed_volumes[e])
-
     def element_skipped(self, e):
         """Inverted or degenerate elements are excluded from candidate
         generation and collision detection."""
@@ -285,14 +282,6 @@ class SimplicialMesh:
         A flat element's coordinates are nan, so it contains nothing."""
         x = (self.bary_rows[e] @ (p - self.vertices[self.elements[e, 0]])).tolist()
         return min(x) >= -tol and 1.0 - sum(x) >= -tol
-
-    def boundary_face_vertices(self, face_id):
-        return self.vertices[self.boundary_faces[face_id]]
-
-    def boundary_face_normal(self, face_id):
-        """Outward area-weighted normal (not unit) of a boundary face, per
-        the owning element's orientation."""
-        return self.face_area_normals[face_id].copy()
 
     # -- boundary feature topology ------------------------------------------
 
@@ -316,9 +305,6 @@ class SimplicialMesh:
         if i == len(keys) or keys[i] != key:
             return []
         return values[start[i]:start[i + 1]].tolist()
-
-    def boundary_faces_containing_vertex(self, gv):
-        return set(self.boundary_faces_of_vertex(gv))
 
     # -- closest point / normals ---------------------------------------------
 

@@ -39,7 +39,6 @@ def _line_segment_min(s, d, e0, e1):
         u = (dd * float(np.dot(w, rhs)) - dw * float(np.dot(d, rhs))) / det
         u = min(1.0, max(0.0, u))
     else:
-        u = 0.0 if np.dot(d, rhs) ** 2 >= np.dot(d, rhs + w) ** 2 else 1.0
         # parallel: either endpoint gives the same line distance; compare both
         best = None
         for cand in (0.0, 1.0):
@@ -215,7 +214,7 @@ def oracle_closest_boundary(
     points, dists = closest_boundary_candidates(mesh, p)
     skip = np.asarray(mesh.boundary_face_skipped)
     excl = (
-        mesh.boundary_faces_containing_vertex(exclude_vertex)
+        mesh.boundary_faces_of_vertex(exclude_vertex)
         if exclude_vertex is not None
         else ()
     )
@@ -244,7 +243,7 @@ def co_minimal_faces(mesh, p, distance, tol=1e-9, exclude_vertex=None):
     _, dists = closest_boundary_candidates(mesh, p)
     skip = np.asarray(mesh.boundary_face_skipped)
     excl = (
-        mesh.boundary_faces_containing_vertex(exclude_vertex)
+        mesh.boundary_faces_of_vertex(exclude_vertex)
         if exclude_vertex is not None
         else ()
     )

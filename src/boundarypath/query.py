@@ -199,7 +199,7 @@ def shortest_path_to_boundary(
 
     skip = mesh.boundary_face_skipped
     excl_faces = (
-        mesh.boundary_faces_containing_vertex(exclude_vertex)
+        mesh.boundary_faces_of_vertex(exclude_vertex)
         if exclude_vertex is not None
         else ()
     )

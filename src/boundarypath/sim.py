@@ -113,14 +113,9 @@ class SimState:
 
 
 def _unique_edges(elements):
-    dim1 = elements.shape[1]
-    pairs = []
-    for i in range(dim1):
-        for j in range(i + 1, dim1):
-            pairs.append(elements[:, (i, j)])
-    edges = np.concatenate(pairs, axis=0)
-    edges = np.sort(edges, axis=1)
-    return np.unique(edges, axis=0)
+    """Every element edge once, as (lo, hi) vertex pairs in sorted order."""
+    pairs = np.column_stack(np.triu_indices(elements.shape[1], 1))
+    return np.unique(np.sort(elements[:, pairs].reshape(-1, 2), axis=1), axis=0)
 
 
 def make_state(meshes, masses=None):
@@ -278,7 +273,7 @@ def dcd_edge_tet(state, elem_bvhs):
     return contacts
 
 
-def build_collision_constraint(x, query_result, mesh, compliance=0.0, subject=None):
+def build_collision_constraint(x, query_result, mesh, compliance, subject):
     """Plane constraint anchored at the query's boundary point, with the
     pseudo-normal of its boundary feature. c(x) = (x - s) . n; projection
     enforces c >= 0."""
@@ -479,13 +474,11 @@ def run_sim(state, config, n_substeps, runtime=None, log=None):
     return runtime
 
 
-def count_penetrations(state, runtime, include_centroids=False):
+def count_penetrations(state, runtime):
     """Current number of vertex-inside-foreign-element incidences; the
     recovery criterion drives this to zero."""
     runtime.refit(state)
-    return len(
-        dcd_vertex_tet(state, runtime.elem_bvhs, include_centroids=include_centroids)
-    )
+    return len(dcd_vertex_tet(state, runtime.elem_bvhs))
 
 
 def _config(cls, doc, path, where, convert=()):

@@ -9,13 +9,17 @@ interior elements.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
 from .errors import ZeroLengthSegment
 from .mesh import BOUNDARY, local_faces
+
+# A backward traversal drops branches whose face crossing lies farther from
+# the boundary point than this many segment lengths.
+CUTOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -53,13 +57,10 @@ def make_ray_frame(origin, target):
 class TraversalConfig:
     epsilon_i: float = 1e-10
     allow_backward: bool = False
-    cutoff_factor: float = 2.0
     intersection_free_early_out: bool = False
     trace: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.cutoff_factor) and self.cutoff_factor >= 1.0):
-            raise ValueError("cutoff_factor must be finite and >= 1")
         if not (math.isfinite(self.epsilon_i) and self.epsilon_i >= 0.0):
             raise ValueError("epsilon_i must be finite and >= 0")
 
@@ -173,10 +174,7 @@ def is_valid_path(
     boundary end. Raises ZeroLengthSegment when s and p coincide."""
     if config is None:
         config = TraversalConfig()
-    frame = make_ray_frame(s, p)
-    if scratch is None:
-        scratch = TraversalScratch(config)
-    return _traverse(mesh, frame, start_face, p, config, scratch)
+    return _traverse(mesh, s, start_face, p, config, scratch, config.allow_backward)
 
 
 def is_valid_path_inverted(
@@ -184,16 +182,18 @@ def is_valid_path_inverted(
 ):
     """Backward-enabled variant for meshes with inverted interior elements.
 
-    Callers never start from an inverted boundary element (those are
-    skipped as candidates)."""
+    It traverses backward whatever config.allow_backward says. Callers
+    never start from an inverted boundary element (those are skipped as
+    candidates)."""
     if config is None:
         config = TraversalConfig()
-    if not config.allow_backward:
-        config = replace(config, allow_backward=True)
-    return is_valid_path(mesh, s, start_face, p, p_element_hint, config, scratch)
+    return _traverse(mesh, s, start_face, p, config, scratch, True)
 
 
-def _traverse(mesh, frame, start_face, p, config, scratch):
+def _traverse(mesh, s, start_face, p, config, scratch, backward):
+    frame = make_ray_frame(s, p)
+    if scratch is None:
+        scratch = TraversalScratch(config)
     eps = config.epsilon_i
     adjacency = mesh.adjacency
     adj_local = mesh.adj_local
@@ -220,7 +220,7 @@ def _traverse(mesh, frame, start_face, p, config, scratch):
     # Faces per element bounds legitimate work; the extra factor absorbs
     # branching near ties before the breach flag trips.
     budget = max(8 * mesh.n_elements * (mesh.dim + 1), 256)
-    cutoff = config.cutoff_factor * frame.length
+    cutoff = CUTOFF_FACTOR * frame.length
     hit_boundary = False
 
     while faces:
@@ -240,7 +240,7 @@ def _traverse(mesh, frame, start_face, p, config, scratch):
         if (nb, in_local) in visited:
             loops += 1
             continue
-        if config.allow_backward:
+        if backward:
             if abs(_crossing_parameter(mesh, e, lf, frame)) > cutoff:
                 continue
         elif config.intersection_free_early_out:

@@ -499,7 +499,7 @@ def test_criterion_9_core_invariants(rng):
         if mesh.adjacency[e, k] != BOUNDARY
     )
 
-    normals = [mesh.boundary_face_normal(f) for f in range(mesh.n_boundary_faces)]
+    normals = [mesh.face_area_normals[f] for f in range(mesh.n_boundary_faces)]
     checks["boundary closure"] = np.linalg.norm(np.sum(normals, axis=0)) <= 1e-9 * sum(
         np.linalg.norm(n) for n in normals
     )

@@ -89,22 +89,22 @@ def stack_walk(tree, lo, hi):
             out.append(int(pid))
         else:
             stack.append(int(tree.left[node]))
-            stack.append(int(tree.right[node]))
+            stack.append(int(tree.left[node]) + 1)
     return out
 
 
 def node_refit(tree, boxes):
     """Node-by-node bottom-up refit over the node arrays in reverse
     (children are allocated after their parent)."""
-    for node in range(tree._n_nodes - 1, -1, -1):
+    for node in range(len(tree.prim) - 1, -1, -1):
         pid = tree.prim[node]
         if pid >= 0:
             tree.lo[node] = boxes[pid, 0]
             tree.hi[node] = boxes[pid, 1]
         else:
-            l, r = tree.left[node], tree.right[node]
-            tree.lo[node] = np.minimum(tree.lo[l], tree.lo[r])
-            tree.hi[node] = np.maximum(tree.hi[l], tree.hi[r])
+            l = tree.left[node]
+            tree.lo[node] = np.minimum(tree.lo[l], tree.lo[l + 1])
+            tree.hi[node] = np.maximum(tree.hi[l], tree.hi[l + 1])
 
 
 def integer_boxes(rng, n, dim, size=10):
@@ -172,11 +172,60 @@ def test_refit_matches_node_sweep_and_fresh_build(rng, dim):
     moved = boxes + rng.normal(scale=0.5, size=(257, 1, dim))
     tree = AabbTree(boxes)
     ref = AabbTree(boxes)
-    inner = tree.left >= 0  # NearPrimIter reads both children as one slice
-    assert np.array_equal(tree.right[inner], tree.left[inner] + 1)
     tree.refit(moved)
     node_refit(ref, moved)
     assert np.array_equal(tree.lo, ref.lo) and np.array_equal(tree.hi, ref.hi)
     tree.refit(boxes)
     fresh = AabbTree(boxes)
     assert np.array_equal(tree.lo, fresh.lo) and np.array_equal(tree.hi, fresh.hi)
+
+
+def ref_build(boxes):
+    """The per-node build: a stack of (node, primitive ids) that takes
+    each node's box as the min/max over its primitives, allocating the
+    two children of a node together. The reference for the node arrays
+    of AabbTree, whose build leaves the boxes to refit."""
+    n, dim = boxes.shape[0], boxes.shape[2]
+    lo, hi = np.empty((2 * n - 1, dim)), np.empty((2 * n - 1, dim))
+    left = np.full(2 * n - 1, -1, dtype=np.int64)
+    prim = np.full(2 * n - 1, -1, dtype=np.int64)
+    depth = np.zeros(2 * n - 1, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    centroids = 0.5 * (boxes[:, 0] + boxes[:, 1])
+    stack = [(0, np.arange(n))]
+    n_nodes = 1
+    n_leaves = 0
+    while stack:
+        node, ids = stack.pop()
+        lo[node] = boxes[ids, 0].min(axis=0)
+        hi[node] = boxes[ids, 1].max(axis=0)
+        if len(ids) == 1:
+            prim[node] = ids[0]
+            rank[ids[0]] = n_leaves
+            n_leaves += 1
+            continue
+        cen = centroids[ids]
+        axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
+        order = np.argsort(cen[:, axis], kind="stable")
+        half = len(ids) // 2
+        l, r = n_nodes, n_nodes + 1
+        n_nodes += 2
+        left[node] = l
+        depth[l] = depth[r] = depth[node] + 1
+        stack.append((l, ids[order[:half]]))
+        stack.append((r, ids[order[half:]]))
+    return {"lo": lo, "hi": hi, "left": left, "prim": prim, "depth": depth, "rank": rank}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_build_matches_per_node_build(rng, dim):
+    # tie-heavy integer boxes, and the element and face boxes of a mesh
+    inputs = [integer_boxes(rng, n, dim) for n in (*range(1, 30), 257)]
+    mesh = shapes.box_grid(3, 3, 3) if dim == 3 else shapes.folded_strip(30, 3)
+    for simplices in (mesh.elements, mesh.boundary_faces):
+        pts = mesh.vertices[simplices]
+        inputs.append(np.stack([pts.min(axis=1), pts.max(axis=1)], axis=1))
+    for boxes in inputs:
+        tree = AabbTree(boxes)
+        for name, ref in ref_build(boxes).items():
+            assert np.array_equal(getattr(tree, name), ref), (len(boxes), name)

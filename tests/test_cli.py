@@ -155,6 +155,43 @@ def test_query_bad_tolerance_exit_2(cube_path, capsys, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["query", "0.5 0.5 0.5", "--seed", "1"], ["bench", "--no-culling"]],
+    ids=["query-seed", "bench-no-culling"],
+)
+def test_flags_without_effect_exit_2(cube_path, capsys, argv):
+    # query samples nothing, and bench always runs with culling on and off
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], cube_path, *argv[1:]])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_manifest_records_only_the_command_flags(cube_path, tmp_path):
+    out = tmp_path / "q"
+    assert main(["query", cube_path, "0.5 0.5 0.5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["overrides"]) == ["allow_backward", "eps_i", "eps_r", "no_culling"]
+    assert manifest["seed"] is None
+    out = tmp_path / "b"
+    assert main(["bench", cube_path, "--samples", "4", "--seed", "5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["overrides"]) == ["allow_backward", "eps_i", "eps_r"]
+    assert manifest["seed"] == 5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: with every inverted element owning a boundary face, the "
+    "engine traverses forward with no reach limit and the oracle monotonically",
+)
+def test_validate_flipped_corner_grid(tmp_path, capsys):
+    path = tmp_path / "flipped.json"
+    save_mesh(shapes.flipped_corner_grid(), path)
+    assert main(["validate", str(path), "--samples", "200", "--seed", "0"]) == 0
+
+
 def test_validate_clean(cube_path, capsys):
     rc = main(["validate", cube_path, "--samples", "10", "--seed", "3"])
     assert rc == 0
@@ -262,6 +299,7 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"exclude_vertex": 4}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"epsilon_r": NaN}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"epsilon_i": Infinity}}}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"cutoff_factor": 2}}}}',
         '{"meshes": []}',
         '{"meshes": [{"path": "box.json", "translate": [1, 2]}]}',
         '{"meshes": [{"path": "box.json", "translate": [NaN, 0, 0]}]}',
@@ -275,7 +313,8 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         "no-meshes", "meshes-not-list", "unknown-key", "friction", "not-json",
         "dt-zero", "dt-nan", "dt-inf", "gravity-nan", "damping-nan", "contact-margin-nan",
         "compliance-inf", "iterations-zero", "query-unknown-key", "stiffness_k", "include_centroids",
-        "query-exclude-vertex", "epsilon-r-nan", "epsilon-i-inf", "meshes-empty",
+        "query-exclude-vertex", "epsilon-r-nan", "epsilon-i-inf", "traversal-cutoff-factor",
+        "meshes-empty",
         "translate-2d", "translate-nan", "scale-string", "scale-zero", "mass-string",
         "mesh-unknown-key", "mixed-dimensions",
     ],

@@ -73,7 +73,7 @@ def test_boundary_closure(grid3d, folded3d):
         total = np.zeros(mesh.dim)
         area = 0.0
         for f in range(mesh.n_boundary_faces):
-            n = mesh.boundary_face_normal(f)
+            n = mesh.face_area_normals[f]
             total += n
             area += np.linalg.norm(n)
         assert np.linalg.norm(total) <= 1e-9 * area
@@ -83,7 +83,7 @@ def test_boundary_normals_outward(tet):
     centroid = tet.vertices.mean(axis=0)
     for f in range(tet.n_boundary_faces):
         face_center = tet.vertices[tet.boundary_faces[f]].mean(axis=0)
-        assert np.dot(tet.boundary_face_normal(f), face_center - centroid) > 0
+        assert np.dot(tet.face_area_normals[f], face_center - centroid) > 0
 
 
 def test_inverted_flags():
@@ -142,7 +142,7 @@ def test_degenerate_face_raises():
     bad = next(
         f
         for f in range(mesh.n_boundary_faces)
-        if np.linalg.norm(mesh.boundary_face_normal(f)) == 0.0
+        if np.linalg.norm(mesh.face_area_normals[f]) == 0.0
     )
     with pytest.raises(DegenerateFace):
         mesh.closest_point_on_face(np.array([5.0, 5.0, 5.0]), bad)
@@ -181,7 +181,7 @@ def test_pseudo_normal_regular_tet_vertex():
 
     mesh = shapes.single_tet()
     fids = mesh.boundary_faces_of_vertex(1)
-    expected = sum(mesh.boundary_face_normal(f) for f in fids)
+    expected = sum(mesh.face_area_normals[f] for f in fids)
     expected = expected / np.linalg.norm(expected)
     n = mesh.pseudo_normal(BoundaryFeature("vertex", fids[0], (1,)))
     assert np.allclose(n, expected)
@@ -199,7 +199,7 @@ def test_pseudo_normal_zero_raises():
         verts = (0, 1)
 
     # fabricate a degenerate sum by summing a normal with its negation
-    n0 = mesh.boundary_face_normal(0)
+    n0 = mesh.face_area_normals[0]
     assert np.linalg.norm(n0) > 0  # sanity; the ZeroNormal path needs real fixtures
     with pytest.raises(ValueError):
         mesh.pseudo_normal(BoundaryFeature("nope", 0))
@@ -452,7 +452,7 @@ def test_face_cache_matches_per_face_formulas(base_and_scrambled):
             verts = mesh.vertices[mesh.boundary_faces[f]]
             edges = [verts[(i + 1) % len(verts)] - verts[i] for i in range(mesh.dim if mesh.dim == 3 else 1)]
             assert mesh.face_diameters[f] == max(np.linalg.norm(e) for e in edges)
-            n = mesh.boundary_face_normal(f)
+            n = mesh.face_area_normals[f]
             if mesh.dim == 3:
                 assert np.array_equal(n, geometry.triangle_area_normal(*verts))
             else:

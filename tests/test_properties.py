@@ -46,7 +46,7 @@ def test_boundary_closure(mesh):
     total = np.zeros(mesh.dim)
     area = 0.0
     for f in range(mesh.n_boundary_faces):
-        n = mesh.boundary_face_normal(f)
+        n = mesh.face_area_normals[f]
         total += n
         area += np.linalg.norm(n)
     assert np.linalg.norm(total) <= 1e-9 * area

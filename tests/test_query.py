@@ -190,7 +190,7 @@ def ref_feasible_region_check(mesh, s, feature, p, epsilon_r):
     for fid in fids:
         tri = [int(g) for g in mesh.boundary_faces[fid]]
         k = tri.index(int(g0))
-        n = mesh.boundary_face_normal(fid)
+        n = mesh.face_area_normals[fid]
         n = n / np.linalg.norm(n)
         if tri[(k + 1) % 3] == int(g1):
             n_accord = -n

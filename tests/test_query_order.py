@@ -76,7 +76,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
     if p_element is not None and mesh.element_skipped(int(p_element)):
         return None
     validate = _validator(mesh, config)
-    excl = mesh.boundary_faces_containing_vertex(exclude_vertex) if exclude_vertex is not None else ()
+    excl = mesh.boundary_faces_of_vertex(exclude_vertex) if exclude_vertex is not None else ()
     culling = config.enable_culling and exclude_vertex is None
     best = None  # (point, face, feature, distance)
     counts = [0, 0, 0]
@@ -109,7 +109,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
 def tied_faces(mesh, p, p_element, config, exclude_vertex, distance):
     """Faces whose candidate the query accepts at exactly `distance`."""
     validate = _validator(mesh, config)
-    excl = mesh.boundary_faces_containing_vertex(exclude_vertex) if exclude_vertex is not None else ()
+    excl = mesh.boundary_faces_of_vertex(exclude_vertex) if exclude_vertex is not None else ()
     _, dists = oracle.closest_boundary_candidates(mesh, p)
     out = []
     for f in np.flatnonzero(np.abs(dists - distance) <= 1e-9).tolist():

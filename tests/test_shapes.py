@@ -213,7 +213,7 @@ def test_fixed_shapes_match_loops():
 
     mesh, s, start_face, p = shapes.inverted_path_strip()
     # face 1, as the per-face loop found
-    assert start_face == 1 and np.all(mesh.boundary_face_vertices(start_face)[:, 1] == 0.0)
+    assert start_face == 1 and np.all(mesh.vertices[mesh.boundary_faces[start_face]][:, 1] == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(20))

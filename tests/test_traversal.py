@@ -210,9 +210,6 @@ def test_trace_output(tet):
 
 def test_config_validation():
     for bad in (
-        dict(cutoff_factor=0.5),
-        dict(cutoff_factor=np.nan),
-        dict(cutoff_factor=np.inf),
         dict(epsilon_i=-1e-10),
         dict(epsilon_i=np.nan),
         dict(epsilon_i=np.inf),
