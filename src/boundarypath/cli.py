@@ -314,13 +314,10 @@ def cmd_fuzz(args):
             if bad is not None:
                 findings.append({"kind": "mismatch", "iteration": iteration, **bad})
         # exact vertex/edge hits stress the tie branching
-        scratch = TraversalScratch(config.traversal)
         for s, f, target in _fuzz_rays(mesh, rng, args.samples):
             if np.linalg.norm(target - s) <= 1e-12:
                 continue
-            result = is_valid_path(
-                mesh, s, f, target, config=config.traversal, scratch=scratch
-            )
+            result = is_valid_path(mesh, s, f, target, config=config.traversal)
             if result.budget_breached:
                 findings.append(
                     {

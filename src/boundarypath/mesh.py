@@ -7,10 +7,10 @@ construction. Geometry that depends on positions only is derived in one
 batched pass at construction and again on every `set_vertices`, so
 queries read it instead of recomputing it:
 
-- per element: signed volume, inverted/degenerate flags, and the rows of
-  the inverse edge matrix that map p - v0 to barycentric coordinates
-  (nan for a flat element); whether any inverted or degenerate element
-  owns no boundary face;
+- per element: signed volume, inverted and degenerate flags and their
+  union (the skip flag), and the rows of the inverse edge matrix that map
+  p - v0 to barycentric coordinates (nan for a flat element); whether any
+  skipped element owns no boundary face;
 - per boundary face: whether its owner is skipped, area-weighted and unit
   outward normals, diameter, degeneracy flag, the barycentric floors
   above which the closest-point classifier needs no tolerance tests and,
@@ -185,12 +185,12 @@ class SimplicialMesh:
         self.signed_volumes = vols
         self.inverted_flags = vols < 0.0
         self.degenerate_flags = vols == 0.0
-        bad = self.inverted_flags | self.degenerate_flags
-        # per boundary face: its owner is inverted or degenerate
-        self.boundary_face_skipped = bad[self.boundary_owner]
-        # an inverted or degenerate element owning no boundary face makes
-        # queries traverse backward
-        self.has_inverted_interior = bool(np.any(bad & ~self._owns_boundary))
+        self.skipped_flags = self.inverted_flags | self.degenerate_flags
+        # per boundary face: its owner is skipped
+        self.boundary_face_skipped = self.skipped_flags[self.boundary_owner]
+        # a skipped element owning no boundary face makes queries traverse
+        # backward
+        self.has_inverted_interior = bool(np.any(self.skipped_flags & ~self._owns_boundary))
         with np.errstate(divide="ignore", invalid="ignore"):
             rows /= det[:, None, None]
         # a flat element has no barycentric coordinates; nan rows make
@@ -243,11 +243,11 @@ class SimplicialMesh:
 
     def set_vertices(self, vertices):
         """Replace vertex positions and recompute everything derived from
-        them: signed volumes, the inverted/degenerate flags and barycentric
-        rows of the elements, has_inverted_interior, and the skip flags,
-        normals, diameters, degeneracy flags, barycentric floors and edge
-        normals of the boundary faces. Topology and the boundary feature
-        maps do not depend on positions and stay. Any BVH built over this
+        them: signed volumes, the inverted/degenerate/skip flags and
+        barycentric rows of the elements, has_inverted_interior, and the
+        skip flags, normals, diameters, degeneracy flags, barycentric
+        floors and edge normals of the boundary faces. Topology and the
+        boundary feature maps do not depend on positions and stay. Any BVH built over this
         mesh must be refit by the caller. Raises ValueError, as the
         constructor does, for another shape or non-finite coordinates."""
         vertices = np.ascontiguousarray(vertices, dtype=float)
@@ -275,7 +275,7 @@ class SimplicialMesh:
     def element_skipped(self, e):
         """Inverted or degenerate elements are excluded from candidate
         generation and collision detection."""
-        return bool(self.inverted_flags[e] or self.degenerate_flags[e])
+        return bool(self.skipped_flags[e])
 
     def element_contains(self, e, p, tol=0.0):
         """Whether every barycentric coordinate of p in element e is >= -tol.

@@ -20,12 +20,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DegenerateFace, ZeroLengthSegment
-from .traversal import (
-    TraversalConfig,
-    TraversalScratch,
-    is_valid_path,
-    is_valid_path_inverted,
-)
+from .traversal import TraversalConfig, is_valid_path, is_valid_path_inverted
 
 log = logging.getLogger(__name__)
 
@@ -183,8 +178,6 @@ def shortest_path_to_boundary(
     """
     if config is None:
         config = QueryConfig()
-    if scratch is None:
-        scratch = TraversalScratch(config.traversal)
     p = np.asarray(p, dtype=float)
 
     if p_element is not None and mesh.element_skipped(int(p_element)):

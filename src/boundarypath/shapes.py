@@ -213,7 +213,7 @@ def _deformed(rng, counts, amplitude, modes):
         disp += np.sin(verts @ k.T * np.pi + phase) * amp
     disp *= amplitude / max(np.abs(disp).max(), 1e-12)
     mesh = make_mesh(verts + disp, elems)
-    while mesh.inverted_flags.any() or mesh.degenerate_flags.any():
+    while mesh.skipped_flags.any():
         disp *= 0.5
         mesh.set_vertices(verts + disp)
     return mesh
@@ -234,7 +234,7 @@ def random_interior_points(mesh, rng, n):
     """Sample n points uniformly-ish inside non-skipped elements, weighted
     by absolute volume. Returns (points (n, dim), element ids (n,))."""
     weights = np.abs(mesh.signed_volumes)
-    weights[mesh.inverted_flags | mesh.degenerate_flags] = 0.0
+    weights[mesh.skipped_flags] = 0.0
     weights = weights / weights.sum()
     elems = rng.choice(mesh.n_elements, size=n, p=weights)
     bary = rng.dirichlet(np.ones(mesh.dim + 1), size=n)

@@ -24,7 +24,7 @@ from .bvh import BoundaryBvh, ElementBvh
 from .errors import NumericalBlowup, ParseError
 from .meshio import load_mesh
 from .query import QueryConfig, shortest_path_to_boundary
-from .traversal import TraversalConfig, TraversalScratch
+from .traversal import TraversalConfig
 
 
 @dataclass
@@ -163,7 +163,7 @@ def _overlaps(state, elem_bvhs, ma, lo, hi, probe_ids):
     tree's leaf order."""
     for mb, mesh_b in enumerate(state.meshes):
         probe, e = elem_bvhs[mb].tree.box_overlap(lo, hi)
-        keep = ~(mesh_b.inverted_flags[e] | mesh_b.degenerate_flags[e])
+        keep = ~mesh_b.skipped_flags[e]
         if ma == mb:
             shared = mesh_b.elements[e][:, :, None] == probe_ids[probe][:, None, :]
             keep &= ~shared.any(axis=(1, 2))
@@ -314,15 +314,14 @@ class ContactLogEntry:
 
 
 class SimRuntime:
-    """Owns the per-mesh BVHs and scratch buffers across substeps; refits
-    (never rebuilds) on vertex motion."""
+    """Owns the per-mesh BVHs across substeps; refits (never rebuilds) on
+    vertex motion."""
 
     def __init__(self, state, config):
         self.config = config
         state.sync_meshes()
         self.elem_bvhs = [ElementBvh(mesh) for mesh in state.meshes]
         self.boundary_bvhs = [BoundaryBvh(mesh) for mesh in state.meshes]
-        self.scratch = TraversalScratch(config.query.traversal)
 
     def refit(self, state):
         state.sync_meshes()
@@ -350,7 +349,6 @@ def _build_constraints(state, runtime, config):
             point,
             p_element=e,
             config=config.query,
-            scratch=runtime.scratch,
             exclude_vertex=int(ids[0]) if ma == mb and len(ids) == 1 else None,
         )
         if res is None:

@@ -1,11 +1,14 @@
 """Robust topological ray traversal.
 
 Decides whether the straight segment from a boundary point to an interior
-point is covered by a chain of face-adjacent elements. Numerical ties near
-vertices/edges branch the traversal instead of failing; loops are cut with
-a per-traversal set of visited (element, entry face) states, the same state
-the brute-force oracle keeps; an optional backward mode handles inverted
-interior elements.
+point is covered by a chain of face-adjacent elements. The search runs over
+(element, entry face) states, the same state the brute-force oracle keeps:
+from the boundary face's owner it steps through every face the ray may exit
+by into the neighbour's state, and the segment is valid when some reachable
+state's element contains the interior point. Numerical ties near
+vertices/edges branch into several exit faces instead of failing; each state
+is entered at most once, which cuts loops; an optional backward mode handles
+inverted interior elements.
 """
 
 import math
@@ -24,14 +27,12 @@ CUTOFF_FACTOR = 2.0
 
 @dataclass(frozen=True)
 class RayFrame:
-    """Ray origin plus an orthonormal frame; u (and v in 3D) span the plane
-    perpendicular to the ray direction, and uv holds them as the columns
-    of one (dim, dim - 1) matrix, so one product projects a whole element."""
+    """Ray origin plus an orthonormal frame: the columns of the (dim,
+    dim - 1) matrix uv span the plane perpendicular to the ray direction,
+    so one product projects a whole element."""
 
     origin: np.ndarray
     direction: np.ndarray
-    u: np.ndarray
-    v: np.ndarray | None  # None in 2D
     length: float  # |target - origin|
     uv: np.ndarray
 
@@ -45,12 +46,10 @@ def make_ray_frame(origin, target):
         raise ZeroLengthSegment("origin and target coincide")
     d = delta / length
     if len(d) == 3:
-        u, v = geometry.orthonormal_basis(d)
-        uv = np.column_stack([u, v])
+        uv = np.column_stack(geometry.orthonormal_basis(d))
     else:
-        u, v = geometry.perpendicular_2d(d), None
-        uv = u[:, None]
-    return RayFrame(origin=origin, direction=d, u=u, v=v, length=length, uv=uv)
+        uv = geometry.perpendicular_2d(d)[:, None]
+    return RayFrame(origin=origin, direction=d, length=length, uv=uv)
 
 
 @dataclass
@@ -67,20 +66,12 @@ class TraversalConfig:
 
 @dataclass
 class TraversalScratch:
-    """Caller-owned reusable buffers; one per in-flight traversal. The
-    traversal reads the config passed with each call, not this one."""
+    """Caller-owned holder of the last traversal's trace, which each
+    traversal clears and, with config.trace, fills. The traversal reads the
+    config passed with each call, not this one."""
 
     config: TraversalConfig = field(default_factory=TraversalConfig)
-    face_stack: list = field(default_factory=list)
-    elem_stack: list = field(default_factory=list)
-    visited: set = field(default_factory=set)
     trace: list = field(default_factory=list)
-
-    def reset(self):
-        self.face_stack.clear()
-        self.elem_stack.clear()
-        self.visited.clear()
-        self.trace.clear()
 
 
 @dataclass
@@ -192,81 +183,71 @@ def is_valid_path_inverted(
 
 def _traverse(mesh, s, start_face, p, config, scratch, backward):
     frame = make_ray_frame(s, p)
-    if scratch is None:
-        scratch = TraversalScratch(config)
     eps = config.epsilon_i
     adjacency = mesh.adjacency
     adj_local = mesh.adj_local
-    scratch.reset()
-    visited = scratch.visited
-    faces = scratch.face_stack
-    elems = scratch.elem_stack
+    trace = [] if scratch is None else scratch.trace
+    trace.clear()
+    # A branch dies when its face crossing lies farther from s than `reach`.
+    # Under the no-intersection assumption a branch running behind the
+    # origin is just as dead, so the test is on |t|, not on signed t.
+    if backward:
+        reach = CUTOFF_FACTOR * frame.length
+    elif config.intersection_free_early_out:
+        reach = frame.length
+    else:
+        reach = math.inf
+    measure = config.trace or reach < math.inf
 
-    e0 = int(mesh.boundary_owner[start_face])
-    k0 = int(mesh.boundary_owner_local[start_face])
-    visited.add((e0, k0))
-    n_visited = 1
-    steps = 0
-    loops = 0
-    if config.trace:
-        scratch.trace.append((e0, k0, 0.0, 0))
-    if mesh.element_contains(e0, p, eps):
-        return TraversalResult(True, "reached", e0, n_visited, steps, loops)
-
-    for lf in exit_face_selection(mesh, e0, k0, frame, eps):
-        faces.append(lf)
-        elems.append(e0)
-
+    # Each (element, entry face) state is pushed at most once, with the ray
+    # parameter of its entry face; the start state enters through the
+    # boundary face at t = 0.
+    start = (int(mesh.boundary_owner[start_face]), int(mesh.boundary_owner_local[start_face]))
+    stack = [(start, 0.0)]
+    visited = {start}
     # Faces per element bounds legitimate work; the extra factor absorbs
     # branching near ties before the breach flag trips.
     budget = max(8 * mesh.n_elements * (mesh.dim + 1), 256)
-    cutoff = CUTOFF_FACTOR * frame.length
+    steps = 0
+    loops = 0
     hit_boundary = False
 
-    while faces:
-        steps += 1
+    while stack:
+        (e, k), t = stack.pop()
+        if config.trace:
+            trace.append((e, k, t, len(stack)))
+        if mesh.element_contains(e, p, eps):
+            return TraversalResult(True, "reached", e, len(visited), steps, loops)
+        exits = exit_face_selection(mesh, e, k, frame, eps)
+        steps += len(exits)
         if steps > budget:
             return TraversalResult(
-                False, "exhausted", -1, n_visited, steps, loops, budget_breached=True
+                False, "exhausted", -1, len(visited), steps, loops, budget_breached=True
             )
-        lf = faces.pop()
-        e = elems.pop()
-        nb = int(adjacency[e, lf])
-        if nb == BOUNDARY:
-            # the branch exits the mesh; tie branches may still reach p
-            hit_boundary = True
-            continue
-        in_local = int(adj_local[e, lf])
-        if (nb, in_local) in visited:
-            loops += 1
-            continue
-        if backward:
-            if abs(_crossing_parameter(mesh, e, lf, frame)) > cutoff:
+        for lf in exits:
+            nb = int(adjacency[e, lf])
+            if nb == BOUNDARY:
+                # the branch exits the mesh; tie branches may still reach p
+                hit_boundary = True
                 continue
-        elif config.intersection_free_early_out:
-            # distance from s, not signed parameter: a branch running behind
-            # the origin is just as dead under the no-intersection assumption
-            if abs(_crossing_parameter(mesh, e, lf, frame)) > frame.length:
+            state = (nb, int(adj_local[e, lf]))
+            if state in visited:
+                loops += 1
                 continue
-        visited.add((nb, in_local))
-        n_visited += 1
-        if config.trace:
-            scratch.trace.append(
-                (nb, in_local, _crossing_parameter(mesh, e, lf, frame), len(faces))
-            )
-        if mesh.element_contains(nb, p, eps):
-            return TraversalResult(True, "reached", nb, n_visited, steps, loops)
-        for lf2 in exit_face_selection(mesh, nb, in_local, frame, eps):
-            faces.append(lf2)
-            elems.append(nb)
+            t = _crossing_parameter(mesh, e, lf, frame) if measure else 0.0
+            if abs(t) > reach:
+                continue
+            visited.add(state)
+            stack.append((state, t))
 
     reason = "hit_boundary" if hit_boundary else "exhausted"
-    return TraversalResult(False, reason, -1, n_visited, steps, loops)
+    return TraversalResult(False, reason, -1, len(visited), steps, loops)
 
 
 def format_trace(trace):
-    """Line-delimited trace records: element, entry face, ray parameter,
-    branch depth."""
+    """Line-delimited trace records, one per state in the order the search
+    took them: element, entry face, ray parameter of the entry face (0 for
+    the start state) and depth, the number of states still pending."""
     return "\n".join(
         f"element={e} entry_face={f} t={t:.17g} depth={d}" for e, f, t, d in trace
     )

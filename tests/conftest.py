@@ -67,7 +67,7 @@ def containing_elements(mesh, p, tol=1e-12):
     batched solve over the whole mesh."""
     b = geometry.barycentric_coords(p, mesh.vertices[mesh.elements])
     inside = np.all(np.isfinite(b) & (b >= -tol), axis=1)
-    return np.flatnonzero(inside & ~mesh.inverted_flags & ~mesh.degenerate_flags)
+    return np.flatnonzero(inside & ~mesh.skipped_flags)
 
 
 def ref_closest_point_on_face(mesh, p, face_id):

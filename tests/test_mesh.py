@@ -309,6 +309,7 @@ def test_signed_volumes_match_reference(base_and_scrambled):
         assert np.array_equal(mesh.signed_volumes, ref)
         assert np.array_equal(mesh.inverted_flags, ref < 0.0)
         assert np.array_equal(mesh.degenerate_flags, ref == 0.0)
+        assert np.array_equal(mesh.skipped_flags, ref <= 0.0)
     assert mesh.inverted_flags.any() and mesh.degenerate_flags[0]
 
 
@@ -354,7 +355,7 @@ def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
     fresh = make_mesh(v, base.elements)
     for name in (
         "adjacency", "adj_local", "boundary_faces", "boundary_owner", "boundary_owner_local",
-        "signed_volumes", "inverted_flags", "degenerate_flags", "bary_rows",
+        "signed_volumes", "inverted_flags", "degenerate_flags", "skipped_flags", "bary_rows",
         "boundary_face_skipped", "has_inverted_interior",
         "face_diameters", "face_degenerate", "face_area_normals", "face_unit_normals",
         "face_bary_floors",
@@ -396,7 +397,7 @@ def ref_exit_face_selection(mesh, element, in_local, frame, epsilon_i):
     o = frame.origin
     eps = epsilon_i
     if mesh.dim == 3:
-        u, v = frame.u, frame.v
+        u, v = frame.uv.T
         proj = []
         for i in order:
             x = verts[elem[i]] - o
@@ -418,7 +419,7 @@ def ref_exit_face_selection(mesh, element, in_local, frame, epsilon_i):
         if d[0] >= -eps and d[1] <= eps:
             out.append(int(order[2]))
         return out
-    u = frame.u
+    u = frame.uv[:, 0]
     p0 = float(np.dot(verts[elem[order[0]]] - o, u))
     p1 = float(np.dot(verts[elem[order[1]]] - o, u))
     p2 = float(np.dot(verts[elem[in_local]] - o, u))

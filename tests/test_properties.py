@@ -57,7 +57,7 @@ def test_boundary_closure(mesh):
 def test_frame_orthonormality(origin, target):
     assume(np.linalg.norm(target - origin) > 1e-6)
     frame = make_ray_frame(origin, target)
-    d, u, v = frame.direction, frame.u, frame.v
+    d, (u, v) = frame.direction, frame.uv.T
     for a, b in ((u, v), (u, d), (v, d)):
         assert abs(float(np.dot(a, b))) < 1e-12
     for a in (d, u, v):

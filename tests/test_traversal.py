@@ -1,14 +1,20 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from conftest import containing_elements
 
 from boundarypath import oracle, shapes
 from boundarypath.errors import ZeroLengthSegment
-from boundarypath.mesh import make_mesh
+from boundarypath.mesh import BOUNDARY, make_mesh
 from boundarypath.query import QueryConfig
 from boundarypath.traversal import (
+    CUTOFF_FACTOR,
     TraversalConfig,
+    TraversalResult,
     TraversalScratch,
+    _crossing_parameter,
+    _traverse,
     exit_face_selection,
     format_trace,
     is_valid_path,
@@ -24,9 +30,10 @@ def stacked_bar(n=6):
 
 def test_ray_frame_axis():
     frame = make_ray_frame([0, 0, 0], [0, 0, 1])
+    u, v = frame.uv.T
     assert np.allclose(frame.direction, [0, 0, 1])
-    assert abs(np.dot(frame.u, frame.v)) < 1e-12
-    assert abs(np.dot(frame.u, frame.direction)) < 1e-12
+    assert abs(np.dot(u, v)) < 1e-12
+    assert abs(np.dot(u, frame.direction)) < 1e-12
     assert frame.length == 1.0
 
 
@@ -37,8 +44,8 @@ def test_ray_frame_zero_length():
 
 def test_ray_frame_2d():
     frame = make_ray_frame([0.0, 0.0], [3.0, 4.0])
-    assert frame.v is None
-    assert abs(np.dot(frame.u, frame.direction)) < 1e-15
+    assert frame.uv.shape == (2, 1)
+    assert abs(np.dot(frame.uv[:, 0], frame.direction)) < 1e-15
 
 
 def test_exit_faces_through_opposite_vertex(tet):
@@ -219,3 +226,141 @@ def test_config_validation():
     for eps_r in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             QueryConfig(epsilon_r=eps_r)
+
+
+# --- equivalence with the exit-face-stack traversal ------------------------
+
+
+def ref_traverse(mesh, s, start_face, p, config, backward):
+    """The traversal as two parallel stacks of exit faces: the start element
+    is tested and expanded before the loop, a state is marked visited when
+    its entry face is popped, and each mode has its own reach test. The
+    search over (element, entry face) states must give the same verdict and
+    termination reason."""
+    frame = make_ray_frame(s, p)
+    eps = config.epsilon_i
+    visited = set()
+    faces = []
+    elems = []
+    e0 = int(mesh.boundary_owner[start_face])
+    k0 = int(mesh.boundary_owner_local[start_face])
+    visited.add((e0, k0))
+    n_visited = 1
+    steps = 0
+    loops = 0
+    if mesh.element_contains(e0, p, eps):
+        return TraversalResult(True, "reached", e0, n_visited, steps, loops)
+    for lf in exit_face_selection(mesh, e0, k0, frame, eps):
+        faces.append(lf)
+        elems.append(e0)
+    budget = max(8 * mesh.n_elements * (mesh.dim + 1), 256)
+    cutoff = CUTOFF_FACTOR * frame.length
+    hit_boundary = False
+    while faces:
+        steps += 1
+        if steps > budget:
+            return TraversalResult(
+                False, "exhausted", -1, n_visited, steps, loops, budget_breached=True
+            )
+        lf = faces.pop()
+        e = elems.pop()
+        nb = int(mesh.adjacency[e, lf])
+        if nb == BOUNDARY:
+            hit_boundary = True
+            continue
+        in_local = int(mesh.adj_local[e, lf])
+        if (nb, in_local) in visited:
+            loops += 1
+            continue
+        if backward:
+            if abs(_crossing_parameter(mesh, e, lf, frame)) > cutoff:
+                continue
+        elif config.intersection_free_early_out:
+            if abs(_crossing_parameter(mesh, e, lf, frame)) > frame.length:
+                continue
+        visited.add((nb, in_local))
+        n_visited += 1
+        if mesh.element_contains(nb, p, eps):
+            return TraversalResult(True, "reached", nb, n_visited, steps, loops)
+        for lf2 in exit_face_selection(mesh, nb, in_local, frame, eps):
+            faces.append(lf2)
+            elems.append(nb)
+    reason = "hit_boundary" if hit_boundary else "exhausted"
+    return TraversalResult(False, reason, -1, n_visited, steps, loops)
+
+
+def assert_same_verdicts(rays, config, backward):
+    """rays: (mesh, s, face, p) tuples."""
+    for mesh, s, face, p in rays:
+        got = _traverse(mesh, s, face, p, config, None, backward)
+        ref = ref_traverse(mesh, s, face, p, config, backward)
+        assert (got.valid, got.reason) == (ref.valid, ref.reason), (face, p)
+        assert not got.budget_breached
+
+
+def threaded_rays(mesh, rng, count):
+    """Rays from random boundary points aimed exactly at vertices and
+    element edge midpoints; half stop there, half pass through."""
+    midpoints = [
+        mesh.vertices[mesh.elements[:, list(ab)]].mean(axis=1)
+        for ab in combinations(range(mesh.dim + 1), 2)
+    ]
+    targets = np.concatenate([mesh.vertices, *midpoints])
+    rays = []
+    while len(rays) < count:
+        face = int(rng.integers(0, mesh.n_boundary_faces))
+        s = rng.dirichlet(np.ones(mesh.dim)) @ mesh.vertices[mesh.boundary_faces[face]]
+        t = targets[int(rng.integers(0, len(targets)))]
+        if np.linalg.norm(t - s) < 1e-9:
+            continue
+        rays.append((mesh, s, face, t if rng.random() < 0.5 else s + 2.0 * (t - s)))
+    return rays
+
+
+def candidate_rays(mesh, points):
+    """Each point's boundary candidates in (distance, face id) order, up to
+    and including the first one the reference accepts: the traversals a
+    query without culling runs."""
+    config = TraversalConfig()
+    backward = mesh.has_inverted_interior
+    rays = []
+    for p in points:
+        cands, dists = oracle.closest_boundary_candidates(mesh, p)
+        for face in np.lexsort((np.arange(len(dists)), dists)):
+            if mesh.boundary_face_skipped[face] or dists[face] <= 1e-12:
+                continue
+            rays.append((mesh, cands[face], int(face), p))
+            if ref_traverse(mesh, cands[face], int(face), p, config, backward).valid:
+                break
+    return rays
+
+
+@pytest.mark.parametrize("eps", [1e-10, 0.0])
+def test_state_search_matches_reference_on_threaded_rays(eps):
+    rng = np.random.default_rng(31)
+    config = TraversalConfig(epsilon_i=eps)
+    for mesh in (shapes.box_grid(2, 2, 2), shapes.rect_grid(5, 5)):
+        assert_same_verdicts(threaded_rays(mesh, rng, 400), config, False)
+
+
+def test_state_search_matches_reference_on_folded_corpus(folded_corpus):
+    for entry in folded_corpus:
+        assert_same_verdicts(candidate_rays(entry["mesh"], entry["points"]), TraversalConfig(), False)
+
+
+def test_state_search_matches_reference_with_inversions(rng):
+    strip, s, face, p = shapes.inverted_path_strip()
+    corner = shapes.flipped_corner_grid()
+    assert corner.inverted_flags.any()
+    rays = [(strip, s, face, p)]
+    for mesh in (strip, corner):
+        rays += candidate_rays(mesh, shapes.random_interior_points(mesh, rng, 40)[0])
+    for backward in (False, True):
+        assert_same_verdicts(rays, TraversalConfig(), backward)
+
+
+def test_state_search_matches_reference_with_early_out(folded2d, grid3d, rng):
+    config = TraversalConfig(intersection_free_early_out=True)
+    rays = threaded_rays(grid3d, rng, 300)
+    rays += candidate_rays(folded2d, shapes.random_interior_points(folded2d, rng, 40)[0])
+    assert_same_verdicts(rays, config, False)
