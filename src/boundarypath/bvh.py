@@ -2,10 +2,11 @@
 
 One tree type backs both the boundary-face hierarchy (best-first
 closest-primitive enumeration) and the element-level hierarchy used by
-discrete collision detection. Box overlap answers a whole batch of query
-boxes in one level-by-level walk, and refit sweeps the tree one level at
-a time; both are array code with a Python loop over tree depth only.
-Rebuild is only needed on topology change.
+discrete collision detection. The build splits every node of one depth
+at once, box overlap answers a whole batch of query boxes in one
+level-by-level walk, and refit sweeps the tree one level at a time; all
+three are array code with a Python loop over tree depth only. Rebuild is
+only needed on topology change.
 """
 
 import heapq
@@ -21,9 +22,23 @@ class AabbTree:
 
     Nodes are stored in arrays; the two children of a node are allocated
     together, so the right child of node i is left[i] + 1. The build
+    splits all nodes of one depth at a time: each node's axis is the
+    first of its largest centroid extents, one stable lexsort by (node,
+    centroid on its axis) orders every node's primitives, and the left
+    child takes the first half (rounded down). These are the partitions
+    of a per-node stable argsort, ties included.
+
+    Nodes are numbered as a right-first depth-first build would allocate
+    them, which NearPrimIter's (distance, node) heap ties read. With
+    pre(x) the number of internal nodes before x in right-first preorder,
+    x's children are 1 + 2 pre(x) and 2 + 2 pre(x); the right child comes
+    right after x (pre + 1) and the left child after the right subtree
+    (pre + the right child's primitive count). The rank of a node's first
+    leaf in that walk follows the same rule: the right child keeps it,
+    the left child adds the right child's primitive count. The build
     records each node's depth, for the level-order refit, and each
-    primitive's rank in the leaf order of a right-first depth-first walk,
-    which orders box_overlap's output; refit then computes every box.
+    primitive's rank, which orders box_overlap's output; refit then
+    computes every box.
     """
 
     def __init__(self, boxes):
@@ -39,29 +54,36 @@ class AabbTree:
         self.depth = np.zeros(max_nodes, dtype=np.int64)
         self.rank = np.empty(n, dtype=np.int64)  # leaf visit order per primitive
         centroids = 0.5 * (boxes[:, 0] + boxes[:, 1])
-        # iterative build: (node index, primitive id array); popping the
-        # right child first visits the leaves in the order box_overlap
-        # reports them
-        stack = [(0, np.arange(n))]
-        n_nodes = 1
-        n_leaves = 0
-        while stack:
-            node, ids = stack.pop()
-            if len(ids) == 1:
-                self.prim[node] = ids[0]
-                self.rank[ids[0]] = n_leaves
-                n_leaves += 1
-                continue
+        # the nodes of one depth: their primitives as consecutive segments
+        # of `ids`, each segment's length, the node's preorder number among
+        # internal nodes and the rank of its first leaf
+        ids = np.arange(n)
+        node = pre = first = np.zeros(1, dtype=np.int64)
+        size = np.array([n])
+        while True:
+            leaf = size == 1
+            self.prim[node[leaf]] = ids[(np.cumsum(size) - 1)[leaf]]
+            self.rank[self.prim[node[leaf]]] = first[leaf]
+            inner = ~leaf
+            ids = ids[np.repeat(inner, size)]
+            node, size, pre, first = node[inner], size[inner], pre[inner], first[inner]
+            if not len(node):
+                break
+            start = np.cumsum(size) - size
             cen = centroids[ids]
-            axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
-            order = np.argsort(cen[:, axis], kind="stable")
-            half = len(ids) // 2
-            l = n_nodes
-            n_nodes += 2
+            extent = np.maximum.reduceat(cen, start) - np.minimum.reduceat(cen, start)
+            seg = np.repeat(np.arange(len(node)), size)
+            key = cen[np.arange(len(ids)), np.argmax(extent, axis=1)[seg]]
+            ids = ids[np.lexsort((key, seg))]
+            # the left child takes the first half of each sorted segment
+            half = size // 2
+            l = 1 + 2 * pre
             self.left[node] = l
-            self.depth[l:l + 2] = self.depth[node] + 1
-            stack.append((l, ids[order[:half]]))
-            stack.append((l + 1, ids[order[half:]]))
+            self.depth[l] = self.depth[l + 1] = self.depth[node] + 1
+            node = np.column_stack([l, l + 1]).ravel()
+            pre = np.column_stack([pre + size - half, pre + 1]).ravel()
+            first = np.column_stack([first + size - half, first]).ravel()
+            size = np.column_stack([half, size - half]).ravel()
         self.refit(boxes)
         # the primitive of each node as Python ints, which best-first
         # enumeration hands out without making a new int per candidate

@@ -140,14 +140,22 @@ def closest_point_on_triangle(p, a, b, c):
 
 
 def triangle_area_normal(a, b, c):
-    """Cross-product normal; its magnitude is twice the triangle area."""
-    return np.cross(np.asarray(b, float) - a, np.asarray(c, float) - a)
+    """Cross-product normal; its magnitude is twice the triangle area.
+
+    Worked on Python floats, which round each difference and product as
+    numpy does, so it equals np.cross(b - a, c - a) bit for bit without
+    np.cross's per-call axis handling."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (np.asarray(x, float).tolist() for x in (a, b, c))
+    u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
+    v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
 
 
 def edge_outward_normal_2d(a, b):
-    """Outward normal of a boundary edge a->b of a CCW-oriented triangle."""
-    d = np.asarray(b, float) - np.asarray(a, float)
-    return np.array([d[1], -d[0]])
+    """Outward normal of a boundary edge a->b of a CCW-oriented triangle,
+    worked on Python floats like triangle_area_normal."""
+    (a0, a1), (b0, b1) = np.asarray(a, float).tolist(), np.asarray(b, float).tolist()
+    return np.array([b1 - a1, -(b0 - a0)])
 
 
 def orthonormal_basis(direction):

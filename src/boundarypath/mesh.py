@@ -69,9 +69,15 @@ def build_adjacency(elements):
     # row e * nv + k holds the sorted vertex key of local face k of element e
     keys = np.sort(elements[:, np.asarray(local_faces(nv - 1))], axis=2)
     keys = keys.reshape(n_elem * nv, nv - 1)
-    order = np.lexsort(keys.T[::-1])  # stable: equal keys keep row order
-    sorted_keys = keys[order]
-    same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
+    # all but the last vertex packed into one order-preserving int64, so
+    # the sort takes two keys whatever the dimension
+    lead, last = keys[:, 0], keys[:, -1]
+    if nv == 4 and len(keys):
+        lo = keys.min()
+        lead = (lead - lo) * (keys.max() - lo + 1) + keys[:, 1]
+    order = np.lexsort((last, lead))  # stable: equal keys keep row order
+    lead, last = lead[order], last[order]
+    same = (lead[1:] == lead[:-1]) & (last[1:] == last[:-1])
     third = np.flatnonzero(same[1:] & same[:-1])
     if len(third):
         # report the third owner that a pass in row order meets first

@@ -111,7 +111,7 @@ def ref_closest_point_on_face(mesh, p, face_id):
 
 def ref_pseudo_normal(mesh, feature):
     """pseudo_normal with each face's area normal computed per call, by
-    np.cross in 3D, and summed in face order."""
+    geometry.triangle_area_normal in 3D, and summed in face order."""
 
     def area_normal(f):
         v = mesh.vertices[mesh.boundary_faces[f]]

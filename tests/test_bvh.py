@@ -3,7 +3,14 @@ import pytest
 from conftest import containing_elements
 
 from boundarypath import shapes
-from boundarypath.bvh import AabbTree, BoundaryBvh, ElementBvh, NearPrimIter
+from boundarypath.bvh import (
+    AabbTree,
+    BoundaryBvh,
+    ElementBvh,
+    NearPrimIter,
+    _element_boxes,
+    _face_boxes,
+)
 from boundarypath.errors import EmptyBoundary
 from boundarypath.mesh import make_mesh
 
@@ -219,12 +226,23 @@ def ref_build(boxes):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_build_matches_per_node_build(rng, dim):
-    # tie-heavy integer boxes, and the element and face boxes of a mesh
+    # tie-heavy integer boxes, the element and face boxes of a mesh,
+    # coincident boxes (every split keeps the incoming order) and
+    # two-primitive trees
     inputs = [integer_boxes(rng, n, dim) for n in (*range(1, 30), 257)]
-    mesh = shapes.box_grid(3, 3, 3) if dim == 3 else shapes.folded_strip(30, 3)
-    for simplices in (mesh.elements, mesh.boundary_faces):
-        pts = mesh.vertices[simplices]
-        inputs.append(np.stack([pts.min(axis=1), pts.max(axis=1)], axis=1))
+    meshes = [shapes.box_grid(3, 3, 3) if dim == 3 else shapes.folded_strip(30, 3)]
+    if dim == 3:
+        # the benchmark's spiral: 19,440 tets and 4,464 boundary faces
+        meshes.append(
+            shapes.spiral_bar(
+                90, 6, 6, thickness=0.25, inner_radius=1.0, pitch=0.15, total_angle=3.6 * np.pi
+            )
+        )
+    for mesh in meshes:
+        inputs += [_element_boxes(mesh), _face_boxes(mesh)]
+    box = integer_boxes(rng, 1, dim)
+    inputs += [np.repeat(box, n, axis=0) for n in (2, 3, 100)]
+    inputs += [integer_boxes(rng, 2, dim), np.array([box[0], box[0] + 1.0])]
     for boxes in inputs:
         tree = AabbTree(boxes)
         for name, ref in ref_build(boxes).items():

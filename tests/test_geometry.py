@@ -111,6 +111,18 @@ def test_edge_outward_normal_2d():
     assert np.allclose(n / np.linalg.norm(n), [0, -1])
 
 
+def test_normals_equal_numpy_bit_for_bit(rng):
+    # coordinates over many binades, so products and differences round
+    for _ in range(2000):
+        a, b, c = rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-8, 9, size=(3, 1))
+        assert np.array_equal(geometry.triangle_area_normal(a, b, c), np.cross(b - a, c - a))
+        d = b[:2] - a[:2]
+        assert np.array_equal(geometry.edge_outward_normal_2d(a[:2], b[:2]), [d[1], -d[0]])
+    # a zero difference keeps the sign numpy gives it
+    n = geometry.edge_outward_normal_2d(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
+    assert np.signbit(n[1])
+
+
 def test_orthonormal_basis(rng):
     for _ in range(100):
         v = rng.normal(size=3)

@@ -54,6 +54,54 @@ def test_nonmanifold_rejected():
         build_adjacency(elems)
 
 
+def ref_build_adjacency(elements):
+    """build_adjacency with a lexsort over every vertex of the face key:
+    the reference for the packed two-key sort."""
+    elements = np.asarray(elements, dtype=np.int64)
+    n_elem, nv = elements.shape
+    keys = np.sort(elements[:, np.asarray(local_faces(nv - 1))], axis=2)
+    keys = keys.reshape(n_elem * nv, nv - 1)
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    same = np.all(sorted_keys[1:] == sorted_keys[:-1], axis=1)
+    third = np.flatnonzero(same[1:] & same[:-1])
+    if len(third):
+        row = int(order[third + 2].min())
+        raise NonManifold([int(g) for g in keys[row]], [row // nv])
+    a, b = order[:-1][same], order[1:][same]
+    adjacency = np.full(n_elem * nv, BOUNDARY, dtype=np.int32)
+    adj_local = np.full(n_elem * nv, -1, dtype=np.int8)
+    adjacency[a], adj_local[a] = b // nv, b % nv
+    adjacency[b], adj_local[b] = a // nv, a % nv
+    return adjacency.reshape(n_elem, nv), adj_local.reshape(n_elem, nv)
+
+
+def adjacency_outcome(build, elements):
+    try:
+        return build(elements)
+    except NonManifold as exc:
+        return exc.face, exc.owners
+
+
+def test_build_adjacency_matches_full_key_sort(rng):
+    spiral = shapes.spiral_bar(90, 6, 6, thickness=0.25, pitch=0.15, total_angle=3.6 * np.pi)
+    inputs = [spiral.elements, shapes.box_grid(3, 3, 3).elements]
+    inputs += [shapes.folded_strip(30, 3).elements, np.empty((0, 4), dtype=np.int64)]
+    # random elements over a few vertices: many shared and non-manifold
+    # faces, and keys offset from vertex 0
+    for nv in (3, 4):
+        for _ in range(200):
+            elems = rng.integers(0, 9, size=(int(rng.integers(1, 12)), nv)) + rng.integers(0, 50)
+            inputs.append(elems[np.all(np.diff(np.sort(elems), axis=1) > 0, axis=1)])
+    n_bad = 0
+    for elems in inputs:
+        got = adjacency_outcome(build_adjacency, elems)
+        ref = adjacency_outcome(ref_build_adjacency, elems)
+        n_bad += isinstance(ref[0], tuple)
+        assert len(got) == len(ref) and all(np.array_equal(g, r) for g, r in zip(got, ref))
+    assert n_bad > 20  # the NonManifold report was exercised
+
+
 def test_adjacency_order_independent(grid2d, rng):
     perm = rng.permutation(grid2d.n_elements)
     shuffled = make_mesh(grid2d.vertices, grid2d.elements[perm])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import containing_elements
 
-from boundarypath import oracle, shapes
+from boundarypath import geometry, oracle, shapes
 from boundarypath.errors import ZeroLengthSegment
 from boundarypath.mesh import BOUNDARY, make_mesh
 from boundarypath.query import QueryConfig
@@ -213,6 +213,39 @@ def test_trace_output(tet):
     assert res.valid
     text = format_trace(scratch.trace)
     assert "element=0" in text and "depth=" in text
+
+
+def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
+    # meshes with inverted interior elements, in 2D and 3D, traversed
+    # backward so that every pushed state measures its crossing parameter
+    grid = shapes.box_grid(3, 3, 3)
+    verts = grid.vertices.copy()
+    verts[21] += [0.6, 0.42, 0.24]  # the interior vertex at (1/3, 1/3, 1/3)
+    meshes = [make_mesh(verts, grid.elements), shapes.pleated_strip()]
+    config = TraversalConfig(trace=True)
+
+    def traces(rays):
+        out = []
+        for mesh, s, face, p in rays:
+            scratch = TraversalScratch(config)
+            is_valid_path_inverted(mesh, s, face, p, config=config, scratch=scratch)
+            out.append(format_trace(scratch.trace))
+        return out
+
+    rays = []
+    for mesh in meshes:
+        assert mesh.has_inverted_interior
+        rays += candidate_rays(mesh, shapes.random_interior_points(mesh, rng, 30)[0])
+        rays += threaded_rays(mesh, rng, 100)
+    got = traces(rays)
+    monkeypatch.setattr(
+        geometry, "triangle_area_normal", lambda a, b, c: np.cross(b - a, c - a)
+    )
+    monkeypatch.setattr(
+        geometry, "edge_outward_normal_2d", lambda a, b: np.array([(b - a)[1], -(b - a)[0]])
+    )
+    assert got == traces(rays)
+    assert sum(text.count("\n") for text in got) > 1000
 
 
 def test_config_validation():
