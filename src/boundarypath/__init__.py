@@ -19,7 +19,6 @@ from .mesh import (
     BoundaryFeature,
     SimplicialMesh,
     build_adjacency,
-    make_mesh,
 )
 from .meshio import export_boundary_obj, load_mesh, save_mesh
 from .query import (
@@ -70,7 +69,6 @@ __all__ = [
     "is_valid_path",
     "is_valid_path_inverted",
     "load_mesh",
-    "make_mesh",
     "make_ray_frame",
     "save_mesh",
     "shortest_path_to_boundary",

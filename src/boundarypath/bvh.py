@@ -2,11 +2,11 @@
 
 One tree type backs both the boundary-face hierarchy (best-first
 closest-primitive enumeration) and the element-level hierarchy used by
-discrete collision detection. The build splits every node of one depth
-at once, box overlap answers a whole batch of query boxes in one
-level-by-level walk, and refit sweeps the tree one level at a time; all
-three are array code with a Python loop over tree depth only. Rebuild is
-only needed on topology change.
+discrete collision detection. Nodes are numbered level by level. The
+build splits every node of one depth at once, box overlap answers a
+whole batch of query boxes in one level-by-level walk, and refit sweeps
+the tree one level at a time; all three are array code with a Python
+loop over tree depth only. Rebuild is only needed on topology change.
 """
 
 import heapq
@@ -20,25 +20,15 @@ from .errors import EmptyBoundary
 class AabbTree:
     """Binary AABB tree, median split on the longest centroid axis.
 
-    Nodes are stored in arrays; the two children of a node are allocated
-    together, so the right child of node i is left[i] + 1. The build
-    splits all nodes of one depth at a time: each node's axis is the
-    first of its largest centroid extents, one stable lexsort by (node,
-    centroid on its axis) orders every node's primitives, and the left
-    child takes the first half (rounded down). These are the partitions
-    of a per-node stable argsort, ties included.
-
-    Nodes are numbered as a right-first depth-first build would allocate
-    them, which NearPrimIter's (distance, node) heap ties read. With
-    pre(x) the number of internal nodes before x in right-first preorder,
-    x's children are 1 + 2 pre(x) and 2 + 2 pre(x); the right child comes
-    right after x (pre + 1) and the left child after the right subtree
-    (pre + the right child's primitive count). The rank of a node's first
-    leaf in that walk follows the same rule: the right child keeps it,
-    the left child adds the right child's primitive count. The build
-    records each node's depth, for the level-order refit, and each
-    primitive's rank, which orders box_overlap's output; refit then
-    computes every box.
+    Nodes are stored in arrays and numbered in level order: the k-th
+    internal node has children 2k + 1 and 2k + 2, so the right child of
+    node i is left[i] + 1. The build splits all nodes of one depth at a
+    time: each node's axis is the first of its largest centroid extents,
+    one stable lexsort by (node, centroid on its axis) orders every
+    node's primitives, and the left child takes the first half (rounded
+    down). These are the partitions of a per-node stable argsort, ties
+    included. `levels` lists each depth's internal nodes, for the
+    level-order refit, which computes every box.
     """
 
     def __init__(self, boxes):
@@ -51,24 +41,23 @@ class AabbTree:
         self.hi = np.empty((max_nodes, boxes.shape[2]))
         self.left = np.full(max_nodes, -1, dtype=np.int64)
         self.prim = np.full(max_nodes, -1, dtype=np.int64)
-        self.depth = np.zeros(max_nodes, dtype=np.int64)
-        self.rank = np.empty(n, dtype=np.int64)  # leaf visit order per primitive
+        self.levels = []
         centroids = 0.5 * (boxes[:, 0] + boxes[:, 1])
-        # the nodes of one depth: their primitives as consecutive segments
-        # of `ids`, each segment's length, the node's preorder number among
-        # internal nodes and the rank of its first leaf
+        # the nodes of one depth, in id order, with their primitives as
+        # consecutive segments of `ids` and each segment's length
         ids = np.arange(n)
-        node = pre = first = np.zeros(1, dtype=np.int64)
+        node = np.zeros(1, dtype=np.int64)
         size = np.array([n])
+        n_inner = 0
         while True:
             leaf = size == 1
             self.prim[node[leaf]] = ids[(np.cumsum(size) - 1)[leaf]]
-            self.rank[self.prim[node[leaf]]] = first[leaf]
             inner = ~leaf
             ids = ids[np.repeat(inner, size)]
-            node, size, pre, first = node[inner], size[inner], pre[inner], first[inner]
+            node, size = node[inner], size[inner]
             if not len(node):
                 break
+            self.levels.append(node)
             start = np.cumsum(size) - size
             cen = centroids[ids]
             extent = np.maximum.reduceat(cen, start) - np.minimum.reduceat(cen, start)
@@ -77,12 +66,10 @@ class AabbTree:
             ids = ids[np.lexsort((key, seg))]
             # the left child takes the first half of each sorted segment
             half = size // 2
-            l = 1 + 2 * pre
+            l = 1 + 2 * np.arange(n_inner, n_inner + len(node))
+            n_inner += len(node)
             self.left[node] = l
-            self.depth[l] = self.depth[l + 1] = self.depth[node] + 1
             node = np.column_stack([l, l + 1]).ravel()
-            pre = np.column_stack([pre + size - half, pre + 1]).ravel()
-            first = np.column_stack([first + size - half, first]).ravel()
             size = np.column_stack([half, size - half]).ravel()
         self.refit(boxes)
         # the primitive of each node as Python ints, which best-first
@@ -98,9 +85,7 @@ class AabbTree:
         leaf = self.prim >= 0
         self.lo[leaf] = boxes[self.prim[leaf], 0]
         self.hi[leaf] = boxes[self.prim[leaf], 1]
-        inner = np.flatnonzero(~leaf)
-        for d in range(int(self.depth.max()) - 1, -1, -1):
-            nodes = inner[self.depth[inner] == d]
+        for nodes in reversed(self.levels):
             l = self.left[nodes]
             self.lo[nodes] = np.minimum(self.lo[l], self.lo[l + 1])
             self.hi[nodes] = np.maximum(self.hi[l], self.hi[l + 1])
@@ -111,8 +96,7 @@ class AabbTree:
 
         The tree is walked one level at a time with a frontier of (box,
         node) pairs. Returns two int arrays (box index, primitive id),
-        sorted by box and, within a box, in the order of a depth-first
-        walk that visits right children first.
+        sorted by box and, within a box, by primitive id.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -133,7 +117,7 @@ class AabbTree:
             node = np.concatenate([left, left + 1])
         box = np.concatenate(out_box)
         prim = np.concatenate(out_prim)
-        order = np.lexsort((self.rank[prim], box))
+        order = np.lexsort((prim, box))
         return box[order], prim[order]
 
 

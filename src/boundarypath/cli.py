@@ -30,7 +30,7 @@ from .bvh import build_boundary_bvh
 from .errors import MeshError, ParseError
 from .meshio import export_boundary_obj, load_mesh, save_mesh
 from .query import QueryConfig, shortest_path_to_boundary
-from .sim import SimRuntime, count_penetrations, load_scene, xpbd_substep
+from .sim import count_penetrations, load_scene, run_sim
 from .traversal import TraversalConfig, TraversalScratch, format_trace, is_valid_path
 
 
@@ -66,8 +66,8 @@ def _query_config(args):
 def _add_common(sub, seed=True, no_culling=True):
     """The query flags and --out; --seed for the subcommands that sample
     points, and --no-culling for those that do not run both modes."""
-    sub.add_argument("--eps-i", type=_tolerance, default=1e-10)
-    sub.add_argument("--eps-r", type=_tolerance, default=0.01)
+    sub.add_argument("--eps-i", type=_tolerance, default=TraversalConfig.epsilon_i)
+    sub.add_argument("--eps-r", type=_tolerance, default=QueryConfig.epsilon_r)
     if no_culling:
         sub.add_argument("--no-culling", action="store_true")
     sub.add_argument("--allow-backward", action="store_true")
@@ -387,18 +387,17 @@ def cmd_bench(args):
 
 def cmd_simulate(args):
     state, config = load_scene(args.scene)
-    runtime = SimRuntime(state, config)
     log = []
     n = args.substeps if args.substeps is not None else config.substeps
-    for _ in range(n):
-        state, entry = xpbd_substep(state, config, runtime)
-        log.append(entry.as_dict())
+    runtime = run_sim(state, config, n, log=log)
     pen = count_penetrations(state, runtime)
     print(f"{n} substeps, final penetration count {pen}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "contact_log.json").write_text(json.dumps(log, indent=2))
+        (out / "contact_log.json").write_text(
+            json.dumps([entry.as_dict() for entry in log], indent=2)
+        )
         for m, mesh in enumerate(state.meshes):
             save_mesh(mesh, out / f"mesh_{m:02d}_final.json")
         _manifest(args, [args.scene]).write(out)

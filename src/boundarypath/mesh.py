@@ -117,6 +117,10 @@ def _feature_maps(boundary_faces, n_vertices, dim):
 
 
 class SimplicialMesh:
+    """A tetrahedral mesh from (n, 3) vertices or a triangular one from
+    (n, 2) vertices. Raises ValueError for arrays of another shape or
+    non-finite coordinates."""
+
     def __init__(self, vertices, elements, names=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
@@ -381,10 +385,3 @@ class SimplicialMesh:
         if norm == 0.0:
             raise ZeroNormal(f"pseudo-normal vanishes at {feature}")
         return n / norm
-
-
-def make_mesh(vertices, elements, names=None):
-    """A tetrahedral mesh from (n, 3) vertices or a triangular one from
-    (n, 2) vertices. Raises ValueError for arrays of another shape or
-    non-finite coordinates."""
-    return SimplicialMesh(vertices, elements, names)

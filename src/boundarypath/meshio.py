@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IndexOutOfRange, ParseError
-from .mesh import make_mesh
+from .mesh import SimplicialMesh
 
 
 def save_mesh(mesh, path):
@@ -49,14 +49,14 @@ def load_mesh(path):
         raise IndexOutOfRange(
             f"{path}: element index out of range (have {len(vertices)} vertices)"
         )
-    return _make_mesh(path, vertices, elements, doc.get("names"))
+    return _parsed_mesh(path, vertices, elements, doc.get("names"))
 
 
-def _make_mesh(path, vertices, elements, names=None):
-    """make_mesh, with the arrays' shape or value errors raised as the
-    ParseError of the file they were read from."""
+def _parsed_mesh(path, vertices, elements, names=None):
+    """The mesh of the arrays, with their shape or value errors raised
+    as the ParseError of the file they were read from."""
     try:
-        return make_mesh(vertices, elements, names)
+        return SimplicialMesh(vertices, elements, names)
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
 
@@ -108,7 +108,7 @@ def load_tetgen(node_path, ele_path):
             raise ParseError(ele_path, lineno, "bad element line") from exc
     if elements.size and (elements.min() < 0 or elements.max() >= n_points):
         raise IndexOutOfRange(f"{ele_path}: element index out of range")
-    return _make_mesh(node_path, coords, elements)
+    return _parsed_mesh(node_path, coords, elements)
 
 
 def export_boundary_obj(mesh, path):

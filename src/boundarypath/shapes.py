@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .mesh import make_mesh
+from .mesh import SimplicialMesh
 
 
 def _oriented(vertices, elements):
@@ -48,12 +48,12 @@ def single_tet():
     verts = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     )
-    return make_mesh(verts, np.array([[0, 1, 2, 3]]))
+    return SimplicialMesh(verts, np.array([[0, 1, 2, 3]]))
 
 
 def single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return make_mesh(verts, np.array([[0, 1, 2]]))
+    return SimplicialMesh(verts, np.array([[0, 1, 2]]))
 
 
 def cube_five_tets():
@@ -70,18 +70,18 @@ def cube_five_tets():
         (cid(0, 0, 0), cid(0, 0, 1), cid(1, 0, 1), cid(0, 1, 1)),
         (cid(1, 1, 1), cid(1, 1, 0), cid(0, 1, 1), cid(1, 0, 1)),
     ]
-    return make_mesh(corners, _oriented(corners, np.array(elems, dtype=np.int64)))
+    return SimplicialMesh(corners, _oriented(corners, np.array(elems, dtype=np.int64)))
 
 
 def box_grid(nx, ny, nz, size=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
     """Structured tetrahedral box: each cell split into the six path
     tetrahedra of its main diagonal (see `_grid`)."""
-    return make_mesh(*_grid((nx, ny, nz), size, origin))
+    return SimplicialMesh(*_grid((nx, ny, nz), size, origin))
 
 
 def rect_grid(nx, ny, size=(1.0, 1.0), origin=(0.0, 0.0)):
     """Structured 2D triangle grid, every cell split by the same diagonal."""
-    return make_mesh(*_grid((nx, ny), size, origin))
+    return SimplicialMesh(*_grid((nx, ny), size, origin))
 
 
 def _wound(counts, thickness, inner_radius, total_angle, pitch=0.0):
@@ -94,7 +94,8 @@ def _wound(counts, thickness, inner_radius, total_angle, pitch=0.0):
     verts, elems = _grid(counts, size, (0.0,) * len(counts))
     theta = -total_angle * verts[:, 0] / length
     r = inner_radius + verts[:, 1] + pitch * (-theta) / (2.0 * np.pi)
-    return make_mesh(np.column_stack([r * np.cos(theta), r * np.sin(theta), verts[:, 2:]]), elems)
+    verts = np.column_stack([r * np.cos(theta), r * np.sin(theta), verts[:, 2:]])
+    return SimplicialMesh(verts, elems)
 
 
 def folded_bar(nx, ny, nz, thickness=0.3, inner_radius=1.0, total_angle=2.5 * np.pi):
@@ -147,7 +148,7 @@ def pleated_strip(cols=8, rows_per_band=2, width=4.0, band_height=1.0):
         y,
         np.where(y <= 2 * h, h - 0.75 * (y - h), 0.25 * h + 1.0 * (y - 2 * h)),
     )
-    return make_mesh(verts, elems)
+    return SimplicialMesh(verts, elems)
 
 
 def inverted_path_strip():
@@ -177,7 +178,7 @@ def inverted_path_strip():
         ]
     )
     elems = np.array([[0, 1, 2], [2, 1, 3], [2, 3, 4], [4, 3, 5]])
-    mesh = make_mesh(verts, elems)
+    mesh = SimplicialMesh(verts, elems)
     s = np.array([0.7, 0.0])
     p = np.array([0.7, 0.35])
     # the first boundary face on the line y = 0
@@ -197,7 +198,7 @@ def flipped_corner_grid(nx=4, ny=4):
     ab = b - a
     t = np.dot(v0 - a, ab) / np.dot(ab, ab)
     verts[0] = 2 * (a + t * ab) - v0
-    return make_mesh(verts, elems)
+    return SimplicialMesh(verts, elems)
 
 
 def _deformed(rng, counts, amplitude, modes):
@@ -212,7 +213,7 @@ def _deformed(rng, counts, amplitude, modes):
         amp = rng.normal(size=(dim,))
         disp += np.sin(verts @ k.T * np.pi + phase) * amp
     disp *= amplitude / max(np.abs(disp).max(), 1e-12)
-    mesh = make_mesh(verts + disp, elems)
+    mesh = SimplicialMesh(verts + disp, elems)
     while mesh.skipped_flags.any():
         disp *= 0.5
         mesh.set_vertices(verts + disp)

@@ -159,8 +159,8 @@ def _overlaps(state, elem_bvhs, ma, lo, hi, probe_ids):
     and owns the mesh-a vertex ids in row k of probe_ids. Skipped elements
     and, for a self-pair, elements sharing a vertex with the probe are
     dropped. Yields (mb, probe, element, element vertices) per mesh b, in
-    mesh order; within a mesh the pairs are sorted by probe, then by the
-    tree's leaf order."""
+    mesh order; within a mesh the pairs are sorted by probe, then by
+    element id."""
     for mb, mesh_b in enumerate(state.meshes):
         probe, e = elem_bvhs[mb].tree.box_overlap(lo, hi)
         keep = ~mesh_b.skipped_flags[e]
@@ -184,7 +184,7 @@ def dcd_vertex_tet(state, elem_bvhs, include_centroids=False):
     Each mesh's probes (its vertices, then its element centroids) are
     tested as one batch: one box-overlap call per target mesh, then one
     batched barycentric solve over every candidate pair. Contacts come
-    in probe order, then target mesh, then the tree's leaf order.
+    in probe order, then target mesh, then element id.
     """
     contacts = []
     for ma, mesh_a in enumerate(state.meshes):
@@ -200,7 +200,7 @@ def dcd_vertex_tet(state, elem_bvhs, include_centroids=False):
             inside = np.all(np.isfinite(b) & (b > 0.0), axis=1)
             hits.append((probe[inside], np.full(np.count_nonzero(inside), mb), e[inside]))
         probe, mb, e = (np.concatenate(col) for col in zip(*hits))
-        # the stable sort keeps (target mesh, leaf order) within a probe
+        # the stable sort keeps (target mesh, element id) within a probe
         order = np.argsort(probe, kind="stable")
         for k, m, el in zip(probe[order].tolist(), mb[order].tolist(), e[order].tolist()):
             if k < nv:
@@ -234,7 +234,7 @@ def dcd_edge_tet(state, elem_bvhs):
     boundary edge clipped by a non-incident element, records the midpoint
     of the clipped chord; if several elements intersect one edge, only the
     chord center nearest the edge midpoint is kept, the first in (target
-    mesh, leaf order) on a tie. Chords of 1e-12 or less in parameter
+    mesh, element id) on a tie. Chords of 1e-12 or less in parameter
     length are ignored. Returns contact records shaped like
     dcd_vertex_tet's, with the chord center's barycentric weights on the
     edge endpoints, in boundary-edge order.
@@ -260,7 +260,7 @@ def dcd_edge_tet(state, elem_bvhs):
             hits.append((edge[keep], np.full(len(t_mid), mb), e[keep], t_mid))
         edge, mb, e, t_mid = (np.concatenate(col) for col in zip(*hits))
         # per edge, the chord center nearest the edge midpoint; the stable
-        # sort leaves ties in (target mesh, leaf order)
+        # sort leaves ties in (target mesh, element id)
         order = np.lexsort((np.abs(t_mid - 0.5), edge))
         best = order[np.unique(edge[order], return_index=True)[1]]
         edge, mb, e, t_mid = edge[best], mb[best], e[best], t_mid[best]

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,56 @@ def containing_elements(mesh, p, tol=1e-12):
     b = geometry.barycentric_coords(p, mesh.vertices[mesh.elements])
     inside = np.all(np.isfinite(b) & (b >= -tol), axis=1)
     return np.flatnonzero(inside & ~mesh.skipped_flags)
+
+
+# the threaded rays of acceptance criterion 4, which the traversal
+# step-bound test also runs
+def interior_targets(mesh):
+    """Positions of strictly interior vertices and midpoints of strictly
+    interior element edges."""
+    bverts = set(np.unique(mesh.boundary_faces).tolist())
+    bedges = set()
+    for f in mesh.boundary_faces:
+        for a, b in combinations(map(int, f), 2):
+            bedges.add((min(a, b), max(a, b)))
+    iverts = [v for v in range(mesh.n_vertices) if v not in bverts]
+    iedges = set()
+    for el in mesh.elements:
+        for a, b in combinations(map(int, el), 2):
+            key = (min(a, b), max(a, b))
+            if key not in bedges:
+                iedges.add(key)
+    vpts = mesh.vertices[iverts]
+    epts = np.array(
+        [0.5 * (mesh.vertices[a] + mesh.vertices[b]) for a, b in sorted(iedges)]
+    )
+    return np.concatenate([vpts, epts], axis=0)
+
+
+def threaded_ray_corpus():
+    """(mesh, s, face, p) tuples whose segments pass exactly through
+    interior vertices or interior edge midpoints of structured grids."""
+    specs = [
+        (shapes.box_grid(2, 2, 2), 5000),
+        (shapes.box_grid(3, 3, 3), 2500),
+        (shapes.rect_grid(6, 6), 2500),
+    ]
+    rng = np.random.default_rng(991)
+    rays = []
+    for mesh, count in specs:
+        targets = interior_targets(mesh)
+        assert len(targets) > 0
+        for _ in range(count):
+            face = int(rng.integers(0, mesh.n_boundary_faces))
+            w = rng.dirichlet(np.ones(mesh.dim))
+            s = w @ mesh.vertices[mesh.boundary_faces[face]]
+            t = targets[int(rng.integers(0, len(targets)))]
+            if np.linalg.norm(t - s) < 1e-9:
+                continue
+            # half the rays stop at the feature, half pass through it
+            p = t if rng.random() < 0.5 else s + 2.0 * (t - s)
+            rays.append((mesh, s, face, p))
+    return rays
 
 
 def ref_closest_point_on_face(mesh, p, face_id):

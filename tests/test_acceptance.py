@@ -9,16 +9,15 @@ else.
 
 import time
 from dataclasses import replace
-from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, threaded_ray_corpus
 
 from boundarypath import shapes
 from boundarypath.bvh import ElementBvh, build_boundary_bvh
 from boundarypath.geometry import barycentric_coords
-from boundarypath.mesh import make_mesh
+from boundarypath.mesh import SimplicialMesh
 from boundarypath.oracle import (
     closest_boundary_candidates,
     co_minimal_faces,
@@ -200,54 +199,6 @@ def test_criterion_3_epsilon_i_invariance(folded_corpus, corpus_baseline):
 # --- criterion 4: rays threaded through interior vertices and edges --------
 
 
-def interior_targets(mesh):
-    """Positions of strictly interior vertices and midpoints of strictly
-    interior element edges."""
-    bverts = boundary_vertex_set(mesh)
-    bedges = set()
-    for f in mesh.boundary_faces:
-        for a, b in combinations(map(int, f), 2):
-            bedges.add((min(a, b), max(a, b)))
-    iverts = [v for v in range(mesh.n_vertices) if v not in bverts]
-    iedges = set()
-    for el in mesh.elements:
-        for a, b in combinations(map(int, el), 2):
-            key = (min(a, b), max(a, b))
-            if key not in bedges:
-                iedges.add(key)
-    vpts = mesh.vertices[iverts]
-    epts = np.array(
-        [0.5 * (mesh.vertices[a] + mesh.vertices[b]) for a, b in sorted(iedges)]
-    )
-    return np.concatenate([vpts, epts], axis=0)
-
-
-def threaded_ray_corpus():
-    """(mesh, s, face, p) tuples whose segments pass exactly through
-    interior vertices or interior edge midpoints of structured grids."""
-    specs = [
-        (shapes.box_grid(2, 2, 2), 5000),
-        (shapes.box_grid(3, 3, 3), 2500),
-        (shapes.rect_grid(6, 6), 2500),
-    ]
-    rng = np.random.default_rng(991)
-    rays = []
-    for mesh, count in specs:
-        targets = interior_targets(mesh)
-        assert len(targets) > 0
-        for _ in range(count):
-            face = int(rng.integers(0, mesh.n_boundary_faces))
-            w = rng.dirichlet(np.ones(mesh.dim))
-            s = w @ mesh.vertices[mesh.boundary_faces[face]]
-            t = targets[int(rng.integers(0, len(targets)))]
-            if np.linalg.norm(t - s) < 1e-9:
-                continue
-            # half the rays stop at the feature, half pass through it
-            p = t if rng.random() < 0.5 else s + 2.0 * (t - s)
-            rays.append((mesh, s, face, p))
-    return rays
-
-
 def test_criterion_4_loop_robustness():
     rays = threaded_ray_corpus()
     assert len(rays) >= 10_000
@@ -377,7 +328,7 @@ def test_criterion_7_rest_shape_comparison():
     theta = -ang * x / length
     turns = -theta / (2.0 * np.pi)
     r = r0 + y + pitch * turns
-    deformed = make_mesh(
+    deformed = SimplicialMesh(
         np.column_stack([r * np.cos(theta), r * np.sin(theta), z + drift * turns]),
         rest.elements,
     )

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from conftest import containing_elements
@@ -12,7 +14,7 @@ from boundarypath.bvh import (
     _face_boxes,
 )
 from boundarypath.errors import EmptyBoundary
-from boundarypath.mesh import make_mesh
+from boundarypath.mesh import SimplicialMesh
 
 
 def brute_face_distance(mesh, f, p):
@@ -61,7 +63,7 @@ def test_bound_bounds_every_later_primitive(folded3d, rng):
 
 
 def test_refit_translation(cube):
-    mesh = make_mesh(cube.vertices, cube.elements)
+    mesh = SimplicialMesh(cube.vertices, cube.elements)
     bvh = BoundaryBvh(mesh)
     before = {f for f, lb in bvh.nearest_faces(np.full(3, 0.5)) if lb <= 0.51}
     mesh.set_vertices(mesh.vertices + np.array([1.0, 0, 0]))
@@ -72,7 +74,7 @@ def test_refit_translation(cube):
 
 def test_empty_boundary_raises():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
-    mesh = make_mesh(verts, np.array([[0, 1, 2, 3]]))
+    mesh = SimplicialMesh(verts, np.array([[0, 1, 2, 3]]))
     mesh.boundary_faces = mesh.boundary_faces[:0]
 
     class Empty:
@@ -80,24 +82,6 @@ def test_empty_boundary_raises():
 
     with pytest.raises(EmptyBoundary):
         BoundaryBvh(Empty())
-
-
-def stack_walk(tree, lo, hi):
-    """One box's overlaps by the per-node stack walk, right child first:
-    the reference for box_overlap's set and order."""
-    out = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        if np.any(tree.lo[node] > hi) or np.any(tree.hi[node] < lo):
-            continue
-        pid = tree.prim[node]
-        if pid >= 0:
-            out.append(int(pid))
-        else:
-            stack.append(int(tree.left[node]))
-            stack.append(int(tree.left[node]) + 1)
-    return out
 
 
 def node_refit(tree, boxes):
@@ -143,7 +127,7 @@ def test_box_overlap_matches_brute(grid3d):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_box_overlap_batch_matches_brute_and_stack_walk(rng, dim):
+def test_box_overlap_batch_matches_brute(rng, dim):
     prims = integer_boxes(rng, 300, dim)
     tree = AabbTree(prims)
     queries = integer_boxes(rng, 200, dim)
@@ -151,10 +135,9 @@ def test_box_overlap_batch_matches_brute_and_stack_walk(rng, dim):
     assert np.all(np.diff(box) >= 0)
     touching = 0
     for k, (lo, hi) in enumerate(queries):
-        got = prim[box == k].tolist()
         brute = np.all(prims[:, 1] >= lo, axis=1) & np.all(prims[:, 0] <= hi, axis=1)
-        assert sorted(got) == np.flatnonzero(brute).tolist()
-        assert got == stack_walk(tree, lo, hi)
+        # the brute-force set, in ascending primitive id
+        assert prim[box == k].tolist() == np.flatnonzero(brute).tolist()
         touching += np.any((prims[brute, 1] == lo) | (prims[brute, 0] == hi))
     assert touching > 0  # exactly touching faces were exercised
 
@@ -188,40 +171,39 @@ def test_refit_matches_node_sweep_and_fresh_build(rng, dim):
 
 
 def ref_build(boxes):
-    """The per-node build: a stack of (node, primitive ids) that takes
-    each node's box as the min/max over its primitives, allocating the
-    two children of a node together. The reference for the node arrays
-    of AabbTree, whose build leaves the boxes to refit."""
+    """The per-node build: a first-in-first-out queue of (node, primitive
+    ids) that takes each node's box as the min/max over its primitives
+    and allocates the two children of a node together, so nodes get
+    level-order numbers. The reference for the node arrays of AabbTree,
+    whose build leaves the boxes to refit; also returns each depth's
+    internal nodes in the order the queue pops them."""
     n, dim = boxes.shape[0], boxes.shape[2]
     lo, hi = np.empty((2 * n - 1, dim)), np.empty((2 * n - 1, dim))
     left = np.full(2 * n - 1, -1, dtype=np.int64)
     prim = np.full(2 * n - 1, -1, dtype=np.int64)
-    depth = np.zeros(2 * n - 1, dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
+    levels = []
     centroids = 0.5 * (boxes[:, 0] + boxes[:, 1])
-    stack = [(0, np.arange(n))]
+    queue = deque([(0, 0, np.arange(n))])
     n_nodes = 1
-    n_leaves = 0
-    while stack:
-        node, ids = stack.pop()
+    while queue:
+        node, depth, ids = queue.popleft()
         lo[node] = boxes[ids, 0].min(axis=0)
         hi[node] = boxes[ids, 1].max(axis=0)
         if len(ids) == 1:
             prim[node] = ids[0]
-            rank[ids[0]] = n_leaves
-            n_leaves += 1
             continue
+        if depth == len(levels):
+            levels.append([])
+        levels[depth].append(node)
         cen = centroids[ids]
         axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
         order = np.argsort(cen[:, axis], kind="stable")
         half = len(ids) // 2
-        l, r = n_nodes, n_nodes + 1
+        left[node] = n_nodes
+        queue.append((n_nodes, depth + 1, ids[order[:half]]))
+        queue.append((n_nodes + 1, depth + 1, ids[order[half:]]))
         n_nodes += 2
-        left[node] = l
-        depth[l] = depth[r] = depth[node] + 1
-        stack.append((l, ids[order[:half]]))
-        stack.append((r, ids[order[half:]]))
-    return {"lo": lo, "hi": hi, "left": left, "prim": prim, "depth": depth, "rank": rank}
+    return {"lo": lo, "hi": hi, "left": left, "prim": prim}, levels
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -245,5 +227,9 @@ def test_build_matches_per_node_build(rng, dim):
     inputs += [integer_boxes(rng, 2, dim), np.array([box[0], box[0] + 1.0])]
     for boxes in inputs:
         tree = AabbTree(boxes)
-        for name, ref in ref_build(boxes).items():
+        arrays, levels = ref_build(boxes)
+        for name, ref in arrays.items():
             assert np.array_equal(getattr(tree, name), ref), (len(boxes), name)
+        # each depth's internal nodes, all of them in id order
+        assert [level.tolist() for level in tree.levels] == levels
+        assert sum(levels, []) == np.flatnonzero(tree.prim < 0).tolist()

@@ -8,9 +8,9 @@ from boundarypath.mesh import (
     BOUNDARY,
     FEATURE_TOL,
     BoundaryFeature,
+    SimplicialMesh,
     build_adjacency,
     local_faces,
-    make_mesh,
 )
 from boundarypath.traversal import exit_face_selection, make_ray_frame
 
@@ -20,7 +20,7 @@ def two_glued_tets():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float
     )
     elems = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
-    return make_mesh(verts, elems)
+    return SimplicialMesh(verts, elems)
 
 
 def test_single_tet_all_boundary(tet):
@@ -104,7 +104,7 @@ def test_build_adjacency_matches_full_key_sort(rng):
 
 def test_adjacency_order_independent(grid2d, rng):
     perm = rng.permutation(grid2d.n_elements)
-    shuffled = make_mesh(grid2d.vertices, grid2d.elements[perm])
+    shuffled = SimplicialMesh(grid2d.vertices, grid2d.elements[perm])
     # same multiset of boundary faces regardless of element order
     orig = {tuple(sorted(f)) for f in grid2d.boundary_faces}
     new = {tuple(sorted(f)) for f in shuffled.boundary_faces}
@@ -136,14 +136,14 @@ def test_boundary_normals_outward(tet):
 
 def test_inverted_flags():
     verts = np.array([[0, 0], [1, 0], [0, 1]], float)
-    mesh = make_mesh(verts, np.array([[0, 2, 1]]))
+    mesh = SimplicialMesh(verts, np.array([[0, 2, 1]]))
     assert mesh.inverted_flags[0]
     assert mesh.element_skipped(0)
 
 
 def test_degenerate_flags():
     verts = np.array([[0, 0], [1, 0], [2, 0]], float)
-    mesh = make_mesh(verts, np.array([[0, 1, 2]]))
+    mesh = SimplicialMesh(verts, np.array([[0, 1, 2]]))
     assert mesh.degenerate_flags[0] and not mesh.inverted_flags[0]
     assert mesh.element_skipped(0)
 
@@ -182,7 +182,7 @@ def test_degenerate_face_raises():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]], dtype=float
     )
     elems = np.array([[0, 1, 2, 3], [1, 4, 2, 3]])
-    mesh = make_mesh(verts, elems)
+    mesh = SimplicialMesh(verts, elems)
     # squash one boundary face to zero area
     v = mesh.vertices.copy()
     v[4] = v[1]
@@ -239,7 +239,7 @@ def test_pseudo_normal_zero_raises():
     # two back-to-back triangles: boundary edges with exactly opposite normals
     verts = np.array([[0, 0], [1, 0], [0, 1]], float)
     elems = np.array([[0, 1, 2]])
-    mesh = make_mesh(verts, elems)
+    mesh = SimplicialMesh(verts, elems)
     from boundarypath.mesh import BoundaryFeature
 
     class Fake:
@@ -262,7 +262,7 @@ def test_has_inverted_interior():
 
 
 def test_set_vertices_refreshes_geometry(tri):
-    mesh = make_mesh(tri.vertices, tri.elements)
+    mesh = SimplicialMesh(tri.vertices, tri.elements)
     assert not mesh.inverted_flags[0]
     v = mesh.vertices.copy()
     v[[1, 2]] = v[[2, 1]]
@@ -273,12 +273,12 @@ def test_set_vertices_refreshes_geometry(tri):
 @pytest.mark.parametrize("how", ["constructor", "set_vertices"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_vertices_rejected(tri, how, bad):
-    mesh = make_mesh(tri.vertices, tri.elements)
+    mesh = SimplicialMesh(tri.vertices, tri.elements)
     v = tri.vertices.copy()
     v[1, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         if how == "constructor":
-            make_mesh(v, tri.elements)
+            SimplicialMesh(v, tri.elements)
         else:
             mesh.set_vertices(v)
     assert np.array_equal(mesh.vertices, tri.vertices)
@@ -352,7 +352,7 @@ def base_and_scrambled(request):
 def test_signed_volumes_match_reference(base_and_scrambled):
     base, v = base_and_scrambled
     for verts in (base.vertices, v):
-        mesh = make_mesh(verts, base.elements)
+        mesh = SimplicialMesh(verts, base.elements)
         ref = np.array([geometry.signed_volume_of(verts[el]) for el in base.elements])
         assert np.array_equal(mesh.signed_volumes, ref)
         assert np.array_equal(mesh.inverted_flags, ref < 0.0)
@@ -398,9 +398,9 @@ def test_boundary_edges_match_reference(base_and_scrambled):
 
 def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
     base, v = base_and_scrambled
-    mesh = make_mesh(base.vertices, base.elements)
+    mesh = SimplicialMesh(base.vertices, base.elements)
     mesh.set_vertices(v)
-    fresh = make_mesh(v, base.elements)
+    fresh = SimplicialMesh(v, base.elements)
     for name in (
         "adjacency", "adj_local", "boundary_faces", "boundary_owner", "boundary_owner_local",
         "signed_volumes", "inverted_flags", "degenerate_flags", "skipped_flags", "bary_rows",
@@ -480,7 +480,7 @@ def ref_exit_face_selection(mesh, element, in_local, frame, epsilon_i):
 
 
 def both_meshes(base, v):
-    return make_mesh(base.vertices, base.elements), make_mesh(v, base.elements)
+    return SimplicialMesh(base.vertices, base.elements), SimplicialMesh(v, base.elements)
 
 
 def test_bary_rows_invert_the_edge_matrix(base_and_scrambled):
@@ -539,7 +539,7 @@ def test_element_contains_matches_solve(base_and_scrambled):
 
 def test_flat_element_contains_nothing(base_and_scrambled):
     base, v = base_and_scrambled
-    mesh = make_mesh(v, base.elements)
+    mesh = SimplicialMesh(v, base.elements)
     assert mesh.degenerate_flags[0]
     x = mesh.vertices[mesh.elements[0]]
     for p in [*x, x.mean(axis=0)]:
@@ -602,7 +602,7 @@ def test_pseudo_normal_matches_per_face_cross(base_and_scrambled):
 
 def test_degenerate_face_flag_matches_reference():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0]], float)
-    mesh = make_mesh(verts, np.array([[0, 1, 2, 3], [1, 4, 2, 3]]))
+    mesh = SimplicialMesh(verts, np.array([[0, 1, 2, 3], [1, 4, 2, 3]]))
     v = mesh.vertices.copy()
     v[4] = v[1]
     mesh.set_vertices(v)

@@ -55,10 +55,10 @@ def test_cube_center_distance(cube):
 
 
 def test_element_order_insensitive(grid2d, rng):
-    from boundarypath.mesh import make_mesh
+    from boundarypath.mesh import SimplicialMesh
 
     perm = rng.permutation(grid2d.n_elements)
-    shuffled = make_mesh(grid2d.vertices, grid2d.elements[perm])
+    shuffled = SimplicialMesh(grid2d.vertices, grid2d.elements[perm])
     pts, _ = shapes.random_interior_points(grid2d, rng, 20)
     for p in pts:
         a = oracle.oracle_closest_boundary(grid2d, p)

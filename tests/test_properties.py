@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boundarypath import geometry, shapes
-from boundarypath.mesh import BOUNDARY, make_mesh
+from boundarypath.mesh import BOUNDARY
 from boundarypath.sim import CollisionConstraint, _project_collisions
 from boundarypath.traversal import exit_face_selection, make_ray_frame
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import FOLD_PARAMS
 
 from boundarypath import cli, shapes
-from boundarypath.mesh import make_mesh
+from boundarypath.mesh import SimplicialMesh
 
 # -- references: the per-cell and per-element loops ------------------------
 
@@ -124,7 +124,7 @@ def ref_deformed(rng, base, amplitude=0.25, modes=3):
         disp += np.sin(arg) * amp
     disp *= amplitude / max(np.abs(disp).max(), 1e-12)
     while True:
-        mesh = make_mesh(verts + disp, elems)
+        mesh = SimplicialMesh(verts + disp, elems)
         if not mesh.inverted_flags.any() and not mesh.degenerate_flags.any():
             return mesh.vertices, mesh.elements
         disp *= 0.5
@@ -225,10 +225,12 @@ def test_deformed_shapes_match_loops(seed):
 
 
 REF_SHAPES = SimpleNamespace(
-    folded_strip=lambda nx, ny, **kw: make_mesh(*ref_folded_strip(nx, ny, **kw)),
-    folded_bar=lambda nx, ny, nz, **kw: make_mesh(*ref_folded_bar(nx, ny, nz, **kw)),
-    deformed_sheet=lambda rng, nx, ny: make_mesh(*ref_deformed(rng, ref_rect_grid(nx, ny))),
-    deformed_blob=lambda rng, nx, ny, nz: make_mesh(*ref_deformed(rng, ref_box_grid(nx, ny, nz))),
+    folded_strip=lambda nx, ny, **kw: SimplicialMesh(*ref_folded_strip(nx, ny, **kw)),
+    folded_bar=lambda nx, ny, nz, **kw: SimplicialMesh(*ref_folded_bar(nx, ny, nz, **kw)),
+    deformed_sheet=lambda rng, nx, ny: SimplicialMesh(*ref_deformed(rng, ref_rect_grid(nx, ny))),
+    deformed_blob=lambda rng, nx, ny, nz: SimplicialMesh(
+        *ref_deformed(rng, ref_box_grid(nx, ny, nz))
+    ),
 )
 
 

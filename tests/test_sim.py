@@ -6,7 +6,7 @@ import pytest
 from boundarypath import geometry, shapes, sim
 from boundarypath.bvh import ElementBvh
 from boundarypath.errors import NumericalBlowup
-from boundarypath.mesh import make_mesh
+from boundarypath.mesh import SimplicialMesh
 from boundarypath.sim import (
     CollisionConstraint,
     SimConfig,
@@ -35,7 +35,7 @@ def make_runtime(meshes, **cfg_kw):
 
 
 def test_dcd_vertex_inside_detected(tet):
-    other = make_mesh(
+    other = SimplicialMesh(
         np.array([[0.1, 0.1, 0.1], [5, 0, 0], [0, 5, 0], [0, 0, 5]], float),
         np.array([[0, 1, 2, 3]]),
     )
@@ -61,7 +61,7 @@ def test_dcd_vertex_incident_excluded(tet):
 
 def test_dcd_edge_symmetric_chord(tet):
     # an edge piercing the tet symmetrically reports the chord midpoint
-    other = make_mesh(
+    other = SimplicialMesh(
         np.array(
             [
                 [-1.0, 0.2, 0.2],
@@ -224,7 +224,7 @@ def test_dcd_matches_reference_inverted_elements():
     rng = np.random.default_rng(0)
     grid = shapes.box_grid(3, 3, 2)
     jitter = rng.normal(scale=0.22, size=grid.vertices.shape)
-    jittered = make_mesh(grid.vertices + jitter, grid.elements)
+    jittered = SimplicialMesh(grid.vertices + jitter, grid.elements)
     assert jittered.inverted_flags.any()
     other = shapes.box_grid(2, 2, 2)
     other.set_vertices(other.vertices + np.array([0.5, 0.3, 0.2]))

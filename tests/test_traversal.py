@@ -2,11 +2,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import containing_elements
+from conftest import containing_elements, threaded_ray_corpus
 
 from boundarypath import geometry, oracle, shapes
 from boundarypath.errors import ZeroLengthSegment
-from boundarypath.mesh import BOUNDARY, make_mesh
+from boundarypath.mesh import BOUNDARY, SimplicialMesh
 from boundarypath.query import QueryConfig
 from boundarypath.traversal import (
     CUTOFF_FACTOR,
@@ -221,7 +221,7 @@ def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
     grid = shapes.box_grid(3, 3, 3)
     verts = grid.vertices.copy()
     verts[21] += [0.6, 0.42, 0.24]  # the interior vertex at (1/3, 1/3, 1/3)
-    meshes = [make_mesh(verts, grid.elements), shapes.pleated_strip()]
+    meshes = [SimplicialMesh(verts, grid.elements), shapes.pleated_strip()]
     config = TraversalConfig(trace=True)
 
     def traces(rays):
@@ -397,3 +397,17 @@ def test_state_search_matches_reference_with_early_out(folded2d, grid3d, rng):
     rays = threaded_rays(grid3d, rng, 300)
     rays += candidate_rays(folded2d, shapes.random_interior_points(folded2d, rng, 40)[0])
     assert_same_verdicts(rays, config, False)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("eps", [1e-10, 0.0])
+def test_steps_within_state_bound(eps, backward):
+    # each (element, entry face) state is entered at most once and has at
+    # most dim exit faces, so a working visited set keeps a traversal far
+    # below the step budget that flags a breach
+    config = TraversalConfig(epsilon_i=eps, allow_backward=backward)
+    for mesh, s, face, p in threaded_ray_corpus():
+        res = is_valid_path(mesh, s, face, p, config=config)
+        n_states = (mesh.dim + 1) * mesh.n_elements
+        assert res.elements_visited <= n_states
+        assert res.steps <= mesh.dim * n_states
