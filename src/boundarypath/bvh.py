@@ -37,8 +37,11 @@ class AabbTree:
         if n == 0:
             raise ValueError("cannot build a tree over zero primitives")
         max_nodes = 2 * n - 1
-        self.lo = np.empty((max_nodes, boxes.shape[2]))
-        self.hi = np.empty((max_nodes, boxes.shape[2]))
+        # each node's box as a (lo, hi) row pair, so that one slice reads
+        # both children's boxes; lo and hi are views of its two halves
+        self.bounds = np.empty((max_nodes, 2, boxes.shape[2]))
+        self.lo = self.bounds[:, 0]
+        self.hi = self.bounds[:, 1]
         self.left = np.full(max_nodes, -1, dtype=np.int64)
         self.prim = np.full(max_nodes, -1, dtype=np.int64)
         self.levels = []
@@ -72,9 +75,10 @@ class AabbTree:
             node = np.column_stack([l, l + 1]).ravel()
             size = np.column_stack([half, size - half]).ravel()
         self.refit(boxes)
-        # the primitive of each node as Python ints, which best-first
-        # enumeration hands out without making a new int per candidate
-        self.prim_ids = self.prim.tolist()
+        # per node, as Python ints: a leaf's primitive id, or minus an
+        # internal node's left child, which best-first enumeration reads
+        # without making a new int per node
+        self.node_ids = np.where(self.prim >= 0, self.prim, -self.left).tolist()
 
     def refit(self, boxes):
         """Leaves take their primitives' boxes; internal nodes are swept
@@ -121,15 +125,6 @@ class AabbTree:
         return box[order], prim[order]
 
 
-def _box_dist(lo, hi, p):
-    """Distance from the point p to the box [lo, hi], all on Python floats."""
-    s = 0.0
-    for l, h, x in zip(lo, hi, p):
-        d = l - x if x < l else (x - h if x > h else 0.0)
-        s += d * d
-    return math.sqrt(s)
-
-
 class NearPrimIter:
     """Best-first enumeration of primitives by lower-bound distance to a
     point. Yields each primitive once, as (primitive, lower bound), in
@@ -139,7 +134,28 @@ class NearPrimIter:
     def __init__(self, tree, point):
         self.tree = tree
         self.point = np.asarray(point, dtype=float).tolist()
-        self._heap = [(_box_dist(tree.lo[0].tolist(), tree.hi[0].tolist(), self.point), 0)]
+        self._heap = []
+        self._push(0, 1)
+
+    def _push(self, first, count):
+        """Push nodes first .. first + count - 1 under their box distances
+        to the point: the boxes are read with one slice, and the distance
+        is summed axis by axis on Python floats."""
+        heap = self._heap
+        boxes = enumerate(self.tree.bounds[first:first + count].tolist(), first)
+        if len(self.point) == 3:
+            x0, x1, x2 = self.point
+            for node, ((l0, l1, l2), (h0, h1, h2)) in boxes:
+                d0 = l0 - x0 if x0 < l0 else (x0 - h0 if x0 > h0 else 0.0)
+                d1 = l1 - x1 if x1 < l1 else (x1 - h1 if x1 > h1 else 0.0)
+                d2 = l2 - x2 if x2 < l2 else (x2 - h2 if x2 > h2 else 0.0)
+                heapq.heappush(heap, (math.sqrt(d0 * d0 + d1 * d1 + d2 * d2), node))
+        else:
+            x0, x1 = self.point
+            for node, ((l0, l1), (h0, h1)) in boxes:
+                d0 = l0 - x0 if x0 < l0 else (x0 - h0 if x0 > h0 else 0.0)
+                d1 = l1 - x1 if x1 < l1 else (x1 - h1 if x1 > h1 else 0.0)
+                heapq.heappush(heap, (math.sqrt(d0 * d0 + d1 * d1), node))
 
     @property
     def bound(self):
@@ -149,20 +165,15 @@ class NearPrimIter:
         return self
 
     def __next__(self):
-        tree = self.tree
         heap = self._heap
-        p = self.point
+        node_ids = self.tree.node_ids
         while heap:
             dist, node = heapq.heappop(heap)
-            pid = tree.prim_ids[node]
+            pid = node_ids[node]
             if pid >= 0:
                 return pid, dist
-            # both children in one slice; the right child is left + 1
-            left = int(tree.left[node])
-            lo_l, lo_r = tree.lo[left:left + 2].tolist()
-            hi_l, hi_r = tree.hi[left:left + 2].tolist()
-            heapq.heappush(heap, (_box_dist(lo_l, hi_l, p), left))
-            heapq.heappush(heap, (_box_dist(lo_r, hi_r, p), left + 1))
+            # both children; the right child is left + 1
+            self._push(-pid, 2)
         raise StopIteration
 
 

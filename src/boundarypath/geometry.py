@@ -69,6 +69,18 @@ def row_norms(x):
     return np.sqrt(row_dots(x, x))
 
 
+def dot(a, b):
+    """Dot product of two float sequences on Python floats, summed left to
+    right. For sign and threshold tests only: BLAS, behind np.dot, may
+    round otherwise."""
+    return sum(x * y for x, y in zip(a, b))
+
+
+def sub(a, b):
+    """a - b for two float sequences, as a list."""
+    return [x - y for x, y in zip(a, b)]
+
+
 def closest_point_on_segment(p, a, b):
     """Closest point to p on segment ab; returns (point, t) with t in [0,1]."""
     a = np.asarray(a, dtype=float)
@@ -88,6 +100,8 @@ def closest_point_on_triangle(p, a, b, c):
     Region classification after Ericson's real-time collision detection
     formulation; bary is (u, v, w) w.r.t. (a, b, c), as Python floats, with
     exact zeros for the vertices the point's region does not involve.
+    One np.dot per dot product: the reference that the one-call walk in
+    SimplicialMesh.closest_point_on_face must equal bit for bit.
     """
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -140,39 +154,37 @@ def closest_point_on_triangle(p, a, b, c):
 
 
 def triangle_area_normal(a, b, c):
-    """Cross-product normal; its magnitude is twice the triangle area.
+    """Cross-product normal of a triangle given as three float triples, as
+    a tuple; its magnitude is twice the triangle area.
 
-    Worked on Python floats, which round each difference and product as
-    numpy does, so it equals np.cross(b - a, c - a) bit for bit without
-    np.cross's per-call axis handling."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (np.asarray(x, float).tolist() for x in (a, b, c))
+    Python floats round each difference and product as numpy does, so it
+    equals np.cross(b - a, c - a) bit for bit."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
     u0, u1, u2 = b0 - a0, b1 - a1, b2 - a2
     v0, v1, v2 = c0 - a0, c1 - a1, c2 - a2
-    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
 
 
 def edge_outward_normal_2d(a, b):
     """Outward normal of a boundary edge a->b of a CCW-oriented triangle,
-    worked on Python floats like triangle_area_normal."""
-    (a0, a1), (b0, b1) = np.asarray(a, float).tolist(), np.asarray(b, float).tolist()
-    return np.array([b1 - a1, -(b0 - a0)])
+    given as float pairs, as a tuple like triangle_area_normal."""
+    (a0, a1), (b0, b1) = a, b
+    return (b1 - a1, -(b0 - a0))
 
 
 def orthonormal_basis(direction):
-    """Two unit vectors orthogonal to each other and to a unit direction.
+    """Two unit vectors, as float triples, orthogonal to each other and to
+    a unit direction given as a float triple.
 
     Branchless construction following Duff et al.'s frame-building trick.
     """
-    d = np.asarray(direction, dtype=float)
-    sign = 1.0 if d[2] >= 0.0 else -1.0
-    a = -1.0 / (sign + d[2])
-    b = d[0] * d[1] * a
-    u = np.array([1.0 + sign * d[0] * d[0] * a, sign * b, -sign * d[0]])
-    v = np.array([b, sign + d[1] * d[1] * a, -d[1]])
-    return u, v
+    d0, d1, d2 = direction
+    sign = 1.0 if d2 >= 0.0 else -1.0
+    a = -1.0 / (sign + d2)
+    b = d0 * d1 * a
+    return (1.0 + sign * d0 * d0 * a, sign * b, -sign * d0), (b, sign + d1 * d1 * a, -d1)
 
 
 def perpendicular_2d(direction):
-    d = np.asarray(direction, dtype=float)
-    return np.array([-d[1], d[0]])
-
+    d0, d1 = direction
+    return (-d1, d0)

@@ -1,11 +1,11 @@
 """Simplicial mesh representation: tetrahedral in 3D, triangular in 2D.
 
-Topology (element adjacency, oriented boundary faces), the boundary
-feature maps (vertex/edge incidence, as grouped arrays) and the
-face-interior feature of each boundary face are built once, at
-construction. Geometry that depends on positions only is derived in one
-batched pass at construction and again on every `set_vertices`, so
-queries read it instead of recomputing it:
+Topology (element adjacency, oriented boundary faces) and the boundary
+feature maps (vertex/edge incidence, as grouped arrays) are built once,
+at construction; the face-interior feature of a boundary face is made
+when an answer first needs it. Geometry that depends on positions only
+is derived in one batched pass at construction and again on every
+`set_vertices`, so queries read it instead of recomputing it:
 
 - per element: signed volume, inverted and degenerate flags and their
   union (the skip flag), and the rows of the inverse edge matrix that map
@@ -163,8 +163,9 @@ class SimplicialMesh:
             if self.dim == 2
             else np.column_stack([keys // len(self.vertices), keys % len(self.vertices)])
         )
-        # a face-interior feature depends on the face id alone
-        self._face_features = [BoundaryFeature("face", f) for f in range(len(owners))]
+        # a face-interior feature depends on the face id alone; made on
+        # first use, by _face_feature
+        self._face_features = {}
 
     def _refresh_geometry(self):
         # edge vectors gathered one column at a time, and the barycentric
@@ -288,10 +289,22 @@ class SimplicialMesh:
         return bool(self.skipped_flags[e])
 
     def element_contains(self, e, p, tol=0.0):
-        """Whether every barycentric coordinate of p in element e is >= -tol.
-        A flat element's coordinates are nan, so it contains nothing."""
-        x = (self.bary_rows[e] @ (p - self.vertices[self.elements[e, 0]])).tolist()
-        return min(x) >= -tol and 1.0 - sum(x) >= -tol
+        """Whether every barycentric coordinate of p in element e is >= -tol,
+        worked on Python floats. A flat element's coordinates are nan, so
+        it contains nothing."""
+        v = self.vertices[self.elements[e, 0]].tolist()
+        if self.dim == 3:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self.bary_rows[e].tolist()
+            d0, d1, d2 = p[0] - v[0], p[1] - v[1], p[2] - v[2]
+            x = a0 * d0 + a1 * d1 + a2 * d2
+            y = b0 * d0 + b1 * d1 + b2 * d2
+            z = c0 * d0 + c1 * d1 + c2 * d2
+            return x >= -tol and y >= -tol and z >= -tol and 1.0 - (x + y + z) >= -tol
+        (a0, a1), (b0, b1) = self.bary_rows[e].tolist()
+        d0, d1 = p[0] - v[0], p[1] - v[1]
+        x = a0 * d0 + a1 * d1
+        y = b0 * d0 + b1 * d1
+        return x >= -tol and y >= -tol and 1.0 - (x + y) >= -tol
 
     # -- boundary feature topology ------------------------------------------
 
@@ -324,6 +337,13 @@ class SimplicialMesh:
         vertex is classified as that feature; the first such vertex wins,
         then the first such edge.
 
+        On a triangle, the six dot products of Ericson's region walk come
+        from one geometry.row_dots call, so each rounds as np.dot does; the
+        walk and the point run on Python floats, which round each
+        difference, product and sum as numpy's elementwise arithmetic does.
+        Point and barycentrics equal geometry.closest_point_on_triangle's
+        bit for bit.
+
         Most points are classified from the barycentrics of the closest
         point's region alone: its nonzero coordinates name the feature when
         each is above its floor in face_bary_floors, which puts the point
@@ -332,9 +352,44 @@ class SimplicialMesh:
         if self.face_degenerate[face_id]:
             raise DegenerateFace(f"boundary face {face_id} is degenerate")
         gids = self.boundary_faces[face_id]
-        verts = self.vertices[gids]
+        verts = self.vertices.take(gids, axis=0)
         if self.dim == 3:
-            q, bary = geometry.closest_point_on_triangle(p, *verts)
+            edges = verts[1:] - verts[0]
+            # ab.ap, ac.ap; ab.bp, ac.bp; ab.cp, ac.cp
+            (d1, d2), (d3, d4), (d5, d6) = geometry.row_dots(edges, (p - verts)[:, None]).tolist()
+            a, b, c = verts.tolist()
+            ab, ac = edges.tolist()
+            vc = d1 * d4 - d3 * d2
+            vb = d5 * d2 - d1 * d6
+            va = d3 * d6 - d5 * d4
+            # the point's coordinates round as numpy's elementwise
+            # arithmetic on the same operands does
+            if d1 <= 0.0 and d2 <= 0.0:
+                q, bary = a, (1.0, 0.0, 0.0)
+            elif d3 >= 0.0 and d4 <= d3:
+                q, bary = b, (0.0, 1.0, 0.0)
+            elif vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+                denom = d1 - d3
+                v = d1 / denom if denom != 0.0 else 0.0
+                q, bary = [x + v * y for x, y in zip(a, ab)], (1.0 - v, v, 0.0)
+            elif d6 >= 0.0 and d5 <= d6:
+                q, bary = c, (0.0, 0.0, 1.0)
+            elif vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+                denom = d2 - d6
+                w = d2 / denom if denom != 0.0 else 0.0
+                q, bary = [x + w * y for x, y in zip(a, ac)], (1.0 - w, 0.0, w)
+            elif va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+                denom = (d4 - d3) + (d5 - d6)
+                w = (d4 - d3) / denom if denom != 0.0 else 0.0
+                q, bary = [x + w * (z - x) for x, z in zip(b, c)], (0.0, 1.0 - w, w)
+            else:
+                denom = va + vb + vc
+                if denom == 0.0:
+                    raise DegenerateFace("triangle has (near-)zero area")
+                v = vb / denom
+                w = vc / denom
+                q, bary = [x + y * v + z * w for x, y, z in zip(a, ab, ac)], (1.0 - v - w, v, w)
+            q = np.array(q)
         else:
             q, t = geometry.closest_point_on_segment(p, verts[0], verts[1])
             bary = (1.0 - t, t)
@@ -342,7 +397,7 @@ class SimplicialMesh:
         floors = self.face_bary_floors[face_id].tolist()
         if all(bary[k] > floors[k] for k in on):
             if len(on) == len(bary):
-                return q, self._face_features[face_id]
+                return q, self._face_feature(face_id)
             g = gids.tolist()
             if len(on) == 1:
                 return q, BoundaryFeature("vertex", face_id, (g[on[0]],))
@@ -365,7 +420,15 @@ class SimplicialMesh:
                 i = int(near[0])
                 pair = (int(gids[i]), int(gids[(i + 1) % 3]))
                 return q, BoundaryFeature("edge", face_id, pair)
-        return q, self._face_features[face_id]
+        return q, self._face_feature(face_id)
+
+    def _face_feature(self, face_id):
+        """The face-interior feature of a face, made on first use and
+        shared by every later answer on that face."""
+        feature = self._face_features.get(face_id)
+        if feature is None:
+            feature = self._face_features[face_id] = BoundaryFeature("face", int(face_id))
+        return feature
 
     def pseudo_normal(self, feature):
         """Unit outward normal at a boundary feature: the face normal on a

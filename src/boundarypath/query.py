@@ -122,22 +122,24 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
     """False only when p provably lies outside the feasible region of the
     candidate boundary point s, so s cannot be any point's closest boundary
     point. Thresholds are relaxed to -|epsilon_r|: returning True never
-    discards the true closest boundary point."""
-    thr = -abs(epsilon_r)
-    s = np.asarray(s, dtype=float)
-    p = np.asarray(p, dtype=float)
+    discards the true closest boundary point. The dot products run on
+    Python floats."""
     if feature.kind == "face":
         return True  # the face test is implied by taking the closest point
+    thr = -abs(epsilon_r)
+    s = np.asarray(s, dtype=float).tolist()
+    p = np.asarray(p, dtype=float).tolist()
+    dot, sub = geometry.dot, geometry.sub
+    ps = sub(p, s)
     if feature.kind == "vertex":
         nbs = mesh.boundary_vertex_neighbors(feature.verts[0])
-        return not np.any(geometry.row_dots(s - mesh.vertices[nbs], p - s) < thr)
+        return not any(dot(sub(s, v), ps) < thr for v in mesh.vertices[nbs].tolist())
     if feature.kind == "edge":
         g0, g1 = feature.verts
-        v0 = mesh.vertices[g0]
-        v1 = mesh.vertices[g1]
-        if float(np.dot(p - v0, v1 - v0)) < thr:
+        v0, v1 = mesh.vertices[[g0, g1]].tolist()
+        if dot(sub(p, v0), sub(v1, v0)) < thr:
             return False
-        if float(np.dot(p - v1, v0 - v1)) < thr:
+        if dot(sub(p, v1), sub(v0, v1)) < thr:
             return False
         fids = mesh.boundary_faces_of_edge(g0, g1)
         if len(fids) != 2:
@@ -150,16 +152,12 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
             tri = mesh.boundary_faces[fid].tolist()
             k = tri.index(g0)
             if tri[(k + 1) % 3] == g1:
-                m_accord = mesh.face_edge_normals[fid, k]
+                m_accord = mesh.face_edge_normals[fid, k].tolist()
             else:
-                m_other = mesh.face_edge_normals[fid, k - 1]
+                m_other = mesh.face_edge_normals[fid, k - 1].tolist()
         if m_accord is None or m_other is None:
             return True
-        if float(np.dot(p - s, m_accord)) < thr:
-            return False
-        if float(np.dot(p - s, m_other)) < thr:
-            return False
-        return True
+        return not (dot(ps, m_accord) < thr or dot(ps, m_other) < thr)
     raise ValueError(f"unknown feature kind {feature.kind!r}")
 
 
@@ -218,7 +216,10 @@ def shortest_path_to_boundary(
                     s, feature = mesh.closest_point_on_face(p, face)
                 except DegenerateFace:
                     continue
-                heapq.heappush(pending, (float(np.linalg.norm(s - p)), face, s, feature))
+                d = s - p
+                # np.linalg.norm(d) bit for bit: the norm of a vector is
+                # the square root of its dot product with itself
+                heapq.heappush(pending, (math.sqrt(d @ d), face, s, feature))
                 continue
             if culling and not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
                 continue

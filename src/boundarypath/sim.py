@@ -370,18 +370,19 @@ def _build_constraints(state, runtime, config):
 def _project_springs(state, config, dt):
     alpha = config.material_compliance / (dt * dt)
     x = state.positions
-    w = state.inv_mass
-    for k in range(len(state.springs)):
-        i, j = int(state.springs[k, 0]), int(state.springs[k, 1])
+    # springs, masses and rest lengths as Python numbers, which round as
+    # numpy's scalars do; the length is np.linalg.norm(d) bit for bit
+    w = state.inv_mass.tolist()
+    for (i, j), rest in zip(state.springs.tolist(), state.rest_lengths.tolist()):
         wi, wj = w[i], w[j]
         denom0 = wi + wj
         if denom0 == 0.0:
             continue
         d = x[i] - x[j]
-        dist = float(np.linalg.norm(d))
+        dist = math.sqrt(d @ d)
         if dist < 1e-14:
             continue
-        c = dist - float(state.rest_lengths[k])
+        c = dist - rest
         dlam = -c / (denom0 + alpha)
         grad = d / dist
         x[i] += wi * dlam * grad

@@ -27,28 +27,27 @@ CUTOFF_FACTOR = 2.0
 
 @dataclass(frozen=True)
 class RayFrame:
-    """Ray origin plus an orthonormal frame: the columns of the (dim,
-    dim - 1) matrix uv span the plane perpendicular to the ray direction,
-    so one product projects a whole element."""
+    """Ray origin plus an orthonormal frame, all as tuples of Python
+    floats: uv holds the dim - 1 unit vectors that span the plane
+    perpendicular to the ray direction."""
 
-    origin: np.ndarray
-    direction: np.ndarray
+    origin: tuple
+    direction: tuple
     length: float  # |target - origin|
-    uv: np.ndarray
+    uv: tuple
 
 
 def make_ray_frame(origin, target):
-    origin = np.asarray(origin, dtype=float)
-    target = np.asarray(target, dtype=float)
-    delta = target - origin
-    length = float(np.linalg.norm(delta))
+    origin = tuple(np.asarray(origin, dtype=float).tolist())
+    delta = geometry.sub(np.asarray(target, dtype=float).tolist(), origin)
+    length = math.hypot(*delta)
     if length <= 1e-14:
         raise ZeroLengthSegment("origin and target coincide")
-    d = delta / length
+    d = tuple(x / length for x in delta)
     if len(d) == 3:
-        uv = np.column_stack(geometry.orthonormal_basis(d))
+        uv = geometry.orthonormal_basis(d)
     else:
-        uv = geometry.perpendicular_2d(d)[:, None]
+        uv = (geometry.perpendicular_2d(d),)
     return RayFrame(origin=origin, direction=d, length=length, uv=uv)
 
 
@@ -89,21 +88,30 @@ def exit_face_selection(mesh, element, in_local, frame, epsilon_i):
     """Local indices of the faces the ray may exit through, given that it
     entered `element` through local face `in_local`.
 
-    The element's vertices are projected to the plane perpendicular to the
-    ray with one product against `frame.uv`; the sign tests then run on
-    Python floats, using the orientation sign of the projected incoming
-    face, so they stay correct for inverted elements and backward rays.
-    With the tolerance, several faces can pass near vertices/edges; an
-    empty set signals numerical starvation.
+    The element's vertices, read with one tolist, are projected to the
+    plane perpendicular to the ray, and the sign tests run on the
+    projections, all on Python floats. They use the orientation sign of
+    the projected incoming face, so they stay correct for inverted
+    elements and backward rays. With the tolerance, several faces can
+    pass near vertices/edges; an empty set signals numerical starvation.
     """
     order = local_faces(mesh.dim)[in_local]
-    rel = mesh.vertices[mesh.elements[element]] - frame.origin
-    # one row-vector product per vertex: rounds like np.dot(rel_i, u), where
-    # a plain rel @ uv in 2D takes a matrix-vector path that rounds otherwise
-    proj = (rel[:, None, :] @ frame.uv)[:, 0].tolist()
+    verts = mesh.vertices.take(mesh.elements[element], axis=0).tolist()
     eps = epsilon_i
     if mesh.dim == 3:
-        (a0, a1), (b0, b1), (c0, c1) = (proj[i] for i in order)
+        o0, o1, o2 = frame.origin
+        (u0, u1, u2), (v0, v1, v2) = frame.uv
+        proj = [
+            (
+                (x0 - o0) * u0 + (x1 - o1) * u1 + (x2 - o2) * u2,
+                (x0 - o0) * v0 + (x1 - o1) * v1 + (x2 - o2) * v2,
+            )
+            for x0, x1, x2 in verts
+        ]
+        i, j, k = order
+        a0, a1 = proj[i]
+        b0, b1 = proj[j]
+        c0, c1 = proj[k]
         x, y = proj[in_local]  # the vertex opposite the entry face
         det = (b0 - a0) * (c1 - a1) - (b1 - a1) * (c0 - a0)
         if abs(det) <= eps:
@@ -124,8 +132,9 @@ def exit_face_selection(mesh, element, in_local, frame, epsilon_i):
         if d0 >= -eps and d1 <= eps:
             out.append(order[2])
         return out
-    (p0,), (p1,) = (proj[i] for i in order)
-    (p2,) = proj[in_local]
+    (o0, o1), ((u0, u1),) = frame.origin, frame.uv
+    proj = [(x0 - o0) * u0 + (x1 - o1) * u1 for x0, x1 in verts]
+    p0, p1, p2 = proj[order[0]], proj[order[1]], proj[in_local]
     # the ray projects to the origin; an edge is a possible exit when its
     # projected interval contains it. Interval containment (rather than a
     # side test against p2 alone) keeps the vertex-tie branches when the
@@ -139,22 +148,23 @@ def exit_face_selection(mesh, element, in_local, frame, epsilon_i):
 
 
 def _crossing_parameter(mesh, element, lf, frame):
-    """Ray parameter where the ray line crosses the plane of a face.
+    """Ray parameter where the ray line crosses the plane of a face, on
+    Python floats.
 
     Falls back to the projection of the face centroid for near-parallel
     faces; only used for cutoffs and trace output, never for validity."""
     face = mesh.elements[element][list(local_faces(mesh.dim)[lf])]
-    pts = mesh.vertices[face]
-    d = frame.direction
+    pts = mesh.vertices[face].tolist()
     if mesh.dim == 3:
-        n = geometry.triangle_area_normal(pts[0], pts[1], pts[2])
+        n = geometry.triangle_area_normal(*pts)
     else:
-        n = geometry.edge_outward_normal_2d(pts[0], pts[1])
-    denom = float(np.dot(n, d))
-    scale = float(np.linalg.norm(n))
-    if abs(denom) <= 1e-14 * max(scale, 1.0):
-        return float(np.dot(pts.mean(axis=0) - frame.origin, d))
-    return float(np.dot(n, pts[0] - frame.origin)) / denom
+        n = geometry.edge_outward_normal_2d(*pts)
+    dot, d = geometry.dot, frame.direction
+    denom = dot(n, d)
+    if abs(denom) <= 1e-14 * max(math.sqrt(dot(n, n)), 1.0):
+        centroid = [sum(c) / len(pts) for c in zip(*pts)]
+        return dot(geometry.sub(centroid, frame.origin), d)
+    return dot(n, geometry.sub(pts[0], frame.origin)) / denom
 
 
 def is_valid_path(
@@ -183,6 +193,7 @@ def is_valid_path_inverted(
 
 def _traverse(mesh, s, start_face, p, config, scratch, backward):
     frame = make_ray_frame(s, p)
+    p = np.asarray(p, dtype=float).tolist()
     eps = config.epsilon_i
     adjacency = mesh.adjacency
     adj_local = mesh.adj_local

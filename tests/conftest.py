@@ -168,8 +168,8 @@ def ref_pseudo_normal(mesh, feature):
     def area_normal(f):
         v = mesh.vertices[mesh.boundary_faces[f]]
         if mesh.dim == 3:
-            return geometry.triangle_area_normal(*v)
-        return geometry.edge_outward_normal_2d(*v)
+            return np.array(geometry.triangle_area_normal(*v))
+        return np.array(geometry.edge_outward_normal_2d(*v))
 
     if feature.kind == "face":
         n = area_normal(feature.face_id)

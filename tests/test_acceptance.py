@@ -456,7 +456,7 @@ def test_criterion_9_core_invariants(rng):
     )
 
     frame = make_ray_frame(rng.normal(size=3), rng.normal(size=3))
-    vecs = [frame.direction, *frame.uv.T]
+    vecs = [frame.direction, *frame.uv]
     checks["frame orthonormality"] = all(
         abs(np.dot(a, b) - (1.0 if i == j else 0.0)) < 1e-12
         for i, a in enumerate(vecs)

@@ -1,3 +1,5 @@
+import heapq
+import math
 from collections import deque
 
 import numpy as np
@@ -146,6 +148,45 @@ def test_box_overlap_empty_batch():
     tree = AabbTree(np.array([[[0.0, 0.0], [1.0, 1.0]]]))
     box, prim = tree.box_overlap(np.empty((0, 2)), np.empty((0, 2)))
     assert len(box) == 0 and len(prim) == 0
+
+
+def ref_near_prims(tree, p):
+    """Best-first enumeration with the box distance summed one axis at a
+    time into an accumulator that starts at 0.0, node by node from the
+    lo, hi, prim and left arrays: every (primitive, bound) pair and every
+    `bound` must equal NearPrimIter's bit for bit."""
+
+    def box_dist(node):
+        s = 0.0
+        for l, h, x in zip(tree.lo[node].tolist(), tree.hi[node].tolist(), p):
+            d = l - x if x < l else (x - h if x > h else 0.0)
+            s += d * d
+        return math.sqrt(s)
+
+    heap = [(box_dist(0), 0)]
+    bound = heap[0][0]  # the bound before each primitive is asked for
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if tree.prim[node] >= 0:
+            yield bound, (int(tree.prim[node]), dist)
+            bound = heap[0][0] if heap else math.inf
+            continue
+        for child in (int(tree.left[node]), int(tree.left[node]) + 1):
+            heapq.heappush(heap, (box_dist(child), child))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_near_prims_match_per_axis_reference(rng, dim):
+    mesh = shapes.folded_bar(12, 2, 2) if dim == 3 else shapes.folded_strip(30, 3)
+    tree = BoundaryBvh(mesh).tree
+    for p in rng.normal(size=(20, dim)) * 2.0:
+        it = NearPrimIter(tree, p)
+        got = []
+        while it.bound < math.inf:
+            bound = it.bound
+            got.append((bound, next(it)))
+        assert got == list(ref_near_prims(tree, p.tolist()))
+        assert len(got) == mesh.n_boundary_faces
 
 
 def test_single_primitive_tree():

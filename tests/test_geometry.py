@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ def test_triangle_area_normal():
 def test_edge_outward_normal_2d():
     # boundary edges wind counter-clockwise; outward normal is to their right
     n = geometry.edge_outward_normal_2d(np.zeros(2), np.array([1.0, 0.0]))
-    assert np.allclose(n / np.linalg.norm(n), [0, -1])
+    assert np.allclose(np.divide(n, np.linalg.norm(n)), [0, -1])
 
 
 def test_normals_equal_numpy_bit_for_bit(rng):
@@ -139,3 +141,14 @@ def test_perpendicular_2d():
     u = geometry.perpendicular_2d(d)
     assert abs(np.dot(u, d)) < 1e-15 and abs(np.linalg.norm(u) - 1) < 1e-15
 
+
+
+def test_norm_is_sqrt_of_self_dot(rng):
+    # the query and the spring projection take a 3-vector's length as
+    # math.sqrt(d @ d); it must equal np.linalg.norm(d) bit for bit
+    for dim in (2, 3):
+        for _ in range(5000):
+            d = rng.normal(size=dim) * 10.0 ** rng.integers(-150, 150, size=dim)
+            assert math.sqrt(d @ d) == np.linalg.norm(d)
+        d = np.zeros(dim)
+        assert math.sqrt(d @ d) == np.linalg.norm(d) == 0.0

@@ -165,6 +165,52 @@ def test_closest_point_on_face_features(tet):
             break
 
 
+def ericson_region(bary):
+    """The region of Ericson's walk that a reference barycentric triple
+    names: 'a', 'b' or 'c' for a vertex, 'ab', 'ac' or 'bc' for an edge,
+    'abc' for the face; coordinates outside the region are exact zeros."""
+    return "".join(name for name, b in zip("abc", bary) if b != 0.0)
+
+
+def test_closest_point_on_face_equals_ericson_reference():
+    # points around each face of a jittered grid: past each vertex, beyond
+    # each edge, over the interior, and at random, at many scales; the
+    # point must equal geometry.closest_point_on_triangle's bit for bit
+    rng = np.random.default_rng(3)
+    base = shapes.box_grid(2, 2, 2)
+    mesh = SimplicialMesh(base.vertices + rng.normal(scale=0.05, size=base.vertices.shape), base.elements)
+    regions = set()
+    for f in range(mesh.n_boundary_faces):
+        a, b, c = tri = mesh.vertices[mesh.boundary_faces[f]]
+        n = np.cross(b - a, c - a)
+        centroid = tri.mean(axis=0)
+        targets = [*tri, 0.5 * (a + b), 0.5 * (a + c), 0.5 * (b + c), centroid]
+        for target in targets:
+            for scale in (1e-9, 1e-3, 1.0, 10.0):
+                away = target - centroid
+                for p in (
+                    target + scale * away + scale * rng.normal() * n,
+                    target + scale * rng.normal(size=3),
+                ):
+                    q, _ = mesh.closest_point_on_face(p, f)
+                    ref, bary = geometry.closest_point_on_triangle(p, a, b, c)
+                    assert np.array_equal(q, ref) and q.dtype == ref.dtype, (f, p)
+                    regions.add(ericson_region(bary))
+    assert regions == {"a", "b", "c", "ab", "ac", "bc", "abc"}
+
+
+def test_face_features_made_once_per_face(cube):
+    mesh = SimplicialMesh(cube.vertices, cube.elements)
+    for f in range(mesh.n_boundary_faces):
+        centroid = mesh.vertices[mesh.boundary_faces[f]].mean(axis=0)
+        (_, first), (_, again) = (
+            mesh.closest_point_on_face(centroid + 1e-3 * k * mesh.face_unit_normals[f], f)
+            for k in (1, 2)
+        )
+        assert first.kind == "face" and first.face_id == f and type(first.face_id) is int
+        assert again is first
+
+
 def test_closest_point_face_interior(cube):
     faces = [
         f
@@ -436,22 +482,28 @@ def det2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
+def float_dot(x, y):
+    """The kernel's dot product: Python floats, summed left to right."""
+    return sum(a * b for a, b in zip(x, y))
+
+
 def ref_exit_face_selection(mesh, element, in_local, frame, epsilon_i):
-    """exit_face_selection with one np.dot per projected coordinate and the
-    sign tests on numpy scalars."""
+    """exit_face_selection with one dot product per projected coordinate,
+    in the kernel's float arithmetic, and the sign tests on numpy
+    scalars."""
     elem = mesh.elements[element]
     order = local_faces(mesh.dim)[in_local]
     verts = mesh.vertices
-    o = frame.origin
+    o = np.array(frame.origin)
     eps = epsilon_i
     if mesh.dim == 3:
-        u, v = frame.uv.T
+        u, v = frame.uv
         proj = []
         for i in order:
-            x = verts[elem[i]] - o
-            proj.append((float(np.dot(x, u)), float(np.dot(x, v))))
-        x3 = verts[elem[in_local]] - o
-        p3 = (float(np.dot(x3, u)), float(np.dot(x3, v)))
+            x = (verts[elem[i]] - o).tolist()
+            proj.append((float_dot(x, u), float_dot(x, v)))
+        x3 = (verts[elem[in_local]] - o).tolist()
+        p3 = (float_dot(x3, u), float_dot(x3, v))
         e01 = (proj[1][0] - proj[0][0], proj[1][1] - proj[0][1])
         e02 = (proj[2][0] - proj[0][0], proj[2][1] - proj[0][1])
         det = det2(e01, e02)
@@ -467,10 +519,10 @@ def ref_exit_face_selection(mesh, element, in_local, frame, epsilon_i):
         if d[0] >= -eps and d[1] <= eps:
             out.append(int(order[2]))
         return out
-    u = frame.uv[:, 0]
-    p0 = float(np.dot(verts[elem[order[0]]] - o, u))
-    p1 = float(np.dot(verts[elem[order[1]]] - o, u))
-    p2 = float(np.dot(verts[elem[in_local]] - o, u))
+    (u,) = frame.uv
+    p0 = float_dot((verts[elem[order[0]]] - o).tolist(), u)
+    p1 = float_dot((verts[elem[order[1]]] - o).tolist(), u)
+    p2 = float_dot((verts[elem[in_local]] - o).tolist(), u)
     out = []
     if min(p1, p2) <= eps and max(p1, p2) >= -eps:
         out.append(int(order[0]))
@@ -639,6 +691,6 @@ def test_exit_face_selection_matches_reference(base_and_scrambled):
                         got = exit_face_selection(mesh, e, k, frame, eps)
                         assert got == ref_exit_face_selection(mesh, e, k, frame, eps), (e, k)
                     if mesh.dim == 3:
-                        proj = (face - origin) @ frame.uv
+                        proj = (face - origin) @ np.transpose(frame.uv)
                         grazing += abs(det2(proj[1] - proj[0], proj[2] - proj[0])) <= 1e-10
     assert mesh.dim == 2 or grazing > 0

@@ -30,7 +30,11 @@ def test_trace_hooks_install_run_restore(monkeypatch):
     finally:
         tracer.restore()
     assert res is not None and res.distance > 0.0
-    assert tracer.calls["traversal"] > 0 and tracer.counts["bvh.candidates"] > 0
+    # the answer lies on an edge, so culling took the feature-map path
+    assert res.feature.kind in ("edge", "vertex")
+    for layer in ("bvh.enumerate", "mesh.closest_point", "query.cull", "traversal", "mesh.boundary_topology"):
+        assert tracer.calls[layer] > 0, layer
+    assert tracer.counts["bvh.candidates"] > 0
     for owner, attr, orig in patches:
         now = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert now is orig, attr
