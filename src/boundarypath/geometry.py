@@ -1,5 +1,7 @@
 """Low-level geometric predicates for simplicial meshes in 2D and 3D."""
 
+import operator
+
 import numpy as np
 
 from .errors import DegenerateFace
@@ -73,12 +75,12 @@ def dot(a, b):
     """Dot product of two float sequences on Python floats, summed left to
     right. For sign and threshold tests only: BLAS, behind np.dot, may
     round otherwise."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def sub(a, b):
     """a - b for two float sequences, as a list."""
-    return [x - y for x, y in zip(a, b)]
+    return list(map(operator.sub, a, b))
 
 
 def closest_point_on_segment(p, a, b):

@@ -136,7 +136,7 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
         return not any(dot(sub(s, v), ps) < thr for v in mesh.vertices[nbs].tolist())
     if feature.kind == "edge":
         g0, g1 = feature.verts
-        v0, v1 = mesh.vertices[[g0, g1]].tolist()
+        v0, v1 = mesh.vertices[g0].tolist(), mesh.vertices[g1].tolist()
         if dot(sub(p, v0), sub(v1, v0)) < thr:
             return False
         if dot(sub(p, v1), sub(v0, v1)) < thr:
