@@ -142,7 +142,6 @@ def test_perpendicular_2d():
     assert abs(np.dot(u, d)) < 1e-15 and abs(np.linalg.norm(u) - 1) < 1e-15
 
 
-
 def test_norm_is_sqrt_of_self_dot(rng):
     # the query and the spring projection take a 3-vector's length as
     # math.sqrt(d @ d); it must equal np.linalg.norm(d) bit for bit
