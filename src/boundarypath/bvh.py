@@ -177,13 +177,8 @@ class NearPrimIter:
         raise StopIteration
 
 
-def _face_boxes(mesh):
-    pts = mesh.vertices[mesh.boundary_faces]  # (m, dim, dim)
-    return np.stack([pts.min(axis=1), pts.max(axis=1)], axis=1)
-
-
-def _element_boxes(mesh):
-    pts = mesh.vertices[mesh.elements]
+def _simplex_boxes(vertices, simplices):
+    pts = vertices[simplices]
     return np.stack([pts.min(axis=1), pts.max(axis=1)], axis=1)
 
 
@@ -193,10 +188,10 @@ class BoundaryBvh:
     def __init__(self, mesh):
         if mesh.n_boundary_faces == 0:
             raise EmptyBoundary("mesh has no boundary faces")
-        self.tree = AabbTree(_face_boxes(mesh))
+        self.tree = AabbTree(_simplex_boxes(mesh.vertices, mesh.boundary_faces))
 
     def refit(self, mesh):
-        self.tree.refit(_face_boxes(mesh))
+        self.tree.refit(_simplex_boxes(mesh.vertices, mesh.boundary_faces))
 
     def nearest_faces(self, point):
         return NearPrimIter(self.tree, point)
@@ -207,13 +202,12 @@ def build_boundary_bvh(mesh):
 
 
 class ElementBvh:
-    """Hierarchy over elements for point-in-element and edge-vs-element
-    collision candidate queries."""
+    """Hierarchy over elements (rows of vertex ids) for collision
+    candidates; the simulator keeps one over every element of its scene."""
 
-    def __init__(self, mesh):
-        if mesh.n_elements == 0:
-            raise ValueError("mesh has no elements")
-        self.tree = AabbTree(_element_boxes(mesh))
+    def __init__(self, vertices, elements):
+        self.elements = elements
+        self.tree = AabbTree(_simplex_boxes(vertices, elements))
 
-    def refit(self, mesh):
-        self.tree.refit(_element_boxes(mesh))
+    def refit(self, vertices):
+        self.tree.refit(_simplex_boxes(vertices, self.elements))

@@ -6,11 +6,11 @@ features of self-intersecting or overlapping meshes are pushed out along
 the true nearest exit. Discrete collision detection only (vertex-element
 and edge-element); continuous detection and friction are out of scope.
 
-Collision detection is array code: each mesh's probes (vertices and
-element centroids, or boundary edges) go to each element tree in one
-batched box-overlap call, and the candidate pairs are tested with one
-batched barycentric solve. The contacts, and their order, are those of
-testing one probe at a time.
+Collision detection is array code: every probe of the scene (vertices and
+element centroids, or boundary edges) goes in one batched box-overlap call
+to one element tree over every element of every mesh, and the candidate
+pairs are tested with one batched barycentric solve. The contacts, and
+their order, are those of testing one probe at a time.
 """
 
 import json
@@ -78,7 +78,8 @@ class CollisionConstraint:
 
 @dataclass
 class SimState:
-    """Scene state: one or more meshes sharing a flat vertex arena."""
+    """Scene state: one or more meshes sharing a flat vertex arena, with
+    their elements and boundary edges on global vertex ids."""
 
     meshes: list
     positions: np.ndarray  # (n, dim) current
@@ -86,6 +87,9 @@ class SimState:
     velocities: np.ndarray
     inv_mass: np.ndarray  # (n,), >= 0; 0 pins a vertex
     offsets: np.ndarray  # mesh m owns rows [offsets[m], offsets[m+1])
+    elements: np.ndarray  # (e, dim + 1) global vertex ids
+    element_offsets: np.ndarray  # mesh m owns elements [element_offsets[m], element_offsets[m+1])
+    boundary_edges: np.ndarray  # (b, 2) global vertex ids
     springs: np.ndarray  # (k, 2) global vertex ids
     rest_lengths: np.ndarray  # (k,)
     substeps_done: int = 0
@@ -122,24 +126,22 @@ def make_state(meshes, masses=None):
     """Build a SimState over copies of the given meshes' positions. Springs
     are every unique element edge at its current length. `masses` is an
     optional per-mesh list of per-vertex masses; default is unit mass."""
-    offsets = np.zeros(len(meshes) + 1, dtype=np.int64)
-    for m, mesh in enumerate(meshes):
-        offsets[m + 1] = offsets[m] + mesh.n_vertices
-    n = int(offsets[-1])
     dim = meshes[0].dim
-    positions = np.empty((n, dim))
-    inv_mass = np.ones(n)
-    springs = []
-    for m, mesh in enumerate(meshes):
-        if mesh.dim != dim:
-            raise ValueError("all meshes in a scene must share a dimension")
-        sl = slice(int(offsets[m]), int(offsets[m + 1]))
-        positions[sl] = mesh.vertices
-        if masses is not None and masses[m] is not None:
-            mass = np.asarray(masses[m], dtype=float)
-            inv_mass[sl] = np.where(mass > 0, 1.0 / np.where(mass > 0, mass, 1), 0.0)
-        springs.append(_unique_edges(mesh.elements) + offsets[m])
-    springs = np.concatenate(springs, axis=0)
+    if any(mesh.dim != dim for mesh in meshes):
+        raise ValueError("all meshes in a scene must share a dimension")
+    offsets = np.cumsum([0] + [mesh.n_vertices for mesh in meshes])
+    positions = np.concatenate([mesh.vertices for mesh in meshes])
+    mass = np.concatenate([
+        np.broadcast_to(np.asarray(1.0 if m is None else m, dtype=float), mesh.n_vertices)
+        for mesh, m in zip(meshes, [None] * len(meshes) if masses is None else masses)
+    ])
+    inv_mass = np.where(mass > 0, 1.0 / np.where(mass > 0, mass, 1), 0.0)
+
+    def arena(rows):  # per-mesh rows of vertex ids, on global vertex ids
+        return np.concatenate([r + base for r, base in zip(rows, offsets)])
+
+    elements = arena([mesh.elements for mesh in meshes])
+    springs = arena([_unique_edges(mesh.elements) for mesh in meshes])
     rest = np.linalg.norm(positions[springs[:, 0]] - positions[springs[:, 1]], axis=1)
     return SimState(
         meshes=list(meshes),
@@ -148,67 +150,73 @@ def make_state(meshes, masses=None):
         velocities=np.zeros_like(positions),
         inv_mass=inv_mass,
         offsets=offsets,
+        elements=elements,
+        element_offsets=np.cumsum([0] + [mesh.n_elements for mesh in meshes]),
+        boundary_edges=arena([mesh.boundary_edges for mesh in meshes]),
         springs=springs,
         rest_lengths=rest,
     )
 
 
-def _overlaps(state, elem_bvhs, ma, lo, hi, probe_ids):
-    """Candidate (probe, element) pairs of mesh a's probes, one batched
-    box-overlap call per target mesh b. Probe k has the box [lo[k], hi[k]]
-    and owns the mesh-a vertex ids in row k of probe_ids. Skipped elements
-    and, for a self-pair, elements sharing a vertex with the probe are
-    dropped. Yields (mb, probe, element, element vertices) per mesh b, in
-    mesh order; within a mesh the pairs are sorted by probe, then by
-    element id."""
-    for mb, mesh_b in enumerate(state.meshes):
-        probe, e = elem_bvhs[mb].tree.box_overlap(lo, hi)
-        keep = ~mesh_b.skipped_flags[e]
-        if ma == mb:
-            shared = mesh_b.elements[e][:, :, None] == probe_ids[probe][:, None, :]
-            keep &= ~shared.any(axis=(1, 2))
-        probe, e = probe[keep], e[keep]
-        yield mb, probe, e, mesh_b.vertices[mesh_b.elements[e]]
+def _owner(offsets, ids):
+    """The mesh that owns each global id, and the id within that mesh,
+    from the per-mesh id offsets."""
+    m = np.searchsorted(offsets, ids, side="right") - 1
+    return m, ids - offsets[m]
 
 
-def dcd_vertex_tet(state, elem_bvhs, include_centroids=False):
+def _candidates(state, elem_bvh, lo, hi, probe_ids):
+    """Candidate (probe, element) pairs from one box-overlap call over the
+    scene's element tree. Probe k has the box [lo[k], hi[k]] and owns the
+    global vertex ids in row k of probe_ids. Skipped elements and elements
+    sharing a vertex with the probe are dropped. Returns the pairs sorted
+    by probe, then by global element id, i.e. (target mesh, element id),
+    and each element's vertex positions."""
+    probe, e = elem_bvh.tree.box_overlap(lo, hi)
+    elements = state.elements[e]
+    shared = (elements[:, :, None] == probe_ids[probe][:, None, :]).any(axis=(1, 2))
+    skipped = np.concatenate([mesh.skipped_flags for mesh in state.meshes])[e]
+    keep = ~skipped & ~shared
+    return probe[keep], e[keep], state.positions[elements[keep]]
+
+
+def dcd_vertex_tet(state, elem_bvh, include_centroids=False):
     """Vertex-vs-element discrete collision detection across all mesh
     pairs, self-pairs included. Returns a list of contact records
-    (subject mesh, vertex ids tuple, weights, point, target mesh, element).
+    (subject mesh, vertex ids tuple, weights, point, target mesh, element),
+    with mesh-local vertex and element ids.
 
     A vertex counts only when strictly inside (all barycentric coordinates
     positive) a non-skipped element it is not incident to. With
     include_centroids, element centroids join the probe set; their
     correction spreads uniformly over the element's vertices.
 
-    Each mesh's probes (its vertices, then its element centroids) are
-    tested as one batch: one box-overlap call per target mesh, then one
-    batched barycentric solve over every candidate pair. Contacts come
-    in probe order, then target mesh, then element id.
+    All probes are tested as one batch: one box-overlap call on the scene's
+    element tree, then one batched barycentric solve over every candidate
+    pair. Contacts come in subject mesh order, then probe order (the mesh's
+    vertices, then its centroids), then target mesh, then element id.
     """
+    n = len(state.positions)
+    points = state.positions
+    probe_ids = np.repeat(np.arange(n)[:, None], state.dim + 1, axis=1)
+    if include_centroids:
+        points = np.concatenate([points, points[state.elements].mean(axis=1)])
+        probe_ids = np.concatenate([probe_ids, state.elements])
+    probe, e, verts = _candidates(state, elem_bvh, points, points, probe_ids)
+    b = geometry.barycentric_coords(points[probe], verts)
+    inside = np.all(np.isfinite(b) & (b > 0.0), axis=1)
+    probe, e = probe[inside], e[inside]
+    # a probe's first vertex names its mesh; the stable sort keeps (probe,
+    # target mesh, element id) order within a subject mesh
+    ma = _owner(state.offsets, probe_ids[probe, 0])[0]
+    order = np.argsort(ma, kind="stable")
+    probe, ma, e = probe[order], ma[order], e[order]
+    mb, e = _owner(state.element_offsets, e)
+    local = (probe_ids[probe] - state.offsets[ma][:, None]).tolist()
     contacts = []
-    for ma, mesh_a in enumerate(state.meshes):
-        nv = mesh_a.n_vertices
-        points = state.positions[state.mesh_slice(ma)]
-        probe_ids = np.repeat(np.arange(nv)[:, None], mesh_a.dim + 1, axis=1)
-        if include_centroids:
-            points = np.concatenate([points, mesh_a.vertices[mesh_a.elements].mean(axis=1)])
-            probe_ids = np.concatenate([probe_ids, mesh_a.elements])
-        hits = []
-        for mb, probe, e, verts in _overlaps(state, elem_bvhs, ma, points, points, probe_ids):
-            b = geometry.barycentric_coords(points[probe], verts)
-            inside = np.all(np.isfinite(b) & (b > 0.0), axis=1)
-            hits.append((probe[inside], np.full(np.count_nonzero(inside), mb), e[inside]))
-        probe, mb, e = (np.concatenate(col) for col in zip(*hits))
-        # the stable sort keeps (target mesh, element id) within a probe
-        order = np.argsort(probe, kind="stable")
-        for k, m, el in zip(probe[order].tolist(), mb[order].tolist(), e[order].tolist()):
-            if k < nv:
-                ids, w = (k,), (1.0,)
-            else:
-                ids = tuple(mesh_a.elements[k - nv].tolist())
-                w = (1.0 / len(ids),) * len(ids)
-            contacts.append((ma, ids, w, points[k], m, el))
+    for k, a, v, m, el in zip(probe.tolist(), ma.tolist(), local, mb.tolist(), e.tolist()):
+        ids = tuple(v[:1] if k < n else v)
+        contacts.append((a, ids, (1.0 / len(ids),) * len(ids), points[k], m, el))
     return contacts
 
 
@@ -229,7 +237,7 @@ def _chord_spans(ba, bb):
     return t0, t1, crosses
 
 
-def dcd_edge_tet(state, elem_bvhs):
+def dcd_edge_tet(state, elem_bvh):
     """Boundary-edge-vs-element discrete collision detection. For each
     boundary edge clipped by a non-incident element, records the midpoint
     of the clipped chord; if several elements intersect one edge, only the
@@ -237,40 +245,35 @@ def dcd_edge_tet(state, elem_bvhs):
     mesh, element id) on a tie. Chords of 1e-12 or less in parameter
     length are ignored. Returns contact records shaped like
     dcd_vertex_tet's, with the chord center's barycentric weights on the
-    edge endpoints, in boundary-edge order.
+    edge endpoints, in subject mesh order, then boundary-edge order.
 
-    Each mesh's boundary edges are tested as one batch: one box-overlap
-    call per target mesh, then every (edge, element) pair is clipped at
-    once.
+    All meshes' boundary edges are tested as one batch: one box-overlap
+    call on the scene's element tree, then every (edge, element) pair is
+    clipped at once.
     """
-    contacts = []
-    for ma, mesh_a in enumerate(state.meshes):
-        edges = mesh_a.boundary_edges
-        pos = state.positions[state.mesh_slice(ma)]
-        a, b = pos[edges[:, 0]], pos[edges[:, 1]]
-        hits = []
-        for mb, edge, e, verts in _overlaps(
-            state, elem_bvhs, ma, np.minimum(a, b), np.maximum(a, b), edges
-        ):
-            ba = geometry.barycentric_coords(a[edge], verts)
-            bb = geometry.barycentric_coords(b[edge], verts)
-            t0, t1, crosses = _chord_spans(ba, bb)
-            keep = crosses & (t1 - t0 > 1e-12)
-            t_mid = 0.5 * (t0[keep] + t1[keep])
-            hits.append((edge[keep], np.full(len(t_mid), mb), e[keep], t_mid))
-        edge, mb, e, t_mid = (np.concatenate(col) for col in zip(*hits))
-        # per edge, the chord center nearest the edge midpoint; the stable
-        # sort leaves ties in (target mesh, element id)
-        order = np.lexsort((np.abs(t_mid - 0.5), edge))
-        best = order[np.unique(edge[order], return_index=True)[1]]
-        edge, mb, e, t_mid = edge[best], mb[best], e[best], t_mid[best]
-        points = a[edge] + t_mid[:, None] * (b[edge] - a[edge])
-        for k, m, el, t, point in zip(
-            edge.tolist(), mb.tolist(), e.tolist(), t_mid.tolist(), points
-        ):
-            va, vb = edges[k].tolist()
-            contacts.append((ma, (va, vb), (1.0 - t, t), point, m, el))
-    return contacts
+    edges = state.boundary_edges
+    a, b = state.positions[edges[:, 0]], state.positions[edges[:, 1]]
+    edge, e, verts = _candidates(state, elem_bvh, np.minimum(a, b), np.maximum(a, b), edges)
+    ba = geometry.barycentric_coords(a[edge], verts)
+    bb = geometry.barycentric_coords(b[edge], verts)
+    t0, t1, crosses = _chord_spans(ba, bb)
+    keep = crosses & (t1 - t0 > 1e-12)
+    edge, e, t_mid = edge[keep], e[keep], 0.5 * (t0[keep] + t1[keep])
+    # per edge, the chord center nearest the edge midpoint; the stable
+    # sort leaves ties in (target mesh, element id)
+    order = np.lexsort((np.abs(t_mid - 0.5), edge))
+    best = order[np.unique(edge[order], return_index=True)[1]]
+    edge, e, t_mid = edge[best], e[best], t_mid[best]
+    points = a[edge] + t_mid[:, None] * (b[edge] - a[edge])
+    ma = _owner(state.offsets, edges[edge, 0])[0]
+    mb, e = _owner(state.element_offsets, e)
+    local = (edges[edge] - state.offsets[ma][:, None]).tolist()
+    return [
+        (m_a, tuple(v), (1.0 - t, t), point, m_b, el)
+        for m_a, v, m_b, el, t, point in zip(
+            ma.tolist(), local, mb.tolist(), e.tolist(), t_mid.tolist(), points
+        )
+    ]
 
 
 def build_collision_constraint(x, query_result, mesh, compliance, subject):
@@ -314,20 +317,21 @@ class ContactLogEntry:
 
 
 class SimRuntime:
-    """Owns the per-mesh BVHs across substeps; refits (never rebuilds) on
-    vertex motion."""
+    """Owns the trees across substeps: one element tree over every element
+    of the scene, for collision detection, and one boundary tree per mesh,
+    for the queries. Refits (never rebuilds) on vertex motion."""
 
     def __init__(self, state, config):
         self.config = config
         state.sync_meshes()
-        self.elem_bvhs = [ElementBvh(mesh) for mesh in state.meshes]
+        self.elem_bvh = ElementBvh(state.positions, state.elements)
         self.boundary_bvhs = [BoundaryBvh(mesh) for mesh in state.meshes]
 
     def refit(self, state):
         state.sync_meshes()
-        for m, mesh in enumerate(state.meshes):
-            self.elem_bvhs[m].refit(mesh)
-            self.boundary_bvhs[m].refit(mesh)
+        self.elem_bvh.refit(state.positions)
+        for mesh, bvh in zip(state.meshes, self.boundary_bvhs):
+            bvh.refit(mesh)
 
 
 def _build_constraints(state, runtime, config):
@@ -335,8 +339,8 @@ def _build_constraints(state, runtime, config):
     substep. Element centroids join the vertex probes. Contacts whose
     query comes back empty (no valid path, query point in a skipped
     element) produce no constraint."""
-    vertex_contacts = dcd_vertex_tet(state, runtime.elem_bvhs, include_centroids=True)
-    edge_contacts = dcd_edge_tet(state, runtime.elem_bvhs)
+    vertex_contacts = dcd_vertex_tet(state, runtime.elem_bvh, include_centroids=True)
+    edge_contacts = dcd_edge_tet(state, runtime.elem_bvh)
     constraints = []
     steps_total = 0
     cands_total = 0
@@ -477,7 +481,7 @@ def count_penetrations(state, runtime):
     """Current number of vertex-inside-foreign-element incidences; the
     recovery criterion drives this to zero."""
     runtime.refit(state)
-    return len(dcd_vertex_tet(state, runtime.elem_bvhs))
+    return len(dcd_vertex_tet(state, runtime.elem_bvh))
 
 
 def _config(cls, doc, path, where, convert=()):

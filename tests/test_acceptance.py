@@ -334,7 +334,7 @@ def test_criterion_7_rest_shape_comparison():
     )
     assert not any(deformed.element_skipped(e) for e in range(deformed.n_elements))
     state = make_state([deformed])
-    hits = dcd_vertex_tet(state, [ElementBvh(deformed)])
+    hits = dcd_vertex_tet(state, ElementBvh(state.positions, state.elements))
     assert hits, "the fold must produce penetrating vertices"
 
     bvh = build_boundary_bvh(deformed)

@@ -12,8 +12,7 @@ from boundarypath.bvh import (
     BoundaryBvh,
     ElementBvh,
     NearPrimIter,
-    _element_boxes,
-    _face_boxes,
+    _simplex_boxes,
 )
 from boundarypath.errors import EmptyBoundary
 from boundarypath.mesh import SimplicialMesh
@@ -109,7 +108,7 @@ def integer_boxes(rng, n, dim, size=10):
 
 
 def test_element_bvh_containment(grid3d, rng):
-    bvh = ElementBvh(grid3d)
+    bvh = ElementBvh(grid3d.vertices, grid3d.elements)
     points = rng.random((20, 3))
     box, cands = bvh.tree.box_overlap(points, points)
     for k, p in enumerate(points):
@@ -117,8 +116,21 @@ def test_element_bvh_containment(grid3d, rng):
         assert len(truth) and set(truth) <= set(cands[box == k])
 
 
+def test_element_bvh_refit_matches_fresh_tree(grid3d, rng):
+    # a refit element tree answers box queries as a tree built on the
+    # moved vertices does
+    bvh = ElementBvh(grid3d.vertices, grid3d.elements)
+    moved = grid3d.vertices + rng.normal(scale=0.1, size=grid3d.vertices.shape)
+    bvh.refit(moved)
+    fresh = ElementBvh(moved, grid3d.elements)
+    lo = rng.random((30, 3))
+    hi = lo + 0.2 * rng.random((30, 3))
+    for got, want in zip(bvh.tree.box_overlap(lo, hi), fresh.tree.box_overlap(lo, hi)):
+        assert np.array_equal(got, want)
+
+
 def test_box_overlap_matches_brute(grid3d):
-    bvh = ElementBvh(grid3d)
+    bvh = ElementBvh(grid3d.vertices, grid3d.elements)
     lo, hi = np.array([0.2, 0.2, 0.2]), np.array([0.5, 0.4, 0.6])
     box, got = bvh.tree.box_overlap(lo[None], hi[None])
     assert np.all(box == 0)
@@ -262,7 +274,7 @@ def test_build_matches_per_node_build(rng, dim):
             )
         )
     for mesh in meshes:
-        inputs += [_element_boxes(mesh), _face_boxes(mesh)]
+        inputs += [_simplex_boxes(mesh.vertices, s) for s in (mesh.elements, mesh.boundary_faces)]
     box = integer_boxes(rng, 1, dim)
     inputs += [np.repeat(box, n, axis=0) for n in (2, 3, 100)]
     inputs += [integer_boxes(rng, 2, dim), np.array([box[0], box[0] + 1.0])]

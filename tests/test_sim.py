@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boundarypath import geometry, shapes, sim
-from boundarypath.bvh import ElementBvh
+from boundarypath.bvh import AabbTree, ElementBvh
 from boundarypath.errors import NumericalBlowup
 from boundarypath.mesh import SimplicialMesh
 from boundarypath.sim import (
@@ -34,14 +34,17 @@ def make_runtime(meshes, **cfg_kw):
     return state, config, SimRuntime(state, config)
 
 
+def scene_tree(state):
+    return ElementBvh(state.positions, state.elements)
+
+
 def test_dcd_vertex_inside_detected(tet):
     other = SimplicialMesh(
         np.array([[0.1, 0.1, 0.1], [5, 0, 0], [0, 5, 0], [0, 0, 5]], float),
         np.array([[0, 1, 2, 3]]),
     )
     state = make_state([tet, other])
-    bvhs = [ElementBvh(m) for m in state.meshes]
-    hits = dcd_vertex_tet(state, bvhs)
+    hits = dcd_vertex_tet(state, scene_tree(state))
     # other's vertex 0 sits strictly inside the unit tet
     assert any(ma == 1 and ids == (0,) and mb == 0 for ma, ids, _, _, mb, _ in hits)
 
@@ -49,14 +52,12 @@ def test_dcd_vertex_inside_detected(tet):
 def test_dcd_vertex_outside_empty():
     m1, m2 = two_cubes(offset=(5.0, 0.0, 0.0))
     state = make_state([m1, m2])
-    bvhs = [ElementBvh(m) for m in state.meshes]
-    assert dcd_vertex_tet(state, bvhs) == []
+    assert dcd_vertex_tet(state, scene_tree(state)) == []
 
 
 def test_dcd_vertex_incident_excluded(tet):
     state = make_state([tet])
-    bvhs = [ElementBvh(tet)]
-    assert dcd_vertex_tet(state, bvhs) == []
+    assert dcd_vertex_tet(state, scene_tree(state)) == []
 
 
 def test_dcd_edge_symmetric_chord(tet):
@@ -73,8 +74,7 @@ def test_dcd_edge_symmetric_chord(tet):
         np.array([[0, 1, 2, 3]]),
     )
     state = make_state([tet, other])
-    bvhs = [ElementBvh(m) for m in state.meshes]
-    hits = [h for h in dcd_edge_tet(state, bvhs) if h[0] == 1 and h[4] == 0]
+    hits = [h for h in dcd_edge_tet(state, scene_tree(state)) if h[0] == 1 and h[4] == 0]
     assert hits
     ma, ids, w, point, mb, e = hits[0]
     assert set(ids) == {0, 1}
@@ -85,53 +85,52 @@ def test_dcd_edge_symmetric_chord(tet):
 def test_dcd_edge_fully_outside():
     m1, m2 = two_cubes(offset=(9.0, 0.0, 0.0))
     state = make_state([m1, m2])
-    bvhs = [ElementBvh(m) for m in state.meshes]
-    assert dcd_edge_tet(state, bvhs) == []
+    assert dcd_edge_tet(state, scene_tree(state)) == []
 
 
-# -- per-probe references for the batched DCD -------------------------------
+# -- brute-force references for the batched DCD ----------------------------
 
 
-def _ref_overlapping(bvh, lo, hi):
-    return bvh.tree.box_overlap(np.asarray(lo)[None], np.asarray(hi)[None])[1].tolist()
+def _ref_bary(mesh, point):
+    """Barycentric coordinates of one point in every element of a mesh."""
+    return geometry.barycentric_coords(point, mesh.vertices[mesh.elements])
 
 
-def _ref_strictly_inside(mesh, e, p):
-    b = geometry.barycentric_coords(p, mesh.vertices[mesh.elements[e]])
-    return bool(np.all(np.isfinite(b)) and np.all(b > 0.0))
+def _ref_foreign(state, ma, ids, mb, e):
+    """Whether element e of mesh b is a candidate for a probe on vertices
+    ids of mesh a: not skipped, and not incident to the probe."""
+    mesh_b = state.meshes[mb]
+    if mesh_b.element_skipped(e):
+        return False
+    return ma != mb or not any(v in mesh_b.elements[e] for v in ids)
 
 
-def ref_dcd_vertex_tet(state, elem_bvhs, include_centroids=False):
-    """dcd_vertex_tet one probe at a time: one box query per probe and
-    target mesh, one barycentric solve per candidate."""
+def ref_dcd_vertex_tet(state, include_centroids=False):
+    """dcd_vertex_tet with no tree: every probe against every element of
+    every mesh, in (subject mesh, probe, target mesh, element id) order."""
     contacts = []
-    probes = []
     for ma, mesh_a in enumerate(state.meshes):
         base = int(state.offsets[ma])
-        for v in range(mesh_a.n_vertices):
-            probes.append((ma, (v,), (1.0,), state.positions[base + v]))
+        probes = [((v,), (1.0,), state.positions[base + v]) for v in range(mesh_a.n_vertices)]
         if include_centroids:
             for e in range(mesh_a.n_elements):
                 ids = tuple(int(i) for i in mesh_a.elements[e])
                 w = (1.0 / len(ids),) * len(ids)
-                c = mesh_a.vertices[mesh_a.elements[e]].mean(axis=0)
-                probes.append((ma, ids, w, c))
-    for ma, ids, w, point in probes:
-        for mb, mesh_b in enumerate(state.meshes):
-            for e in _ref_overlapping(elem_bvhs[mb], point, point):
-                if mesh_b.element_skipped(e):
-                    continue
-                if ma == mb and any(v in mesh_b.elements[e] for v in ids):
-                    continue
-                if _ref_strictly_inside(mesh_b, e, point):
-                    contacts.append((ma, ids, w, np.array(point, float), mb, int(e)))
+                probes.append((ids, w, mesh_a.vertices[mesh_a.elements[e]].mean(axis=0)))
+        for ids, w, point in probes:
+            for mb, mesh_b in enumerate(state.meshes):
+                bary = _ref_bary(mesh_b, point)
+                for e in range(mesh_b.n_elements):
+                    b = bary[e]
+                    if _ref_foreign(state, ma, ids, mb, e) and np.all(np.isfinite(b) & (b > 0.0)):
+                        contacts.append((ma, ids, w, np.array(point, float), mb, e))
     return contacts
 
 
-def _ref_clip_segment_to_element(mesh, e, a, b):
-    verts = mesh.vertices[mesh.elements[e]]
-    ba = geometry.barycentric_coords(a, verts)
-    bb = geometry.barycentric_coords(b, verts)
+def _ref_clip(ba, bb):
+    """The parameter span of segment a->b inside one element, from the
+    barycentric coordinates of its ends, with an early exit; None when
+    the segment misses the element."""
     if not (np.all(np.isfinite(ba)) and np.all(np.isfinite(bb))):
         return None
     t0, t1 = 0.0, 1.0
@@ -152,8 +151,10 @@ def _ref_clip_segment_to_element(mesh, e, a, b):
     return t0, t1
 
 
-def ref_dcd_edge_tet(state, elem_bvhs):
-    """dcd_edge_tet one boundary edge at a time, with the early-exit clip."""
+def ref_dcd_edge_tet(state):
+    """dcd_edge_tet with no tree: every boundary edge clipped against every
+    element of every mesh, keeping the first chord center nearest the edge
+    midpoint in (target mesh, element id) order."""
     contacts = []
     for ma, mesh_a in enumerate(state.meshes):
         base = int(state.offsets[ma])
@@ -162,18 +163,17 @@ def ref_dcd_edge_tet(state, elem_bvhs):
             b = state.positions[base + vb]
             best = None
             for mb, mesh_b in enumerate(state.meshes):
-                for e in _ref_overlapping(elem_bvhs[mb], np.minimum(a, b), np.maximum(a, b)):
-                    if mesh_b.element_skipped(e):
+                bary_a, bary_b = _ref_bary(mesh_b, a), _ref_bary(mesh_b, b)
+                for e in range(mesh_b.n_elements):
+                    if not _ref_foreign(state, ma, (va, vb), mb, e):
                         continue
-                    if ma == mb and (va in mesh_b.elements[e] or vb in mesh_b.elements[e]):
-                        continue
-                    span = _ref_clip_segment_to_element(mesh_b, e, a, b)
+                    span = _ref_clip(bary_a[e], bary_b[e])
                     if span is None or span[1] - span[0] <= 1e-12:
                         continue
                     t_mid = 0.5 * (span[0] + span[1])
                     rank = abs(t_mid - 0.5)
                     if best is None or rank < best[0]:
-                        best = (rank, t_mid, mb, int(e))
+                        best = (rank, t_mid, mb, e)
             if best is not None:
                 _, t_mid, mb, e = best
                 point = a + t_mid * (b - a)
@@ -188,15 +188,18 @@ def assert_same_contacts(got, want):
         assert np.array_equal(g[3], w[3])
 
 
-def assert_dcd_matches_reference(state, bvhs):
-    n = 0
+def assert_dcd_matches_reference(state, elem_bvh):
+    """Checks both DCD functions against the references; returns the
+    contact count and the set of (subject mesh, target mesh) pairs seen."""
+    contacts = []
     for centroids in (False, True):
-        got = dcd_vertex_tet(state, bvhs, include_centroids=centroids)
-        assert_same_contacts(got, ref_dcd_vertex_tet(state, bvhs, include_centroids=centroids))
-        n += len(got)
-    got = dcd_edge_tet(state, bvhs)
-    assert_same_contacts(got, ref_dcd_edge_tet(state, bvhs))
-    return n + len(got)
+        got = dcd_vertex_tet(state, elem_bvh, include_centroids=centroids)
+        assert_same_contacts(got, ref_dcd_vertex_tet(state, include_centroids=centroids))
+        contacts += got
+    got = dcd_edge_tet(state, elem_bvh)
+    assert_same_contacts(got, ref_dcd_edge_tet(state))
+    contacts += got
+    return len(contacts), {(c[0], c[4]) for c in contacts}
 
 
 def test_dcd_matches_reference_two_boxes():
@@ -207,17 +210,40 @@ def test_dcd_matches_reference_two_boxes():
     for step in range(6):
         if step in (0, 1, 5):
             rt.refit(state)
-            counts.append(assert_dcd_matches_reference(state, rt.elem_bvhs))
+            counts.append(assert_dcd_matches_reference(state, rt.elem_bvh)[0])
         state, _ = xpbd_substep(state, config, rt)
     assert counts[0] > 0 and counts[1] > 0
+
+
+def test_dcd_matches_reference_three_meshes():
+    # every mesh overlaps both others, so contacts run between all three
+    # pairs of meshes and the element offsets map past the second mesh
+    meshes = [shapes.box_grid(2, 2, 2) for _ in range(3)]
+    for mesh, shift in zip(meshes[1:], ([0.7, 0.1, 0.05], [0.3, 0.6, -0.2])):
+        mesh.set_vertices(mesh.vertices + np.array(shift))
+    state, config, rt = make_runtime(meshes, damping=1.0)
+    n, pairs = assert_dcd_matches_reference(state, rt.elem_bvh)
+    assert {(ma, mb) for ma in range(3) for mb in range(3) if ma != mb} <= pairs
+    state, _ = xpbd_substep(state, config, rt)
+    rt.refit(state)
+    assert assert_dcd_matches_reference(state, rt.elem_bvh)[0] > 0
+
+
+def test_dcd_matches_reference_mixed_scene():
+    # a box pushed through the overlapping turns of a folded bar: one
+    # detection sees the bar's self-contacts and both bodies' contacts
+    bar = shapes.folded_bar(12, 2, 2)
+    box = shapes.box_grid(2, 2, 2, size=(0.5, 0.3, 0.6), origin=(0.95, 0.1, -0.15))
+    state, _, rt = make_runtime([bar, box])
+    _, pairs = assert_dcd_matches_reference(state, rt.elem_bvh)
+    assert {(0, 0), (0, 1), (1, 0)} <= pairs
 
 
 @pytest.mark.parametrize("name", ["folded_bar", "folded_strip_2d"])
 def test_dcd_matches_reference_self_contacts(name):
     mesh = shapes.folded_bar(12, 2, 2) if name == "folded_bar" else shapes.folded_strip(30, 3)
     state = make_state([mesh])
-    bvhs = [ElementBvh(mesh)]
-    assert assert_dcd_matches_reference(state, bvhs) > 0
+    assert assert_dcd_matches_reference(state, scene_tree(state))[0] > 0
 
 
 def test_dcd_matches_reference_inverted_elements():
@@ -229,8 +255,63 @@ def test_dcd_matches_reference_inverted_elements():
     other = shapes.box_grid(2, 2, 2)
     other.set_vertices(other.vertices + np.array([0.5, 0.3, 0.2]))
     state = make_state([jittered, other])
-    bvhs = [ElementBvh(m) for m in state.meshes]
-    assert assert_dcd_matches_reference(state, bvhs) > 0
+    assert assert_dcd_matches_reference(state, scene_tree(state))[0] > 0
+
+
+@pytest.mark.parametrize("n_meshes", [1, 2, 3])
+def test_one_box_overlap_call_per_detection(monkeypatch, n_meshes):
+    meshes = [shapes.box_grid(2, 2, 2) for _ in range(n_meshes)]
+    for k, mesh in enumerate(meshes):
+        mesh.set_vertices(mesh.vertices + 0.4 * k)
+    state, config, rt = make_runtime(meshes, damping=1.0)
+    calls = []
+    box_overlap = AabbTree.box_overlap
+
+    def counted(tree, lo, hi):
+        calls.append(tree)
+        return box_overlap(tree, lo, hi)
+
+    monkeypatch.setattr(AabbTree, "box_overlap", counted)
+    for detect in (
+        lambda: dcd_vertex_tet(state, rt.elem_bvh),
+        lambda: dcd_vertex_tet(state, rt.elem_bvh, include_centroids=True),
+        lambda: dcd_edge_tet(state, rt.elem_bvh),
+    ):
+        calls.clear()
+        detect()
+        assert calls == [rt.elem_bvh.tree]
+    calls.clear()
+    xpbd_substep(state, config, rt)
+    assert calls == [rt.elem_bvh.tree] * 2
+
+
+def test_runtime_holds_one_scene_element_tree(monkeypatch):
+    meshes = [shapes.box_grid(1, 1, 1), shapes.box_grid(2, 1, 1), shapes.box_grid(1, 2, 1)]
+    for k, mesh in enumerate(meshes):
+        mesh.set_vertices(mesh.vertices + 0.6 * k)
+    state = make_state(meshes)
+    # the state's elements and boundary edges are each mesh's, on global
+    # vertex ids, mesh after mesh
+    for m, mesh in enumerate(meshes):
+        rows = slice(int(state.element_offsets[m]), int(state.element_offsets[m + 1]))
+        assert np.array_equal(state.elements[rows] - state.offsets[m], mesh.elements)
+    edges = [mesh.boundary_edges + state.offsets[m] for m, mesh in enumerate(meshes)]
+    assert np.array_equal(state.boundary_edges, np.concatenate(edges))
+    built = []
+    init = ElementBvh.__init__
+
+    def counted(tree, *args):
+        built.append(tree)
+        init(tree, *args)
+
+    monkeypatch.setattr(ElementBvh, "__init__", counted)
+    config = SimConfig(gravity=(0, 0, 0), damping=1.0)
+    rt = SimRuntime(state, config)
+    run_sim(state, config, 3, rt)
+    count_penetrations(state, rt)
+    assert built == [rt.elem_bvh]
+    leaves = rt.elem_bvh.tree.prim[rt.elem_bvh.tree.prim >= 0]
+    assert sorted(leaves.tolist()) == list(range(len(state.elements)))
 
 
 def test_constraint_values():
