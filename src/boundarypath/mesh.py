@@ -121,7 +121,7 @@ class SimplicialMesh:
     (n, 2) vertices. Raises ValueError for arrays of another shape or
     non-finite coordinates."""
 
-    def __init__(self, vertices, elements, names=None):
+    def __init__(self, vertices, elements):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
@@ -137,7 +137,6 @@ class SimplicialMesh:
             from .errors import IndexOutOfRange
 
             raise IndexOutOfRange("element references a vertex out of range")
-        self.names = dict(names) if names else {}
         self._build_topology()
         self._refresh_geometry()
 

@@ -1,7 +1,7 @@
 """Mesh file formats.
 
-Native format: a JSON document with `dimension`, flat `vertices`, flat
-`elements`, and optional `names`. Indices are 0-based. TetGen-style
+Native format: a JSON document with `dimension`, flat `vertices` and flat
+`elements`; other keys are ignored. Indices are 0-based. TetGen-style
 `.node`/`.ele` ASCII pairs can be imported (1-based indices accepted).
 The boundary can be exported as Wavefront OBJ (triangles in 3D, polylines
 in 2D).
@@ -22,8 +22,6 @@ def save_mesh(mesh, path):
         "vertices": [float(x) for x in mesh.vertices.ravel()],
         "elements": [int(i) for i in mesh.elements.ravel()],
     }
-    if mesh.names:
-        doc["names"] = mesh.names
     Path(path).write_text(json.dumps(doc))
 
 
@@ -49,14 +47,14 @@ def load_mesh(path):
         raise IndexOutOfRange(
             f"{path}: element index out of range (have {len(vertices)} vertices)"
         )
-    return _parsed_mesh(path, vertices, elements, doc.get("names"))
+    return _parsed_mesh(path, vertices, elements)
 
 
-def _parsed_mesh(path, vertices, elements, names=None):
+def _parsed_mesh(path, vertices, elements):
     """The mesh of the arrays, with their shape or value errors raised
     as the ParseError of the file they were read from."""
     try:
-        return SimplicialMesh(vertices, elements, names)
+        return SimplicialMesh(vertices, elements)
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
 

@@ -239,18 +239,10 @@ def oracle_closest_boundary(
 
 def co_minimal_faces(mesh, p, distance, tol=1e-9, exclude_vertex=None):
     """Boundary faces whose closest-point distance ties the given distance
-    within tol (candidate identity check for differential tests)."""
+    within tol (candidate identity check for differential tests). Skipped
+    faces and the excluded vertex's faces are left out."""
     _, dists = closest_boundary_candidates(mesh, p)
-    skip = np.asarray(mesh.boundary_face_skipped)
-    excl = (
-        mesh.boundary_faces_of_vertex(exclude_vertex)
-        if exclude_vertex is not None
-        else ()
-    )
-    out = set()
-    for face in range(mesh.n_boundary_faces):
-        if skip[face] or face in excl:
-            continue
-        if abs(dists[face] - distance) <= tol:
-            out.add(face)
-    return out
+    keep = ~np.asarray(mesh.boundary_face_skipped) & (np.abs(dists - distance) <= tol)
+    if exclude_vertex is not None:
+        keep &= ~np.any(mesh.boundary_faces == exclude_vertex, axis=1)
+    return set(np.flatnonzero(keep).tolist())

@@ -26,51 +26,45 @@ from .meshio import load_mesh
 from .query import QueryConfig, shortest_path_to_boundary
 from .traversal import TraversalConfig
 
+ITERATIONS = 3  # material + collision projection sweeps per substep
+# projection targets c >= CONTACT_MARGIN; exactly-on-face points otherwise
+# flicker in and out of the strict containment test
+CONTACT_MARGIN = 1e-7
+
 
 @dataclass
 class SimConfig:
     dt: float = 1e-2
     substeps: int = 10
-    iterations: int = 3  # material + collision projection sweeps per substep
     gravity: tuple = (0.0, 0.0, 0.0)
     collision_compliance: float = 0.0
     material_compliance: float = 0.0
     damping: float = 0.0  # scales velocities by (1 - damping); 1 = quasi-static
-    # projection targets c >= margin; exactly-on-face points otherwise
-    # flicker in and out of the strict containment test
-    contact_margin: float = 1e-7
     query: QueryConfig = field(default_factory=QueryConfig)
 
     def __post_init__(self):
         numbers = (
             self.dt, *self.gravity, self.collision_compliance, self.material_compliance,
-            self.damping, self.contact_margin,
+            self.damping,
         )
         if not all(math.isfinite(x) for x in numbers):
-            raise ValueError(
-                "dt, gravity, the compliances, damping and contact_margin must be finite"
-            )
+            raise ValueError("dt, gravity, the compliances and damping must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 @dataclass
 class CollisionConstraint:
-    """One-sided plane constraint c(x) = (x - s) . n >= 0.
-
-    `subject` is (mesh index, vertex ids, weights): a single vertex with
+    """One-sided plane constraint c(x) = (x - s) . n >= 0 on the point
+    x = sum(w_i * x_i) over the scene's vertex rows: a single vertex with
     weight 1, an edge pair with the barycentric weights of its clipped-chord
     center, or a whole element with uniform weights for centroid contacts.
-    The constrained point is x = sum(w_i * x_i).
     """
 
-    subject: tuple
+    rows: tuple
+    weights: tuple
     target_point: np.ndarray
     normal: np.ndarray
-    compliance: float = 0.0
-    penetration: float = 0.0  # -c at build time, for logging
 
     def value(self, x):
         return float(np.dot(np.asarray(x, float) - self.target_point, self.normal))
@@ -83,7 +77,6 @@ class SimState:
 
     meshes: list
     positions: np.ndarray  # (n, dim) current
-    prev_positions: np.ndarray
     velocities: np.ndarray
     inv_mass: np.ndarray  # (n,), >= 0; 0 pins a vertex
     offsets: np.ndarray  # mesh m owns rows [offsets[m], offsets[m+1])
@@ -146,7 +139,6 @@ def make_state(meshes, masses=None):
     return SimState(
         meshes=list(meshes),
         positions=positions,
-        prev_positions=positions.copy(),
         velocities=np.zeros_like(positions),
         inv_mass=inv_mass,
         offsets=offsets,
@@ -276,22 +268,6 @@ def dcd_edge_tet(state, elem_bvh):
     ]
 
 
-def build_collision_constraint(x, query_result, mesh, compliance, subject):
-    """Plane constraint anchored at the query's boundary point, with the
-    pseudo-normal of its boundary feature. c(x) = (x - s) . n; projection
-    enforces c >= 0."""
-    n = mesh.pseudo_normal(query_result.feature)
-    s = np.asarray(query_result.point, dtype=float)
-    c = float(np.dot(np.asarray(x, float) - s, n))
-    return CollisionConstraint(
-        subject=subject,
-        target_point=s,
-        normal=n,
-        compliance=compliance,
-        penetration=max(-c, 0.0),
-    )
-
-
 @dataclass
 class ContactLogEntry:
     substep: int
@@ -336,14 +312,23 @@ class SimRuntime:
 
 def _build_constraints(state, runtime, config):
     """DCD + shortest-path queries -> collision constraints, once per
-    substep. Element centroids join the vertex probes. Contacts whose
+    substep, with the substep's ContactLogEntry. Element centroids join
+    the vertex probes. Each constraint is anchored at the query's boundary
+    point, with the pseudo-normal of its boundary feature. Contacts whose
     query comes back empty (no valid path, query point in a skipped
     element) produce no constraint."""
     vertex_contacts = dcd_vertex_tet(state, runtime.elem_bvh, include_centroids=True)
     edge_contacts = dcd_edge_tet(state, runtime.elem_bvh)
     constraints = []
-    steps_total = 0
-    cands_total = 0
+    entry = ContactLogEntry(
+        substep=state.substeps_done + 1,
+        n_constraints=0,
+        max_penetration=0.0,
+        n_vertex_contacts=len(vertex_contacts),
+        n_edge_contacts=len(edge_contacts),
+        query_elements_visited=0,
+        query_candidates=0,
+    )
     for ma, ids, w, point, mb, e in vertex_contacts + edge_contacts:
         # a self-collision vertex probe sits on its own boundary: exclude
         # the vertex's zero-distance faces from candidacy
@@ -357,18 +342,19 @@ def _build_constraints(state, runtime, config):
         )
         if res is None:
             continue
-        steps_total += res.elements_visited
-        cands_total += res.bvh_candidates_tested
-        constraints.append(
-            build_collision_constraint(
-                point,
-                res,
-                state.meshes[mb],
-                compliance=config.collision_compliance,
-                subject=(ma, ids, w),
-            )
+        entry.query_elements_visited += res.elements_visited
+        entry.query_candidates += res.bvh_candidates_tested
+        base = int(state.offsets[ma])
+        con = CollisionConstraint(
+            rows=tuple(base + v for v in ids),
+            weights=w,
+            target_point=np.asarray(res.point, dtype=float),
+            normal=state.meshes[mb].pseudo_normal(res.feature),
         )
-    return constraints, len(vertex_contacts), len(edge_contacts), steps_total, cands_total
+        entry.max_penetration = max(entry.max_penetration, -con.value(point))
+        constraints.append(con)
+    entry.n_constraints = len(constraints)
+    return constraints, entry
 
 
 def _project_springs(state, config, dt):
@@ -393,29 +379,28 @@ def _project_springs(state, config, dt):
         x[j] -= wj * dlam * grad
 
 
-def _project_collisions(state, constraints, dt, margin=0.0):
+def _project_collisions(state, constraints, alpha, margin):
+    """One sweep pushing each constrained point to c >= margin, with
+    alpha = compliance / dt^2."""
     x = state.positions
     w = state.inv_mass
     for con in constraints:
-        ma, ids, wts = con.subject
-        base = int(state.offsets[ma])
-        rows = [base + v for v in ids]
-        pt = sum(wt * x[r] for wt, r in zip(wts, rows))
+        pairs = list(zip(con.weights, con.rows))
+        pt = sum(wt * x[r] for wt, r in pairs)
         c = float(np.dot(pt - con.target_point, con.normal))
         if c >= margin:
             continue  # one-sided: only penetration is corrected
-        denom = sum(wt * wt * w[r] for wt, r in zip(wts, rows))
+        denom = sum(wt * wt * w[r] for wt, r in pairs)
         if denom == 0.0:
             continue
-        alpha = con.compliance / (dt * dt)
         dlam = (margin - c) / (denom + alpha)
-        for wt, r in zip(wts, rows):
+        for wt, r in pairs:
             x[r] += w[r] * wt * dlam * con.normal
 
 
 def xpbd_substep(state, config, runtime=None):
     """One substep: predict, refit BVHs, detect/build constraints once,
-    then `iterations` sweeps of springs followed by collision projections,
+    then ITERATIONS sweeps of springs followed by collision projections,
     then velocity update. Returns (state, ContactLogEntry). Raises
     NumericalBlowup with a diagnostic dump if positions go non-finite."""
     if runtime is None:
@@ -423,7 +408,7 @@ def xpbd_substep(state, config, runtime=None):
     dt = config.dt
     g = np.asarray(config.gravity, dtype=float)[: state.dim]
 
-    state.prev_positions[:] = state.positions
+    prev = state.positions.copy()
     movable = state.inv_mass > 0
     state.velocities[movable] += dt * g
     state.positions[movable] += dt * state.velocities[movable]
@@ -435,13 +420,14 @@ def xpbd_substep(state, config, runtime=None):
         )
 
     runtime.refit(state)
-    constraints, n_vc, n_ec, steps, cands = _build_constraints(state, runtime, config)
+    constraints, entry = _build_constraints(state, runtime, config)
 
-    for _ in range(config.iterations):
+    alpha = config.collision_compliance / (dt * dt)
+    for _ in range(ITERATIONS):
         _project_springs(state, config, dt)
-        _project_collisions(state, constraints, dt, config.contact_margin)
+        _project_collisions(state, constraints, alpha, CONTACT_MARGIN)
 
-    state.velocities[:] = (state.positions - state.prev_positions) / dt
+    state.velocities[:] = (state.positions - prev) / dt
     if config.damping:
         state.velocities *= 1.0 - config.damping
     state.substeps_done += 1
@@ -451,17 +437,6 @@ def xpbd_substep(state, config, runtime=None):
             state_dump=state.dump(),
         )
     state.sync_meshes()
-
-    max_pen = max((con.penetration for con in constraints), default=0.0)
-    entry = ContactLogEntry(
-        substep=state.substeps_done,
-        n_constraints=len(constraints),
-        max_penetration=max_pen,
-        n_vertex_contacts=n_vc,
-        n_edge_contacts=n_ec,
-        query_elements_visited=steps,
-        query_candidates=cands,
-    )
     return state, entry
 
 

@@ -479,9 +479,9 @@ def test_criterion_9_core_invariants(rng):
     st.springs = st.springs[:0]
     st.rest_lengths = st.rest_lengths[:0]
     con = CollisionConstraint(
-        subject=(0, (0,), (1.0,)), target_point=np.array([0.0, 0.0, 0.7]), normal=n
+        rows=(0,), weights=(1.0,), target_point=np.array([0.0, 0.0, 0.7]), normal=n
     )
-    _project_collisions(st, [con], dt=1e-2)
+    _project_collisions(st, [con], alpha=0.0, margin=0.0)
     checks["projection non-violation"] = con.value(st.positions[0]) >= -1e-9
 
     bad = [name for name, ok in checks.items() if not ok]

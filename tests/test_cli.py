@@ -22,11 +22,16 @@ def test_help_exits_zero(capsys):
         assert err.value.code == 0
 
 
-def test_query_cube_center(cube_path, capsys):
-    rc = main(["query", cube_path, "0.5 0.5 0.5"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["results"][0]["distance"] == pytest.approx(0.5, abs=1e-9)
+def test_query_cube_center(cube_path, tmp_path, capsys):
+    # a mesh document's keys other than dimension, vertices and elements
+    # are ignored
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({**json.loads((tmp_path / "cube.json").read_text()), "names": 5}))
+    for path in (cube_path, str(named)):
+        rc = main(["query", path, "0.5 0.5 0.5"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"][0]["distance"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_query_trace_runs_from_face_owner_to_point(tmp_path, capsys):

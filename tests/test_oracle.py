@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boundarypath import oracle, shapes
+from boundarypath.mesh import SimplicialMesh
 
 
 def test_single_tet_valid(tet):
@@ -84,7 +85,37 @@ def test_backward_cutoff_respected():
     )
 
 
+def ref_co_minimal_faces(mesh, p, distance, tol=1e-9, exclude_vertex=None):
+    """co_minimal_faces one face at a time, with the excluded vertex's
+    faces from the mesh's feature map."""
+    _, dists = oracle.closest_boundary_candidates(mesh, p)
+    excl = () if exclude_vertex is None else mesh.boundary_faces_of_vertex(exclude_vertex)
+    return {
+        face
+        for face in range(mesh.n_boundary_faces)
+        if not mesh.boundary_face_skipped[face]
+        and face not in excl
+        and abs(dists[face] - distance) <= tol
+    }
+
+
 def test_co_minimal_faces(cube):
     # cube center ties all six sides: 12 co-minimal boundary triangles
     faces = oracle.co_minimal_faces(cube, np.full(3, 0.5), 0.5)
     assert len(faces) == 12
+    # the jittered grid has inverted elements, so some boundary faces are
+    # skipped; a loose tolerance makes ties of faces at several distances
+    rng = np.random.default_rng(0)
+    grid = shapes.box_grid(3, 3, 2)
+    jittered = SimplicialMesh(
+        grid.vertices + rng.normal(scale=0.22, size=grid.vertices.shape), grid.elements
+    )
+    assert jittered.boundary_face_skipped.any()
+    for mesh in (cube, jittered):
+        vertices = [None, *np.unique(mesh.boundary_faces)[::5].tolist()]
+        for p in rng.uniform(0.1, 0.9, size=(4, 3)):
+            _, dists = oracle.closest_boundary_candidates(mesh, p)
+            for distance, tol in ((dists.min(), 1e-9), (np.median(dists), 0.05)):
+                for v in vertices:
+                    want = ref_co_minimal_faces(mesh, p, distance, tol, v)
+                    assert oracle.co_minimal_faces(mesh, p, distance, tol, v) == want

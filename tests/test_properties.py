@@ -97,10 +97,8 @@ def test_projection_non_violation(target, n_raw, seed):
     state = make_state([mesh])
     state.positions[:] = rng.normal(scale=5.0, size=state.positions.shape)
     state.springs = state.springs[:0]
-    con = CollisionConstraint(
-        subject=(0, (0,), (1.0,)), target_point=target, normal=n
-    )
-    _project_collisions(state, [con], dt=1e-2)
+    con = CollisionConstraint(rows=(0,), weights=(1.0,), target_point=target, normal=n)
+    _project_collisions(state, [con], alpha=0.0, margin=0.0)
     assert con.value(state.positions[0]) >= -1e-9
 
 

@@ -215,13 +215,17 @@ def test_dcd_matches_reference_two_boxes():
     assert counts[0] > 0 and counts[1] > 0
 
 
-def test_dcd_matches_reference_three_meshes():
+def three_boxes():
     # every mesh overlaps both others, so contacts run between all three
-    # pairs of meshes and the element offsets map past the second mesh
+    # pairs of meshes and the offsets map past the second mesh
     meshes = [shapes.box_grid(2, 2, 2) for _ in range(3)]
     for mesh, shift in zip(meshes[1:], ([0.7, 0.1, 0.05], [0.3, 0.6, -0.2])):
         mesh.set_vertices(mesh.vertices + np.array(shift))
-    state, config, rt = make_runtime(meshes, damping=1.0)
+    return make_runtime(meshes, damping=1.0)
+
+
+def test_dcd_matches_reference_three_meshes():
+    state, config, rt = three_boxes()
     n, pairs = assert_dcd_matches_reference(state, rt.elem_bvh)
     assert {(ma, mb) for ma in range(3) for mb in range(3) if ma != mb} <= pairs
     state, _ = xpbd_substep(state, config, rt)
@@ -317,10 +321,38 @@ def test_runtime_holds_one_scene_element_tree(monkeypatch):
 def test_constraint_values():
     n = np.array([0.0, 0.0, 1.0])
     s = np.zeros(3)
-    con = CollisionConstraint(subject=(0, (0,), (1.0,)), target_point=s, normal=n)
+    con = CollisionConstraint(rows=(0,), weights=(1.0,), target_point=s, normal=n)
     assert con.value(s) == 0.0
     assert con.value(s - 0.1 * n) == pytest.approx(-0.1)
     assert con.value(s + 0.2 * n) == pytest.approx(0.2)
+
+
+def test_constraints_on_scene_rows(monkeypatch):
+    state, config, rt = three_boxes()
+    rt.refit(state)
+    contacts = dcd_vertex_tet(state, rt.elem_bvh, include_centroids=True)
+    contacts += dcd_edge_tet(state, rt.elem_bvh)
+    answered = []
+    query = sim.shortest_path_to_boundary
+
+    def recorded(*args, **kwargs):
+        res = query(*args, **kwargs)
+        answered.append(res is not None)
+        return res
+
+    monkeypatch.setattr(sim, "shortest_path_to_boundary", recorded)
+    constraints, entry = sim._build_constraints(state, rt, config)
+    kept = [c for c, ok in zip(contacts, answered) if ok]
+    assert len(answered) == len(contacts) and len(kept) == len(constraints) > 0
+    assert {ma for ma, *_ in kept} == {0, 1, 2}
+    for (ma, ids, w, *_), con in zip(kept, constraints):
+        assert con.rows == tuple(int(state.offsets[ma]) + v for v in ids)
+        assert con.weights == w
+    assert entry.n_constraints == len(constraints)
+    assert entry.max_penetration == max(
+        max(0.0, -con.value(c[3])) for c, con in zip(kept, constraints)
+    )
+    assert entry.max_penetration > 0.0
 
 
 def test_rest_state_unchanged():
@@ -336,7 +368,8 @@ def test_plane_constraint_projection():
     m1 = shapes.box_grid(1, 1, 1)
     state, config, rt = make_runtime([m1])
     con = CollisionConstraint(
-        subject=(0, (0,), (1.0,)),
+        rows=(0,),
+        weights=(1.0,),
         target_point=np.array([0.0, 0.0, 0.5]),
         normal=np.array([0.0, 0.0, 1.0]),
     )
@@ -344,7 +377,7 @@ def test_plane_constraint_projection():
 
     state.springs = state.springs[:0]
     state.rest_lengths = state.rest_lengths[:0]
-    _project_collisions(state, [con], config.dt)
+    _project_collisions(state, [con], alpha=0.0, margin=0.0)
     assert con.value(state.positions[0]) >= -1e-9
 
 
@@ -360,11 +393,12 @@ def test_projection_never_violates(rng):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         con = CollisionConstraint(
-            subject=(0, (0,), (1.0,)),
+            rows=(0,),
+            weights=(1.0,),
             target_point=rng.normal(size=3),
             normal=n,
         )
-        _project_collisions(state, [con], config.dt)
+        _project_collisions(state, [con], alpha=0.0, margin=0.0)
         assert con.value(state.positions[0]) >= -1e-9
 
 
