@@ -8,8 +8,9 @@ run with an output directory writes a replayable manifest.
 `validate` and `fuzz` compare each engine answer with the oracle's, run
 with the same backward mode and epsilon_i: both must find no path, or
 their distances must agree within 1e-9 and the engine's face must be one
-of the oracle's co-minimal faces. `bench` requires culling on and culling
-off to give the same (face, distance) for every point.
+of the oracle's co-minimal faces. `fuzz` also compares each adversarial
+ray's validity verdict with the oracle's. `bench` requires culling on and
+culling off to give the same (face, distance) for every point.
 
 Exit codes: 0 success, 1 validation/fuzz/bench findings, 2 usage or I/O
 error.
@@ -30,7 +31,7 @@ from .bvh import build_boundary_bvh
 from .errors import MeshError, ParseError
 from .meshio import export_boundary_obj, load_mesh, save_mesh
 from .query import QueryConfig, shortest_path_to_boundary
-from .sim import count_penetrations, load_scene, run_sim
+from .sim import SimRuntime, count_penetrations, load_scene, run_sim
 from .traversal import TraversalConfig, TraversalScratch, format_trace, is_valid_path
 
 
@@ -76,8 +77,8 @@ def _add_common(sub, seed=True, no_culling=True):
     sub.add_argument("--out", type=str, default=None)
 
 
-def _samples(text):
-    """argparse type of --samples: an integer of at least 1."""
+def _count(text):
+    """argparse type of --samples and --substeps: an integer of at least 1."""
     try:
         n = int(text)
     except ValueError:
@@ -313,19 +314,31 @@ def cmd_fuzz(args):
             bad = _oracle_mismatch(mesh, bvh, p, e, config)
             if bad is not None:
                 findings.append({"kind": "mismatch", "iteration": iteration, **bad})
-        # exact vertex/edge hits stress the tie branching
+        # exact vertex/edge hits stress the tie branching; each verdict is
+        # checked against the oracle's, run with the same backward mode
+        # and epsilon_i
         for s, f, target in _fuzz_rays(mesh, rng, args.samples):
             if np.linalg.norm(target - s) <= 1e-12:
                 continue
             result = is_valid_path(mesh, s, f, target, config=config.traversal)
-            if result.budget_breached:
+            ref = oracle.oracle_valid_path(
+                mesh,
+                s,
+                f,
+                target,
+                allow_backward=config.traversal.allow_backward,
+                epsilon=config.traversal.epsilon_i,
+            )
+            if result.budget_breached or result.valid != ref:
                 findings.append(
                     {
-                        "kind": "budget_breach",
+                        "kind": "budget_breach" if result.budget_breached else "ray_mismatch",
                         "iteration": iteration,
                         "s": [float(x) for x in s],
                         "face": f,
                         "target": [float(x) for x in target],
+                        "engine": result.valid,
+                        "reference": ref,
                     }
                 )
     print(f"{iteration} iterations, {len(findings)} findings")
@@ -387,11 +400,11 @@ def cmd_bench(args):
 
 def cmd_simulate(args):
     state, config = load_scene(args.scene)
+    runtime = SimRuntime(state, config)
     log = []
-    n = args.substeps if args.substeps is not None else config.substeps
-    runtime = run_sim(state, config, n, log=log)
+    run_sim(state, config, args.substeps, runtime, log)
     pen = count_penetrations(state, runtime)
-    print(f"{n} substeps, final penetration count {pen}")
+    print(f"{args.substeps} substeps, final penetration count {pen}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -434,7 +447,7 @@ def build_parser():
 
     v = subs.add_parser("validate", help="differential check against the reference")
     v.add_argument("mesh", help="mesh file or directory of .json meshes")
-    v.add_argument("--samples", type=_samples, default=50)
+    v.add_argument("--samples", type=_count, default=50)
     _add_common(v)
     v.set_defaults(fn=cmd_validate)
 
@@ -443,19 +456,19 @@ def build_parser():
     f.add_argument(
         "--budget", type=float, default=None, help="wall-clock seconds; 0 runs nothing"
     )
-    f.add_argument("--samples", type=_samples, default=10)
+    f.add_argument("--samples", type=_count, default=10)
     _add_common(f)
     f.set_defaults(fn=cmd_fuzz)
 
     b = subs.add_parser("bench", help="query statistics with and without culling")
     b.add_argument("mesh")
-    b.add_argument("--samples", type=_samples, default=100)
+    b.add_argument("--samples", type=_count, default=100)
     _add_common(b, no_culling=False)
     b.set_defaults(fn=cmd_bench)
 
     s = subs.add_parser("simulate", help="run a scene")
     s.add_argument("scene")
-    s.add_argument("--substeps", type=int, default=None)
+    s.add_argument("--substeps", type=_count, default=10)
     s.add_argument("--out", type=str, default=None)
     s.set_defaults(fn=cmd_simulate)
 

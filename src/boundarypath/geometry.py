@@ -5,22 +5,6 @@ import operator
 import numpy as np
 
 
-def signed_volume_of(verts):
-    """Signed volume of a tetrahedron (4x3 array) or signed area of a
-    triangle (3x2 array)."""
-    verts = np.asarray(verts, dtype=float)
-    if verts.shape == (4, 3):
-        a = verts[1] - verts[0]
-        b = verts[2] - verts[0]
-        c = verts[3] - verts[0]
-        return float(np.dot(a, np.cross(b, c))) / 6.0
-    if verts.shape == (3, 2):
-        a = verts[1] - verts[0]
-        b = verts[2] - verts[0]
-        return float(a[0] * b[1] - a[1] * b[0]) / 2.0
-    raise ValueError(f"bad simplex shape {verts.shape}")
-
-
 def barycentric_coords(p, verts):
     """Barycentric coordinates of p w.r.t. a simplex (tet in 3D, tri in 2D).
 

@@ -176,7 +176,7 @@ class SimplicialMesh:
         b = v[el[:, 2]] - v0
         rows = np.empty((len(el), self.dim, self.dim))
         if self.dim == 3:
-            # bit-identical to geometry.signed_volume_of
+            # bit-identical to signed_volume_of in tests/conftest.py
             c = v[el[:, 3]] - v0
             bc = geometry.cross_rows(b, c)
             det = geometry.row_dots(a, bc)
@@ -383,8 +383,6 @@ class SimplicialMesh:
                 q, bary = [x + w * (z - x) for x, z in zip(b, c)], (0.0, 1.0 - w, w)
             else:
                 denom = va + vb + vc
-                if denom == 0.0:
-                    raise DegenerateFace("triangle has (near-)zero area")
                 v = vb / denom
                 w = vc / denom
                 q, bary = [x + y * v + z * w for x, y, z in zip(a, ab, ac)], (1.0 - v - w, v, w)

@@ -213,14 +213,12 @@ def oracle_closest_boundary(
         allow_backward = mesh.has_inverted_interior
     points, dists = closest_boundary_candidates(mesh, p)
     skip = np.asarray(mesh.boundary_face_skipped)
-    excl = (
-        mesh.boundary_faces_of_vertex(exclude_vertex)
-        if exclude_vertex is not None
-        else ()
-    )
+    if exclude_vertex is not None:
+        # the excluded vertex's faces, read from the face list itself
+        skip = skip | np.any(mesh.boundary_faces == exclude_vertex, axis=1)
     for face in np.argsort(dists, kind="stable"):
         face = int(face)
-        if skip[face] or face in excl:
+        if skip[face]:
             continue
         if dists[face] <= 1e-14:
             continue  # zero-length segment can never be a valid path

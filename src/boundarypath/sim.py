@@ -35,7 +35,6 @@ CONTACT_MARGIN = 1e-7
 @dataclass
 class SimConfig:
     dt: float = 1e-2
-    substeps: int = 10
     gravity: tuple = (0.0, 0.0, 0.0)
     collision_compliance: float = 0.0
     material_compliance: float = 0.0
@@ -398,13 +397,12 @@ def _project_collisions(state, constraints, alpha, margin):
             x[r] += w[r] * wt * dlam * con.normal
 
 
-def xpbd_substep(state, config, runtime=None):
-    """One substep: predict, refit BVHs, detect/build constraints once,
-    then ITERATIONS sweeps of springs followed by collision projections,
-    then velocity update. Returns (state, ContactLogEntry). Raises
-    NumericalBlowup with a diagnostic dump if positions go non-finite."""
-    if runtime is None:
-        runtime = SimRuntime(state, config)
+def xpbd_substep(state, config, runtime):
+    """One substep: predict, refit the runtime's trees, detect/build
+    constraints once, then ITERATIONS sweeps of springs followed by
+    collision projections, then velocity update. Returns (state,
+    ContactLogEntry). Raises NumericalBlowup with a diagnostic dump if
+    positions go non-finite."""
     dt = config.dt
     g = np.asarray(config.gravity, dtype=float)[: state.dim]
 
@@ -440,16 +438,13 @@ def xpbd_substep(state, config, runtime=None):
     return state, entry
 
 
-def run_sim(state, config, n_substeps, runtime=None, log=None):
-    """Advance n_substeps; appends ContactLogEntry records to `log` (a list)
-    when given. Returns the runtime so callers can continue stepping."""
-    if runtime is None:
-        runtime = SimRuntime(state, config)
+def run_sim(state, config, n_substeps, runtime, log=None):
+    """Advance n_substeps in place; appends ContactLogEntry records to
+    `log` (a list) when given."""
     for _ in range(n_substeps):
         state, entry = xpbd_substep(state, config, runtime)
         if log is not None:
             log.append(entry)
-    return runtime
 
 
 def count_penetrations(state, runtime):

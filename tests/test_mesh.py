@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import closest_point_on_triangle, ref_closest_point_on_face, ref_pseudo_normal
+from conftest import (
+    closest_point_on_triangle,
+    ref_closest_point_on_face,
+    ref_pseudo_normal,
+    signed_volume_of,
+)
 
 from boundarypath import geometry, shapes
 from boundarypath.errors import DegenerateFace, NonManifold, ZeroNormal
@@ -399,7 +404,7 @@ def test_signed_volumes_match_reference(base_and_scrambled):
     base, v = base_and_scrambled
     for verts in (base.vertices, v):
         mesh = SimplicialMesh(verts, base.elements)
-        ref = np.array([geometry.signed_volume_of(verts[el]) for el in base.elements])
+        ref = np.array([signed_volume_of(verts[el]) for el in base.elements])
         assert np.array_equal(mesh.signed_volumes, ref)
         assert np.array_equal(mesh.inverted_flags, ref < 0.0)
         assert np.array_equal(mesh.degenerate_flags, ref == 0.0)

@@ -76,6 +76,26 @@ def test_self_exclusion(folded2d):
     assert v not in folded2d.boundary_faces[ref[1]]
 
 
+def test_self_query_reads_no_feature_map(monkeypatch):
+    # the oracle judges the engine's self-queries, so it must not take the
+    # excluded vertex's faces from the engine's boundary feature maps
+    bar = shapes.folded_bar(12, 2, 2)
+    vertices = np.unique(bar.boundary_faces)[::10].tolist()
+    want = [
+        oracle.oracle_closest_boundary(bar, bar.vertices[v], exclude_vertex=v) for v in vertices
+    ]
+
+    def engine_only(*args):
+        raise AssertionError("the oracle read a boundary feature map")
+
+    for name in ("boundary_vertex_neighbors", "boundary_faces_of_vertex", "boundary_faces_of_edge"):
+        monkeypatch.setattr(SimplicialMesh, name, engine_only)
+    for v, ref in zip(vertices, want):
+        got = oracle.oracle_closest_boundary(bar, bar.vertices[v], exclude_vertex=v)
+        assert ref is not None and v not in bar.boundary_faces[ref[1]]
+        assert got[1:] == ref[1:] and np.array_equal(got[0], ref[0])
+
+
 def test_backward_cutoff_respected():
     mesh, s, start_face, p = shapes.inverted_path_strip()
     # designed detour fits within 2x; a tighter cutoff must reject it

@@ -7,6 +7,7 @@ projection non-violation.
 """
 
 import numpy as np
+from conftest import signed_volume_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -107,7 +108,7 @@ def test_projection_non_violation(target, n_raw, seed):
 def test_barycentric_partition_of_unity(seed):
     rng = np.random.default_rng(seed)
     verts = rng.normal(size=(4, 3))
-    if abs(geometry.signed_volume_of(verts)) < 1e-6:
+    if abs(signed_volume_of(verts)) < 1e-6:
         return
     p = rng.normal(size=3)
     b = geometry.barycentric_coords(p, verts)

@@ -478,6 +478,47 @@ def test_recovery_two_meshes():
     assert np.array_equal(state.positions, state2.positions)
 
 
+RECOVER_BY = 20  # the penetration count must first read 0 by this substep
+HOLD_THROUGH = 40  # and then read 0 after every substep through this one
+RELAPSE = "relapses at substep 4: contacts are detected before the spring sweeps (ROADMAP item 16)"
+DIVERGES = "11 inverted elements after substep 1, then diverges (ROADMAP items 16 and 9)"
+
+
+@pytest.mark.parametrize(
+    "res",
+    [
+        pytest.param(2, marks=pytest.mark.xfail(strict=True, reason=RELAPSE)),
+        pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=RELAPSE)),
+        pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=DIVERGES)),
+    ],
+)
+def test_recovery_sweep(res):
+    """Criterion 8's scene at res^3 cells per box: two box_grid boxes,
+    the second translated by (0.8, 0.1, 0.05), no gravity, damping 1.
+    After every substep the penetration count and the number of inverted
+    or flat elements are read. The boxes must separate by substep
+    RECOVER_BY and stay apart through HOLD_THROUGH, with no inverted or
+    flat element at any substep; the first violation fails the case and
+    lists the counts up to it."""
+    a, b = shapes.box_grid(res, res, res), shapes.box_grid(res, res, res)
+    b.set_vertices(b.vertices + np.array([0.8, 0.1, 0.05]))
+    state, config, rt = make_runtime([a, b], damping=1.0)
+    pens, flats = [], []
+    recovered = False
+    for k in range(1, HOLD_THROUGH + 1):
+        state, _ = xpbd_substep(state, config, rt)
+        pens.append(count_penetrations(state, rt))
+        flats.append(sum(int(np.count_nonzero(m.skipped_flags)) for m in state.meshes))
+        counts = (
+            f"penetrations {', '.join(map(str, pens))}; "
+            f"inverted or flat elements {', '.join(map(str, flats))}"
+        )
+        assert flats[-1] == 0, f"res {res}: inverted or flat elements at substep {k}; {counts}"
+        assert not (recovered and pens[-1]), f"res {res}: relapse at substep {k}; {counts}"
+        recovered = recovered or pens[-1] == 0
+        assert recovered or k < RECOVER_BY, f"res {res}: still penetrating at substep {k}; {counts}"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_detected():
     m1 = shapes.box_grid(1, 1, 1)
