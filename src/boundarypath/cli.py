@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,32 +35,11 @@ from .sim import SimRuntime, count_penetrations, load_scene, run_sim
 from .traversal import TraversalConfig, TraversalScratch, format_trace, is_valid_path
 
 
-@dataclass
-class RunManifest:
-    command: str
-    inputs: list
-    overrides: dict
-    seed: int | None
-    output_dir: str
-    version: str = __version__
-    argv: list = field(default_factory=list)
-
-    def write(self, out_dir):
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "manifest.json").write_text(json.dumps(asdict(self), indent=2))
-
-
 def _query_config(args):
-    traversal = TraversalConfig(
-        epsilon_i=args.eps_i,
-        allow_backward=args.allow_backward,
-        trace=getattr(args, "trace", False),
-    )
     return QueryConfig(
         epsilon_r=args.eps_r,
         enable_culling=not getattr(args, "no_culling", False),
-        traversal=traversal,
+        traversal=TraversalConfig(epsilon_i=args.eps_i, allow_backward=args.allow_backward),
     )
 
 
@@ -132,7 +111,7 @@ def cmd_query(args):
     if len(points) == 0:
         raise SystemExit2("no query points given")
     config = _query_config(args)
-    scratch = TraversalScratch(config.traversal)
+    scratch = TraversalScratch(config.traversal, trace=[] if args.trace else None)
 
     records = []
     for p in points:
@@ -144,15 +123,10 @@ def cmd_query(args):
         if args.trace:
             # the query returns after the answer's traversal, so the
             # scratch holds its trace
-            rec["trace"] = format_trace(scratch.trace).splitlines() if res is not None else []
+            rec["trace"] = format_trace(scratch.trace) if res is not None else []
         records.append(rec)
     payload = json.dumps({"mesh": args.mesh, "results": records}, indent=2)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "results.json").write_text(payload)
-        _manifest(args, [args.mesh]).write(out)
-    else:
+    if _save_run(args, [args.mesh], {"results.json": payload}) is None:
         print(payload)
     if args.path_obj:
         _write_path_obj(args.path_obj, points, records)
@@ -163,8 +137,7 @@ def _write_path_obj(path, points, records):
     lines = []
     nv = 0
     for p, rec in zip(points, records):
-        res = rec if "result_point" in rec else None
-        if res is None:
+        if "result_point" not in rec:
             continue
         q = rec["result_point"]
         for v in (p, q):
@@ -175,19 +148,31 @@ def _write_path_obj(path, points, records):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _manifest(args, inputs):
-    """Replay manifest. It records the query flags and the seed that the
-    subcommand has; `simulate` reads its query config from the scene
-    file, so its manifest records no overrides."""
+def _save_run(args, inputs, files):
+    """Write a run under --out and return the directory, or None without
+    --out. Writes each named text of `files`, then the replay manifest:
+    the command, the inputs it read, the query flags and the seed that the
+    subcommand has, and the argv that main parsed. `simulate` reads its
+    query config from the scene file, so its manifest records no
+    overrides."""
+    if not args.out:
+        return None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
     flags = ("eps_i", "eps_r", "no_culling", "allow_backward")
-    return RunManifest(
-        command=args.command,
-        inputs=list(inputs),
-        overrides={k: getattr(args, k) for k in flags if hasattr(args, k)},
-        seed=getattr(args, "seed", None),
-        output_dir=args.out or "",
-        argv=sys.argv[1:],
-    )
+    manifest = {
+        "command": args.command,
+        "inputs": list(inputs),
+        "overrides": {k: getattr(args, k) for k in flags if hasattr(args, k)},
+        "seed": getattr(args, "seed", None),
+        "output_dir": args.out,
+        "version": __version__,
+        "argv": args.argv,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    return out
 
 
 def _mesh_paths(target):
@@ -235,7 +220,8 @@ def cmd_validate(args):
     config = _query_config(args)
     mismatches = []
     total = 0
-    for mpath in _mesh_paths(args.mesh):
+    paths = _mesh_paths(args.mesh)
+    for mpath in paths:
         mesh = load_mesh(mpath)
         bvh = build_boundary_bvh(mesh)
         points, elems = shapes.random_interior_points(mesh, rng, args.samples)
@@ -246,13 +232,11 @@ def cmd_validate(args):
                 mismatches.append({"mesh": mpath, **bad})
     report = {"queries": total, "mismatches": mismatches}
     print(f"{total} queries, {len(mismatches)} mismatches")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "validate_report.json").write_text(json.dumps(report, indent=2))
-        for i, rec in enumerate(mismatches):
-            (out / f"replay_{i:04d}.json").write_text(json.dumps(rec, indent=2))
-        _manifest(args, _mesh_paths(args.mesh)).write(out)
+    files = {"validate_report.json": json.dumps(report, indent=2)}
+    files.update(
+        (f"replay_{i:04d}.json", json.dumps(rec, indent=2)) for i, rec in enumerate(mismatches)
+    )
+    _save_run(args, paths, files)
     return 1 if mismatches else 0
 
 
@@ -342,11 +326,7 @@ def cmd_fuzz(args):
                     }
                 )
     print(f"{iteration} iterations, {len(findings)} findings")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "findings.json").write_text(json.dumps(findings, indent=2))
-        _manifest(args, []).write(out)
+    _save_run(args, [], {"findings.json": json.dumps(findings, indent=2)})
     return 1 if findings else 0
 
 
@@ -381,11 +361,7 @@ def cmd_bench(args):
         lines.append(",".join(cells))
     text = "\n".join(lines)
     print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "bench.csv").write_text(text + "\n")
-        _manifest(args, [args.mesh]).write(out)
+    _save_run(args, [args.mesh], {"bench.csv": text + "\n"})
     # culling may only skip work: any changed answer is a finding
     differ = sum(a != b for a, b in zip(*answers))
     if differ:
@@ -405,15 +381,11 @@ def cmd_simulate(args):
     run_sim(state, config, args.substeps, runtime, log)
     pen = count_penetrations(state, runtime)
     print(f"{args.substeps} substeps, final penetration count {pen}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "contact_log.json").write_text(
-            json.dumps([entry.as_dict() for entry in log], indent=2)
-        )
+    contact_log = json.dumps([entry.as_dict() for entry in log], indent=2)
+    out = _save_run(args, [args.scene], {"contact_log.json": contact_log})
+    if out is not None:
         for m, mesh in enumerate(state.meshes):
             save_mesh(mesh, out / f"mesh_{m:02d}_final.json")
-        _manifest(args, [args.scene]).write(out)
     return 0
 
 
@@ -481,8 +453,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest's record of the run
     try:
         return args.fn(args)
     except (SystemExit2, FileNotFoundError, ParseError, MeshError) as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateFace, NonManifold, ZeroNormal
+from .errors import DegenerateFace, IndexOutOfRange, NonManifold, ZeroNormal
 
 BOUNDARY = -1
 
@@ -119,7 +119,8 @@ def _feature_maps(boundary_faces, n_vertices, dim):
 class SimplicialMesh:
     """A tetrahedral mesh from (n, 3) vertices or a triangular one from
     (n, 2) vertices. Raises ValueError for arrays of another shape or
-    non-finite coordinates."""
+    non-finite coordinates, and IndexOutOfRange for an element index that
+    names no vertex."""
 
     def __init__(self, vertices, elements):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
@@ -134,9 +135,9 @@ class SimplicialMesh:
         if self.elements.size and (
             self.elements.min() < 0 or self.elements.max() >= len(self.vertices)
         ):
-            from .errors import IndexOutOfRange
-
-            raise IndexOutOfRange("element references a vertex out of range")
+            raise IndexOutOfRange(
+                f"element index out of range (have {len(self.vertices)} vertices)"
+            )
         self._build_topology()
         self._refresh_geometry()
 

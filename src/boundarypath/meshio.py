@@ -41,20 +41,18 @@ def load_mesh(path):
         elements = np.asarray(doc["elements"], dtype=np.int64).reshape(-1, dim + 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(path, 0, f"bad mesh document: {exc}") from exc
-    if elements.size and (
-        elements.min() < 0 or elements.max() >= len(vertices)
-    ):
-        raise IndexOutOfRange(
-            f"{path}: element index out of range (have {len(vertices)} vertices)"
-        )
     return _parsed_mesh(path, vertices, elements)
 
 
-def _parsed_mesh(path, vertices, elements):
+def _parsed_mesh(path, vertices, elements, elements_path=None):
     """The mesh of the arrays, with their shape or value errors raised
-    as the ParseError of the file they were read from."""
+    as the ParseError of the file they were read from, and an element
+    index out of range as the IndexOutOfRange of the file that holds the
+    elements (`elements_path`, by default `path`)."""
     try:
         return SimplicialMesh(vertices, elements)
+    except IndexOutOfRange as exc:
+        raise IndexOutOfRange(f"{elements_path or path}: {exc}") from exc
     except ValueError as exc:
         raise ParseError(path, 0, str(exc)) from exc
 
@@ -104,9 +102,7 @@ def load_tetgen(node_path, ele_path):
             elements[i] = [int(x) - base for x in tok[1 : 2 + dim]]
         except (StopIteration, ValueError, IndexError) as exc:
             raise ParseError(ele_path, lineno, "bad element line") from exc
-    if elements.size and (elements.min() < 0 or elements.max() >= n_points):
-        raise IndexOutOfRange(f"{ele_path}: element index out of range")
-    return _parsed_mesh(node_path, coords, elements)
+    return _parsed_mesh(node_path, coords, elements, ele_path)
 
 
 def export_boundary_obj(mesh, path):

@@ -41,16 +41,15 @@ class QueryStats:
 
 @dataclass
 class QueryConfig:
-    # Stored as a magnitude; feasibility thresholds always compare against
-    # -|epsilon_r| so the region is conservatively enlarged.
+    # feasibility thresholds compare against -epsilon_r, so the region is
+    # conservatively enlarged
     epsilon_r: float = 0.01
     enable_culling: bool = True
     traversal: TraversalConfig = field(default_factory=TraversalConfig)
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon_r):
-            raise ValueError("epsilon_r must be finite")
-        self.epsilon_r = abs(self.epsilon_r)
+        if not (math.isfinite(self.epsilon_r) and self.epsilon_r >= 0.0):
+            raise ValueError("epsilon_r must be finite and >= 0")
 
 
 class ClosestBoundaryResult:

@@ -50,6 +50,10 @@ class SimConfig:
             raise ValueError("dt, gravity, the compliances and damping must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if min(self.collision_compliance, self.material_compliance) < 0:
+            raise ValueError("the compliances must be >= 0")
+        if not 0 <= self.damping <= 1:
+            raise ValueError("damping must be in [0, 1]")
 
 
 @dataclass
@@ -294,10 +298,10 @@ class ContactLogEntry:
 class SimRuntime:
     """Owns the trees across substeps: one element tree over every element
     of the scene, for collision detection, and one boundary tree per mesh,
-    for the queries. Refits (never rebuilds) on vertex motion."""
+    for the queries. Refits (never rebuilds) on vertex motion. The
+    config argument is not read."""
 
     def __init__(self, state, config):
-        self.config = config
         state.sync_meshes()
         self.elem_bvh = ElementBvh(state.positions, state.elements)
         self.boundary_bvhs = [BoundaryBvh(mesh) for mesh in state.meshes]
@@ -495,10 +499,7 @@ def _place(mesh, spec):
     translate = spec.get("translate", [0.0] * mesh.dim)
     if not isinstance(translate, list) or len(translate) != mesh.dim:
         raise ValueError(f"translate must be a list of {mesh.dim} numbers for a {mesh.dim}D mesh")
-    verts = mesh.vertices * scale + [_finite(x, "translate") for x in translate]
-    if not np.all(np.isfinite(verts)):
-        raise ValueError("scaled vertex coordinates overflow")
-    mesh.set_vertices(verts)
+    mesh.set_vertices(mesh.vertices * scale + [_finite(x, "translate") for x in translate])
     mass = spec.get("mass")
     if mass is None:
         return None

@@ -56,7 +56,6 @@ class TraversalConfig:
     epsilon_i: float = 1e-10
     allow_backward: bool = False
     intersection_free_early_out: bool = False
-    trace: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon_i) and self.epsilon_i >= 0.0):
@@ -65,12 +64,13 @@ class TraversalConfig:
 
 @dataclass
 class TraversalScratch:
-    """Caller-owned holder of the last traversal's trace, which each
-    traversal clears and, with config.trace, fills. The traversal reads the
-    config passed with each call, not this one."""
+    """Caller-owned holder of the last traversal's trace. With a trace
+    list, each traversal clears it and records every state it takes; with
+    the default None, nothing is recorded. The traversal reads the config
+    passed with each call, not this one."""
 
     config: TraversalConfig = field(default_factory=TraversalConfig)
-    trace: list = field(default_factory=list)
+    trace: list | None = None
 
 
 @dataclass
@@ -197,8 +197,9 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
     eps = config.epsilon_i
     adjacency = mesh.adjacency
     adj_local = mesh.adj_local
-    trace = [] if scratch is None else scratch.trace
-    trace.clear()
+    trace = None if scratch is None else scratch.trace
+    if trace is not None:
+        trace.clear()
     # A branch dies when its face crossing lies farther from s than `reach`.
     # Under the no-intersection assumption a branch running behind the
     # origin is just as dead, so the test is on |t|, not on signed t.
@@ -208,7 +209,7 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
         reach = frame.length
     else:
         reach = math.inf
-    measure = config.trace or reach < math.inf
+    measure = trace is not None or reach < math.inf
 
     # Each (element, entry face) state is pushed at most once, with the ray
     # parameter of its entry face; the start state enters through the
@@ -225,7 +226,7 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
 
     while stack:
         (e, k), t = stack.pop()
-        if config.trace:
+        if trace is not None:
             trace.append((e, k, t, len(stack)))
         if mesh.element_contains(e, p, eps):
             return TraversalResult(True, "reached", e, len(visited), steps, loops)
@@ -256,9 +257,7 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
 
 
 def format_trace(trace):
-    """Line-delimited trace records, one per state in the order the search
-    took them: element, entry face, ray parameter of the entry face (0 for
-    the start state) and depth, the number of states still pending."""
-    return "\n".join(
-        f"element={e} entry_face={f} t={t:.17g} depth={d}" for e, f, t, d in trace
-    )
+    """The trace as text lines, one per state in the order the search took
+    them: element, entry face, ray parameter of the entry face (0 for the
+    start state) and depth, the number of states still pending."""
+    return [f"element={e} entry_face={f} t={t:.17g} depth={d}" for e, f, t, d in trace]

@@ -196,6 +196,25 @@ def test_manifest_records_only_the_command_flags(cube_path, tmp_path):
     assert manifest["seed"] == 5
 
 
+def test_manifest_records_the_parsed_argv(cube_path, tmp_path, monkeypatch):
+    # main(argv) run inside another program: the manifest records the
+    # argv that main parsed, not the host's
+    monkeypatch.setattr("sys.argv", ["host", "--some-host-flag"])
+    argv = ["query", cube_path, "0.3 0.4 0.5", "--out", str(tmp_path / "q")]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "q" / "manifest.json").read_text())["argv"] == argv
+
+
+def test_validate_manifest_lists_the_meshes_it_read(tmp_path, capsys):
+    # the report goes into the mesh directory, and is not an input
+    vd = tmp_path / "vd"
+    vd.mkdir()
+    save_mesh(shapes.folded_bar(6, 2, 2), vd / "bar.json")
+    assert main(["validate", str(vd), "--samples", "5", "--out", str(vd)]) == 0
+    manifest = json.loads((vd / "manifest.json").read_text())
+    assert manifest["inputs"] == [str(vd / "bar.json")]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 11: with every inverted element owning a boundary face, the "
@@ -325,14 +344,20 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"meshes": [{"path": "box.json"}], "config": {"damping": NaN}}',
         '{"meshes": [{"path": "box.json"}], "config": {"contact_margin": NaN}}',
         '{"meshes": [{"path": "box.json"}], "config": {"collision_compliance": Infinity}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"material_compliance": -2e-4}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"collision_compliance": -1e-4}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"damping": 3}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"damping": -0.5}}',
         '{"meshes": [{"path": "box.json"}], "config": {"iterations": 0}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"bogus": 1}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"stiffness_k": 1e4}}',
         '{"meshes": [{"path": "box.json"}], "config": {"include_centroids": false}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"exclude_vertex": 4}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"epsilon_r": NaN}}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"query": {"epsilon_r": -0.01}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"epsilon_i": Infinity}}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"cutoff_factor": 2}}}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"trace": true}}}}',
         '{"meshes": []}',
         '{"meshes": [{"path": "box.json", "translate": [1, 2]}]}',
         '{"meshes": [{"path": "box.json", "translate": [NaN, 0, 0]}]}',
@@ -345,8 +370,11 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
     ids=[
         "no-meshes", "meshes-not-list", "unknown-key", "substeps", "friction", "not-json",
         "dt-zero", "dt-nan", "dt-inf", "gravity-nan", "damping-nan", "contact-margin-nan",
-        "compliance-inf", "iterations-zero", "query-unknown-key", "stiffness_k", "include_centroids",
-        "query-exclude-vertex", "epsilon-r-nan", "epsilon-i-inf", "traversal-cutoff-factor",
+        "compliance-inf", "material-compliance-negative", "collision-compliance-negative",
+        "damping-3", "damping-negative", "iterations-zero", "query-unknown-key", "stiffness_k",
+        "include_centroids",
+        "query-exclude-vertex", "epsilon-r-nan", "epsilon-r-negative", "epsilon-i-inf",
+        "traversal-cutoff-factor", "traversal-trace",
         "meshes-empty",
         "translate-2d", "translate-nan", "scale-string", "scale-zero", "mass-string",
         "mesh-unknown-key", "mixed-dimensions",

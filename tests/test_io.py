@@ -28,8 +28,12 @@ def test_index_out_of_range(tmp_path):
         '{"dimension": 3, "vertices": [0,0,0, 1,0,0, 0,1,0, 0,0,1],'
         ' "elements": [0, 1, 2, 99]}'
     )
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match="bad.json: element index out of range"):
         load_mesh(path)
+    (tmp_path / "t.node").write_text("4 3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n")
+    (tmp_path / "t.ele").write_text("1 4\n1 1 2 3 9\n")
+    with pytest.raises(IndexOutOfRange, match="t.ele: element index out of range"):
+        load_mesh(tmp_path / "t.ele")
 
 
 def test_parse_error_reports_line(tmp_path):

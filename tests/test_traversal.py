@@ -208,12 +208,14 @@ def test_inverted_strip_designed_path():
 def test_trace_output(tet):
     p = np.array([0.2, 0.2, 0.2])
     s, _ = tet.closest_point_on_face(p, 0)
-    config = TraversalConfig(trace=True)
-    scratch = TraversalScratch(config)
-    res = is_valid_path(tet, s, 0, p, config=config, scratch=scratch)
+    scratch = TraversalScratch(trace=[])
+    res = is_valid_path(tet, s, 0, p, scratch=scratch)
     assert res.valid
-    text = format_trace(scratch.trace)
-    assert "element=0" in text and "depth=" in text
+    lines = format_trace(scratch.trace)
+    assert lines[0].startswith("element=0 ") and all("depth=" in line for line in lines)
+    # a scratch without a trace list records nothing
+    quiet = TraversalScratch()
+    assert is_valid_path(tet, s, 0, p, scratch=quiet).valid and quiet.trace is None
 
 
 def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
@@ -223,13 +225,12 @@ def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
     verts = grid.vertices.copy()
     verts[21] += [0.6, 0.42, 0.24]  # the interior vertex at (1/3, 1/3, 1/3)
     meshes = [SimplicialMesh(verts, grid.elements), shapes.pleated_strip()]
-    config = TraversalConfig(trace=True)
 
     def traces(rays):
         out = []
         for mesh, s, face, p in rays:
-            scratch = TraversalScratch(config)
-            is_valid_path_inverted(mesh, s, face, p, config=config, scratch=scratch)
+            scratch = TraversalScratch(trace=[])
+            is_valid_path_inverted(mesh, s, face, p, scratch=scratch)
             out.append(format_trace(scratch.trace))
         return out
 
@@ -250,7 +251,8 @@ def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
         lambda a, b: tuple((np.subtract(b, a)[::-1] * [1.0, -1.0]).tolist()),
     )
     assert got == traces(rays)
-    assert sum(text.count("\n") for text in got) > 1000
+    # states past each trace's start state
+    assert sum(len(lines) - 1 for lines in got) > 1000
 
 
 def test_config_validation():
@@ -261,7 +263,7 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             TraversalConfig(**bad)
-    for eps_r in (np.nan, np.inf, -np.inf):
+    for eps_r in (np.nan, np.inf, -np.inf, -0.01):
         with pytest.raises(ValueError):
             QueryConfig(epsilon_r=eps_r)
 
