@@ -24,7 +24,6 @@ from .meshio import export_boundary_obj, load_mesh, save_mesh
 from .query import (
     ClosestBoundaryResult,
     QueryConfig,
-    QueryStats,
     feasible_region_check,
     shortest_path_to_boundary,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "NumericalBlowup",
     "ParseError",
     "QueryConfig",
-    "QueryStats",
     "RayFrame",
     "SimplicialMesh",
     "TraversalConfig",

@@ -2,8 +2,9 @@
 
 Subcommands: convert, query, validate (engine vs brute-force reference),
 fuzz (adversarial ray / folded-mesh search), bench (query statistics with
-and without culling), simulate. Structured outputs are JSON or CSV; every
-run with an output directory writes a replayable manifest.
+and without culling), simulate. Structured outputs are JSON or CSV; a run
+with an output directory writes its one output file there and then a
+replayable manifest.
 
 `validate` and `fuzz` compare each engine answer with the oracle's, run
 with the same backward mode and epsilon_i: both must find no path, or
@@ -20,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__, oracle, shapes
 from .bvh import build_boundary_bvh
-from .errors import MeshError, ParseError
-from .meshio import export_boundary_obj, load_mesh, save_mesh
+from .errors import MeshError, NumericalBlowup
+from .meshio import export_boundary_obj, load_mesh, save_mesh, write_obj
 from .query import QueryConfig, shortest_path_to_boundary
 from .sim import SimRuntime, count_penetrations, load_scene, run_sim
 from .traversal import TraversalConfig, TraversalScratch, format_trace, is_valid_path
@@ -57,7 +57,8 @@ def _add_common(sub, seed=True, no_culling=True):
 
 
 def _count(text):
-    """argparse type of --samples and --substeps: an integer of at least 1."""
+    """argparse type of --samples, --substeps and --iterations: an integer
+    of at least 1."""
     try:
         n = int(text)
     except ValueError:
@@ -126,41 +127,40 @@ def cmd_query(args):
             rec["trace"] = format_trace(scratch.trace) if res is not None else []
         records.append(rec)
     payload = json.dumps({"mesh": args.mesh, "results": records}, indent=2)
-    if _save_run(args, [args.mesh], {"results.json": payload}) is None:
+    if _save_run(args, [args.mesh], payload) is None:
         print(payload)
     if args.path_obj:
-        _write_path_obj(args.path_obj, points, records)
+        # a segment from each answered query point to its answer
+        ends = [
+            v for p, rec in zip(points, records) if "result_point" in rec
+            for v in (p, rec["result_point"])
+        ]
+        write_obj(args.path_obj, ends, "l", [(i, i + 1) for i in range(0, len(ends), 2)])
     return 0
 
 
-def _write_path_obj(path, points, records):
-    lines = []
-    nv = 0
-    for p, rec in zip(points, records):
-        if "result_point" not in rec:
-            continue
-        q = rec["result_point"]
-        for v in (p, q):
-            coords = list(v) + [0.0] * (3 - len(v))
-            lines.append("v " + " ".join(f"{float(c):.17g}" for c in coords))
-        lines.append(f"l {nv + 1} {nv + 2}")
-        nv += 2
-    Path(path).write_text("\n".join(lines) + "\n")
+# the file each subcommand writes under --out, before manifest.json
+OUTPUT_FILES = {
+    "query": "results.json",
+    "validate": "validate_report.json",
+    "fuzz": "findings.json",
+    "bench": "bench.csv",
+    "simulate": "contact_log.json",
+}
 
 
-def _save_run(args, inputs, files):
+def _save_run(args, inputs, text):
     """Write a run under --out and return the directory, or None without
-    --out. Writes each named text of `files`, then the replay manifest:
-    the command, the inputs it read, the query flags and the seed that the
-    subcommand has, and the argv that main parsed. `simulate` reads its
-    query config from the scene file, so its manifest records no
-    overrides."""
+    --out. Writes `text` as the subcommand's output file, then the replay
+    manifest: the command, the inputs it read, the query flags and the
+    seed that the subcommand has, and the argv that main parsed.
+    `simulate` reads its query config from the scene file, so its manifest
+    records no overrides."""
     if not args.out:
         return None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
+    (out / OUTPUT_FILES[args.command]).write_text(text)
     flags = ("eps_i", "eps_r", "no_culling", "allow_backward")
     manifest = {
         "command": args.command,
@@ -176,9 +176,12 @@ def _save_run(args, inputs, files):
 
 
 def _mesh_paths(target):
+    """The mesh file, or every .json of the directory except the files a
+    run writes, so a run can write into the directory it reads."""
     target = Path(target)
     if target.is_dir():
-        paths = sorted(str(p) for p in target.glob("*.json"))
+        skip = {"manifest.json", *OUTPUT_FILES.values()}
+        paths = sorted(str(p) for p in target.glob("*.json") if p.name not in skip)
         if not paths:
             raise SystemExit2(f"no .json meshes in {target}")
         return paths
@@ -215,28 +218,27 @@ def _oracle_mismatch(mesh, bvh, p, e, config):
     }
 
 
+def _differential(mesh, rng, samples, config):
+    """The `_oracle_mismatch` records of `samples` interior points of mesh,
+    drawn from rng, that the engine and the oracle disagree on."""
+    bvh = build_boundary_bvh(mesh)
+    points, elems = shapes.random_interior_points(mesh, rng, samples)
+    records = (_oracle_mismatch(mesh, bvh, p, e, config) for p, e in zip(points, elems))
+    return [bad for bad in records if bad is not None]
+
+
 def cmd_validate(args):
     rng = np.random.default_rng(args.seed)
     config = _query_config(args)
     mismatches = []
-    total = 0
     paths = _mesh_paths(args.mesh)
     for mpath in paths:
-        mesh = load_mesh(mpath)
-        bvh = build_boundary_bvh(mesh)
-        points, elems = shapes.random_interior_points(mesh, rng, args.samples)
-        for p, e in zip(points, elems):
-            total += 1
-            bad = _oracle_mismatch(mesh, bvh, p, e, config)
-            if bad is not None:
-                mismatches.append({"mesh": mpath, **bad})
+        bad = _differential(load_mesh(mpath), rng, args.samples, config)
+        mismatches += [{"mesh": mpath, **rec} for rec in bad]
+    total = len(paths) * args.samples
     report = {"queries": total, "mismatches": mismatches}
     print(f"{total} queries, {len(mismatches)} mismatches")
-    files = {"validate_report.json": json.dumps(report, indent=2)}
-    files.update(
-        (f"replay_{i:04d}.json", json.dumps(rec, indent=2)) for i, rec in enumerate(mismatches)
-    )
-    _save_run(args, paths, files)
+    _save_run(args, paths, json.dumps(report, indent=2))
     return 1 if mismatches else 0
 
 
@@ -285,19 +287,10 @@ def cmd_fuzz(args):
     rng = np.random.default_rng(args.seed)
     config = _query_config(args)
     findings = []
-    t0 = time.monotonic()
-    iteration = 0
-    while iteration < args.iterations:
-        if args.budget is not None and time.monotonic() - t0 >= args.budget:
-            break
-        iteration += 1
+    for iteration in range(1, args.iterations + 1):
         mesh = _fuzz_mesh(rng)
-        bvh = build_boundary_bvh(mesh)
-        points, elems = shapes.random_interior_points(mesh, rng, args.samples)
-        for p, e in zip(points, elems):
-            bad = _oracle_mismatch(mesh, bvh, p, e, config)
-            if bad is not None:
-                findings.append({"kind": "mismatch", "iteration": iteration, **bad})
+        bad = _differential(mesh, rng, args.samples, config)
+        findings += [{"kind": "mismatch", "iteration": iteration, **rec} for rec in bad]
         # exact vertex/edge hits stress the tie branching; each verdict is
         # checked against the oracle's, run with the same backward mode
         # and epsilon_i
@@ -325,8 +318,8 @@ def cmd_fuzz(args):
                         "reference": ref,
                     }
                 )
-    print(f"{iteration} iterations, {len(findings)} findings")
-    _save_run(args, [], {"findings.json": json.dumps(findings, indent=2)})
+    print(f"{args.iterations} iterations, {len(findings)} findings")
+    _save_run(args, [], json.dumps(findings, indent=2))
     return 1 if findings else 0
 
 
@@ -361,7 +354,7 @@ def cmd_bench(args):
         lines.append(",".join(cells))
     text = "\n".join(lines)
     print(text)
-    _save_run(args, [args.mesh], {"bench.csv": text + "\n"})
+    _save_run(args, [args.mesh], text + "\n")
     # culling may only skip work: any changed answer is a finding
     differ = sum(a != b for a, b in zip(*answers))
     if differ:
@@ -382,7 +375,7 @@ def cmd_simulate(args):
     pen = count_penetrations(state, runtime)
     print(f"{args.substeps} substeps, final penetration count {pen}")
     contact_log = json.dumps([entry.as_dict() for entry in log], indent=2)
-    out = _save_run(args, [args.scene], {"contact_log.json": contact_log})
+    out = _save_run(args, [args.scene], contact_log)
     if out is not None:
         for m, mesh in enumerate(state.meshes):
             save_mesh(mesh, out / f"mesh_{m:02d}_final.json")
@@ -424,10 +417,7 @@ def build_parser():
     v.set_defaults(fn=cmd_validate)
 
     f = subs.add_parser("fuzz", help="randomized adversarial search")
-    f.add_argument("--iterations", type=int, default=10)
-    f.add_argument(
-        "--budget", type=float, default=None, help="wall-clock seconds; 0 runs nothing"
-    )
+    f.add_argument("--iterations", type=_count, default=10)
     f.add_argument("--samples", type=_count, default=10)
     _add_common(f)
     f.set_defaults(fn=cmd_fuzz)
@@ -458,7 +448,7 @@ def main(argv=None):
     args.argv = argv  # the manifest's record of the run
     try:
         return args.fn(args)
-    except (SystemExit2, FileNotFoundError, ParseError, MeshError) as exc:
+    except (SystemExit2, FileNotFoundError, MeshError, NumericalBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,8 @@
 Native format: a JSON document with `dimension`, flat `vertices` and flat
 `elements`; other keys are ignored. Indices are 0-based. TetGen-style
 `.node`/`.ele` ASCII pairs can be imported (1-based indices accepted).
-The boundary can be exported as Wavefront OBJ (triangles in 3D, polylines
-in 2D).
+Wavefront OBJ is written by `write_obj` alone: the boundary (triangles in
+3D, polylines in 2D) and the CLI's query paths.
 """
 
 import json
@@ -105,13 +105,14 @@ def load_tetgen(node_path, ele_path):
     return _parsed_mesh(node_path, coords, elements, ele_path)
 
 
+def write_obj(path, vertices, kw, cells):
+    """Wavefront OBJ: a `v` line per vertex, padded to 3D with zeros, then
+    a `kw` line (`f` or `l`) per cell of 0-based vertex indices."""
+    out = ["v " + " ".join(f"{float(x):.17g}" for x in [*v, 0.0, 0.0][:3]) for v in vertices]
+    out += [kw + " " + " ".join(str(int(g) + 1) for g in cell) for cell in cells]
+    Path(path).write_text("\n".join(out) + "\n")
+
+
 def export_boundary_obj(mesh, path):
     """Boundary as OBJ: `f` triangles in 3D, `l` segments in 2D."""
-    out = []
-    for v in mesh.vertices:
-        coords = list(v) + [0.0] * (3 - mesh.dim)
-        out.append("v " + " ".join(f"{x:.17g}" for x in coords))
-    kw = "f" if mesh.dim == 3 else "l"
-    for face in mesh.boundary_faces:
-        out.append(kw + " " + " ".join(str(int(g) + 1) for g in face))
-    Path(path).write_text("\n".join(out) + "\n")
+    write_obj(path, mesh.vertices, "f" if mesh.dim == 3 else "l", mesh.boundary_faces)

@@ -25,20 +25,6 @@ from .traversal import TraversalConfig, is_valid_path, is_valid_path_inverted
 log = logging.getLogger(__name__)
 
 
-@dataclass(slots=True)
-class QueryStats:
-    bvh_candidates_tested: int = 0
-    traversals_run: int = 0
-    elements_visited: int = 0
-
-    def as_dict(self):
-        return {
-            "bvh_candidates_tested": self.bvh_candidates_tested,
-            "traversals_run": self.traversals_run,
-            "elements_visited": self.elements_visited,
-        }
-
-
 @dataclass
 class QueryConfig:
     # feasibility thresholds compare against -epsilon_r, so the region is
@@ -97,10 +83,6 @@ class ClosestBoundaryResult:
     def elements_visited(self):
         return self._tail()[3]
 
-    @property
-    def stats(self):
-        return QueryStats(*self._tail()[1:])
-
     def as_dict(self, query_point=None):
         rec = {
             "result_point": [float(x) for x in self.point],
@@ -110,7 +92,11 @@ class ClosestBoundaryResult:
                 "verts": [int(v) for v in self.feature.verts],
             },
             "distance": float(self.distance),
-            "stats": self.stats.as_dict(),
+            "stats": {
+                "bvh_candidates_tested": self.bvh_candidates_tested,
+                "traversals_run": self.traversals_run,
+                "elements_visited": self.elements_visited,
+            },
         }
         if query_point is not None:
             rec["query_point"] = [float(x) for x in np.asarray(query_point)]

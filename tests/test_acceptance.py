@@ -158,7 +158,7 @@ def test_criterion_2_culling_neutral_and_beneficial(folded_corpus, corpus_baseli
                 big, bvh, p, p_element=int(e), config=cfg, scratch=scratch
             )
             assert res is not None
-            total += res.stats.traversals_run
+            total += res.traversals_run
             recs.append((res.face, res.distance))
         means[on] = total / len(points)
         big_results[on] = recs

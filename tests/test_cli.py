@@ -232,10 +232,29 @@ def test_validate_clean(cube_path, capsys):
     assert "0 mismatches" in capsys.readouterr().out
 
 
-def test_validate_exit_1_when_face_not_co_minimal(cube_path, monkeypatch, capsys):
+def test_validate_exit_1_when_face_not_co_minimal(cube_path, tmp_path, monkeypatch, capsys):
+    # each mismatch is written once, in the report
     monkeypatch.setattr(oracle, "co_minimal_faces", lambda *args, **kwargs: set())
-    assert main(["validate", cube_path, "--samples", "4", "--seed", "3"]) == 1
+    out = tmp_path / "v"
+    assert main(["validate", cube_path, "--samples", "4", "--seed", "3", "--out", str(out)]) == 1
     assert "4 queries, 4 mismatches" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "validate_report.json"]
+    report = json.loads((out / "validate_report.json").read_text())
+    assert len(report["mismatches"]) == 4
+
+
+def test_validate_twice_into_its_mesh_directory(tmp_path, capsys):
+    # the files a run writes are not read back as meshes by the next run
+    vd = tmp_path / "vd"
+    vd.mkdir()
+    save_mesh(shapes.folded_bar(6, 2, 2), vd / "bar.json")
+    reports = []
+    for _ in range(2):
+        assert main(["validate", str(vd), "--samples", "5", "--out", str(vd)]) == 0
+        reports.append((vd / "validate_report.json").read_text())
+        manifest = json.loads((vd / "manifest.json").read_text())
+        assert manifest["inputs"] == [str(vd / "bar.json")]
+    assert reports[0] == reports[1]
 
 
 def test_validate_deterministic(cube_path, tmp_path):
@@ -247,10 +266,12 @@ def test_validate_deterministic(cube_path, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_fuzz_budget_zero(capsys):
-    rc = main(["fuzz", "--budget", "0"])
-    assert rc == 0
-    assert "0 iterations" in capsys.readouterr().out
+@pytest.mark.parametrize("iterations", ["0", "-1"])
+def test_fuzz_iterations_below_one_exit_2(iterations, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["fuzz", "--iterations", iterations])
+    assert err.value.code == 2
+    assert "iterations" in capsys.readouterr().err
 
 
 def test_fuzz_short_run_clean(capsys):
@@ -386,6 +407,16 @@ def test_simulate_bad_scene_exit_2(tmp_path, capsys, scene):
     (tmp_path / "scene.json").write_text(scene)
     assert main(["simulate", str(tmp_path / "scene.json"), "--substeps", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_blowup_exit_2(tmp_path, capsys):
+    # finite input whose positions overflow during the first substep
+    save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
+    (tmp_path / "scene.json").write_text('{"meshes": [{"path": "box.json", "scale": 1e306}]}')
+    assert main(["simulate", str(tmp_path / "scene.json"), "--substeps", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_simulate_scene_query_config(tmp_path):

@@ -75,7 +75,7 @@ def test_culling_neutral(folded2d, rng):
         b = shortest_path_to_boundary(folded2d, bvh, p, p_element=int(e), config=off)
         assert a.face == b.face and a.distance == b.distance
         assert np.array_equal(a.point, b.point)
-        assert a.stats.traversals_run <= b.stats.traversals_run
+        assert a.traversals_run <= b.traversals_run
 
 
 def test_stats_sanity(folded3d, rng):
@@ -83,7 +83,7 @@ def test_stats_sanity(folded3d, rng):
     pts, els = shapes.random_interior_points(folded3d, rng, 20)
     for p, e in zip(pts, els):
         res = shortest_path_to_boundary(folded3d, bvh, p, p_element=int(e))
-        assert res.stats.traversals_run <= res.stats.bvh_candidates_tested
+        assert res.traversals_run <= res.bvh_candidates_tested
 
 
 def test_skipped_element_point_returns_none(caplog):
