@@ -210,7 +210,7 @@ def shortest_path_to_boundary(
                 continue
             n_traversals += 1
             try:
-                res = validate(mesh, s, face, p, p_element, config.traversal, scratch)
+                res = validate(mesh, s, face, p, config=config.traversal, scratch=scratch)
             except ZeroLengthSegment:
                 # self candidate of a boundary point; never a valid path
                 continue

@@ -76,7 +76,8 @@ class CollisionConstraint:
 @dataclass
 class SimState:
     """Scene state: one or more meshes sharing a flat vertex arena, with
-    their elements and boundary edges on global vertex ids."""
+    their elements and boundary edges on global vertex ids. A mesh's vertices
+    are its rows of `positions`; its derived geometry is from the last refit."""
 
     meshes: list
     positions: np.ndarray  # (n, dim) current
@@ -97,10 +98,6 @@ class SimState:
     def mesh_slice(self, m):
         return slice(int(self.offsets[m]), int(self.offsets[m + 1]))
 
-    def sync_meshes(self):
-        for m, mesh in enumerate(self.meshes):
-            mesh.set_vertices(self.positions[self.mesh_slice(m)])
-
     def dump(self):
         """Diagnostic snapshot used by NumericalBlowup."""
         return {
@@ -119,12 +116,16 @@ def _unique_edges(elements):
 
 
 def make_state(meshes, masses=None):
-    """Build a SimState over copies of the given meshes' positions. Springs
-    are every unique element edge at its current length. `masses` is an
-    optional per-mesh list of per-vertex masses; default is unit mass."""
+    """Build a SimState whose positions each given mesh's vertices view
+    from then on. Springs are every unique element edge at its current
+    length. `masses` is an optional per-mesh list of per-vertex masses;
+    default is unit mass. Raises ValueError for meshes of different
+    dimensions or a mesh object listed twice."""
     dim = meshes[0].dim
     if any(mesh.dim != dim for mesh in meshes):
         raise ValueError("all meshes in a scene must share a dimension")
+    if len({id(mesh) for mesh in meshes}) < len(meshes):
+        raise ValueError("a mesh object can appear only once in a scene")
     offsets = np.cumsum([0] + [mesh.n_vertices for mesh in meshes])
     positions = np.concatenate([mesh.vertices for mesh in meshes])
     mass = np.concatenate([
@@ -139,6 +140,8 @@ def make_state(meshes, masses=None):
     elements = arena([mesh.elements for mesh in meshes])
     springs = arena([_unique_edges(mesh.elements) for mesh in meshes])
     rest = np.linalg.norm(positions[springs[:, 0]] - positions[springs[:, 1]], axis=1)
+    for mesh, lo, hi in zip(meshes, offsets, offsets[1:]):
+        mesh.set_vertices(positions[lo:hi])  # contiguous rows: a view, not a copy
     return SimState(
         meshes=list(meshes),
         positions=positions,
@@ -299,17 +302,17 @@ class SimRuntime:
     """Owns the trees across substeps: one element tree over every element
     of the scene, for collision detection, and one boundary tree per mesh,
     for the queries. Refits (never rebuilds) on vertex motion. The
-    config argument is not read."""
+    config argument is not read. Each detection runs `refit` first, the
+    one place that refreshes the meshes' derived geometry."""
 
     def __init__(self, state, config):
-        state.sync_meshes()
         self.elem_bvh = ElementBvh(state.positions, state.elements)
         self.boundary_bvhs = [BoundaryBvh(mesh) for mesh in state.meshes]
 
     def refit(self, state):
-        state.sync_meshes()
         self.elem_bvh.refit(state.positions)
-        for mesh, bvh in zip(state.meshes, self.boundary_bvhs):
+        for m, (mesh, bvh) in enumerate(zip(state.meshes, self.boundary_bvhs)):
+            mesh.set_vertices(state.positions[state.mesh_slice(m)])
             bvh.refit(mesh)
 
 
@@ -438,7 +441,6 @@ def xpbd_substep(state, config, runtime):
             f"non-finite positions after substep {state.substeps_done}",
             state_dump=state.dump(),
         )
-    state.sync_meshes()
     return state, entry
 
 
@@ -489,7 +491,8 @@ def _finite(value, what):
 def _place(mesh, spec):
     """Scale, then translate, a scene entry's mesh in place; returns its
     per-vertex masses, or None for unit mass. Raises ValueError for an
-    unknown key or a bad value."""
+    unknown key, a bad value, or placed coordinates whose element or face
+    geometry overflows."""
     unknown = sorted(set(spec) - {"path", "translate", "scale", "mass"})
     if unknown:
         raise ValueError(f"unknown keys: {', '.join(unknown)}")
@@ -499,7 +502,13 @@ def _place(mesh, spec):
     translate = spec.get("translate", [0.0] * mesh.dim)
     if not isinstance(translate, list) or len(translate) != mesh.dim:
         raise ValueError(f"translate must be a list of {mesh.dim} numbers for a {mesh.dim}D mesh")
-    mesh.set_vertices(mesh.vertices * scale + [_finite(x, "translate") for x in translate])
+    # coordinates whose volumes, normals or their lengths overflow would
+    # make every substep warn and work on infinite volumes or zero normals
+    try:
+        with np.errstate(over="raise"):
+            mesh.set_vertices(mesh.vertices * scale + [_finite(x, "translate") for x in translate])
+    except FloatingPointError:
+        raise ValueError(f"scale {scale:g} overflows the placed mesh's geometry") from None
     mass = spec.get("mass")
     if mass is None:
         return None

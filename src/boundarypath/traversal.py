@@ -167,9 +167,7 @@ def _crossing_parameter(mesh, element, lf, frame):
     return dot(n, geometry.sub(pts[0], frame.origin)) / denom
 
 
-def is_valid_path(
-    mesh, s, start_face, p, p_element_hint=None, config=None, scratch=None
-):
+def is_valid_path(mesh, s, start_face, p, config=None, scratch=None):
     """Whether the segment from boundary point s (on boundary face
     `start_face`) to p is a valid path. Traversal always launches from the
     boundary end. Raises ZeroLengthSegment when s and p coincide."""
@@ -178,9 +176,7 @@ def is_valid_path(
     return _traverse(mesh, s, start_face, p, config, scratch, config.allow_backward)
 
 
-def is_valid_path_inverted(
-    mesh, s, start_face, p, p_element_hint=None, config=None, scratch=None
-):
+def is_valid_path_inverted(mesh, s, start_face, p, config=None, scratch=None):
     """Backward-enabled variant for meshes with inverted interior elements.
 
     It traverses backward whatever config.allow_backward says. Callers

@@ -411,12 +411,27 @@ def test_simulate_bad_scene_exit_2(tmp_path, capsys, scene):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_blowup_exit_2(tmp_path, capsys):
-    # finite input whose positions overflow during the first substep
+    # a finite scene that loads, whose velocities overflow in substep 2
     save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
-    (tmp_path / "scene.json").write_text('{"meshes": [{"path": "box.json", "scale": 1e306}]}')
+    (tmp_path / "scene.json").write_text(
+        '{"meshes": [{"path": "box.json"}], "config": {"dt": 1.0, "gravity": [1e308, 0, 0]}}'
+    )
     assert main(["simulate", str(tmp_path / "scene.json"), "--substeps", "3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith("error: non-finite") and len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["1e100", "1e150", "1e306"])
+def test_simulate_overscaled_scene_exit_2(tmp_path, capsys, scale):
+    # the unit box's element volumes (1e150, 1e306) or face normal lengths
+    # (1e100) overflow, so the scene is rejected when it loads
+    save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
+    scene = {"meshes": [{"path": "box.json", "scale": float(scale)}]}
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    assert main(["simulate", str(tmp_path / "scene.json"), "--substeps", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
 
 
 def test_simulate_scene_query_config(tmp_path):

@@ -96,7 +96,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
             continue
         counts[1] += 1
         try:
-            res = validate(mesh, s, face, p, p_element, config.traversal, scratch)
+            res = validate(mesh, s, face, p, config=config.traversal, scratch=scratch)
         except ZeroLengthSegment:
             continue
         counts[2] += res.elements_visited
@@ -106,7 +106,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
     return None if best is None else ClosestBoundaryResult(*best, *counts)
 
 
-def tied_faces(mesh, p, p_element, config, exclude_vertex, distance):
+def tied_faces(mesh, p, config, exclude_vertex, distance):
     """Faces whose candidate the query accepts at exactly `distance`."""
     validate = _validator(mesh, config)
     excl = mesh.boundary_faces_of_vertex(exclude_vertex) if exclude_vertex is not None else ()
@@ -121,7 +121,7 @@ def tied_faces(mesh, p, p_element, config, exclude_vertex, distance):
         if config.enable_culling and exclude_vertex is None:
             if not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
                 continue
-        if validate(mesh, s, f, p, p_element, config.traversal).valid:
+        if validate(mesh, s, f, p, config=config.traversal).valid:
             out.append(f)
     return out
 
@@ -149,7 +149,7 @@ class Tally:
             assert np.array_equal(new.point, ref.point) and new.feature == ref.feature
             return
         self.ties += 1
-        tied = tied_faces(mesh, p, p_element, config, exclude_vertex, new.distance)
+        tied = tied_faces(mesh, p, config, exclude_vertex, new.distance)
         assert ref.face in tied and new.face == min(tied), (ref.face, new.face, tied)
 
     def done(self):

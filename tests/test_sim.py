@@ -289,6 +289,52 @@ def test_one_box_overlap_call_per_detection(monkeypatch, n_meshes):
     assert calls == [rt.elem_bvh.tree] * 2
 
 
+@pytest.mark.parametrize("n_meshes", [1, 2, 3])
+def test_one_mesh_refresh_per_detection(monkeypatch, n_meshes):
+    meshes = [shapes.box_grid(2, 2, 2) for _ in range(n_meshes)]
+    for k, mesh in enumerate(meshes):
+        mesh.set_vertices(mesh.vertices + 0.4 * k)
+    state = make_state(meshes)
+    assert all(np.shares_memory(mesh.vertices, state.positions) for mesh in meshes)
+    config = SimConfig(gravity=(0, 0, 0), damping=1.0)
+    rt = SimRuntime(state, config)
+    refreshed = []
+    set_vertices = SimplicialMesh.set_vertices
+
+    def counted(mesh, vertices):
+        refreshed.append(mesh)
+        set_vertices(mesh, vertices)
+
+    monkeypatch.setattr(SimplicialMesh, "set_vertices", counted)
+    for step in (
+        lambda: xpbd_substep(state, config, rt),
+        lambda: count_penetrations(state, rt),
+        lambda: rt.refit(state),
+    ):
+        refreshed.clear()
+        step()
+        assert refreshed == meshes
+    # after a refit, each mesh's rows and the geometry derived from them
+    for m, mesh in enumerate(meshes):
+        rows = state.positions[state.mesh_slice(m)]
+        assert np.shares_memory(mesh.vertices, state.positions)
+        assert np.array_equal(mesh.vertices, rows)
+        fresh = SimplicialMesh(rows, mesh.elements)
+        for name in (
+            "signed_volumes", "skipped_flags", "bary_rows", "face_area_normals",
+            "face_bary_floors",
+        ):
+            # a flat element's barycentric rows are nan, equal to nan here
+            np.testing.assert_array_equal(getattr(mesh, name), getattr(fresh, name), name)
+
+
+def test_make_state_rejects_a_mesh_listed_twice():
+    box, other = shapes.box_grid(1, 1, 1), shapes.box_grid(1, 1, 1)
+    for meshes in ([box, box], [box, other, box]):
+        with pytest.raises(ValueError, match="only once"):
+            make_state(meshes)
+
+
 def test_runtime_holds_one_scene_element_tree(monkeypatch):
     meshes = [shapes.box_grid(1, 1, 1), shapes.box_grid(2, 1, 1), shapes.box_grid(1, 2, 1)]
     for k, mesh in enumerate(meshes):
@@ -548,6 +594,22 @@ def test_scene_loader(tmp_path):
     rt = SimRuntime(state, config)
     run_sim(state, config, 60, rt)
     assert count_penetrations(state, rt) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_scene_at_a_large_scale_loads(tmp_path):
+    # the largest scale in 1e10 steps at which no volume, normal or normal
+    # length of the unit box overflows; 1e100 is rejected (test_cli.py)
+    from boundarypath.meshio import save_mesh
+
+    save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
+    (tmp_path / "scene.json").write_text('{"meshes": [{"path": "box.json", "scale": 1e70}]}')
+    state, config = load_scene(str(tmp_path / "scene.json"))
+    rt = SimRuntime(state, config)
+    run_sim(state, config, 3, rt)
+    count_penetrations(state, rt)
+    assert np.isfinite(state.meshes[0].signed_volumes).all()
+    assert state.positions.max() == pytest.approx(1e70)
 
 
 def test_contact_log_entries():
