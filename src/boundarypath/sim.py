@@ -11,6 +11,15 @@ element centroids, or boundary edges) goes in one batched box-overlap call
 to one element tree over every element of every mesh, and the candidate
 pairs are tested with one batched barycentric solve. The contacts, and
 their order, are those of testing one probe at a time.
+
+The spring sweep is array code too, one update per dependency level. A
+spring's level is one above the highest level among the earlier springs
+(in (i, j) order) that share a vertex with it, so the springs of a level
+share no vertex, and every spring that shares a vertex with a given one
+and comes before it in (i, j) order sits in a lower level. Sweeping level
+by level therefore reads and writes each vertex in the order of the
+one-spring-at-a-time sweep in (i, j) order, with the same floating-point
+operations, and moves every position bit for bit as that sweep does.
 """
 
 import json
@@ -87,8 +96,9 @@ class SimState:
     elements: np.ndarray  # (e, dim + 1) global vertex ids
     element_offsets: np.ndarray  # mesh m owns elements [element_offsets[m], element_offsets[m+1])
     boundary_edges: np.ndarray  # (b, 2) global vertex ids
-    springs: np.ndarray  # (k, 2) global vertex ids
+    springs: np.ndarray  # (k, 2) global vertex ids, sorted by level
     rest_lengths: np.ndarray  # (k,)
+    spring_levels: np.ndarray  # level l is springs[spring_levels[l]:spring_levels[l + 1]]
     substeps_done: int = 0
 
     @property
@@ -99,13 +109,14 @@ class SimState:
         return slice(int(self.offsets[m]), int(self.offsets[m + 1]))
 
     def dump(self):
-        """Diagnostic snapshot used by NumericalBlowup."""
+        """Diagnostic snapshot used by NumericalBlowup. A speed above the
+        largest float reads inf, without a warning."""
+        with np.errstate(over="ignore"):
+            speeds = np.hypot.reduce(self.velocities, axis=1)
         return {
             "substeps_done": int(self.substeps_done),
             "n_nonfinite": int(np.count_nonzero(~np.isfinite(self.positions))),
-            "max_speed": float(
-                np.linalg.norm(self.velocities, axis=1).max(initial=0.0)
-            ),
+            "max_speed": float(speeds.max(initial=0.0)),
         }
 
 
@@ -115,12 +126,27 @@ def _unique_edges(elements):
     return np.unique(np.sort(elements[:, pairs].reshape(-1, 2), axis=1), axis=0)
 
 
+def _spring_levels(springs, n_vertices):
+    """Each spring's level in a sweep of the springs in row order: one
+    above the highest level of the earlier springs sharing a vertex with
+    it, starting from 0. The last spring to touch a vertex holds that
+    vertex's highest level so far."""
+    last = [-1] * n_vertices
+    levels = []
+    for i, j in springs.tolist():
+        level = max(last[i], last[j]) + 1
+        last[i] = last[j] = level
+        levels.append(level)
+    return np.array(levels, dtype=np.intp)
+
+
 def make_state(meshes, masses=None):
     """Build a SimState whose positions each given mesh's vertices view
     from then on. Springs are every unique element edge at its current
-    length. `masses` is an optional per-mesh list of per-vertex masses;
-    default is unit mass. Raises ValueError for meshes of different
-    dimensions or a mesh object listed twice."""
+    length, stably sorted by their level in a sweep in (i, j) order
+    (`_spring_levels`). `masses` is an optional per-mesh list of
+    per-vertex masses; default is unit mass. Raises ValueError for meshes
+    of different dimensions or a mesh object listed twice."""
     dim = meshes[0].dim
     if any(mesh.dim != dim for mesh in meshes):
         raise ValueError("all meshes in a scene must share a dimension")
@@ -140,6 +166,8 @@ def make_state(meshes, masses=None):
     elements = arena([mesh.elements for mesh in meshes])
     springs = arena([_unique_edges(mesh.elements) for mesh in meshes])
     rest = np.linalg.norm(positions[springs[:, 0]] - positions[springs[:, 1]], axis=1)
+    levels = _spring_levels(springs, len(positions))
+    order = np.argsort(levels, kind="stable")
     for mesh, lo, hi in zip(meshes, offsets, offsets[1:]):
         mesh.set_vertices(positions[lo:hi])  # contiguous rows: a view, not a copy
     return SimState(
@@ -151,8 +179,9 @@ def make_state(meshes, masses=None):
         elements=elements,
         element_offsets=np.cumsum([0] + [mesh.n_elements for mesh in meshes]),
         boundary_edges=arena([mesh.boundary_edges for mesh in meshes]),
-        springs=springs,
-        rest_lengths=rest,
+        springs=springs[order],
+        rest_lengths=rest[order],
+        spring_levels=np.concatenate([[0], np.cumsum(np.bincount(levels))]),
     )
 
 
@@ -226,7 +255,9 @@ def _chord_spans(ba, bb):
     a flat one (|bb - ba| < 1e-300) must be nonnegative already."""
     dc = bb - ba
     flat = np.abs(dc) < 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a crossing parameter that overflows lies outside [0, 1], as its
+    # true value does, so it reads as the infinity it rounds to
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_cross = -ba / dc
     t0 = np.max(np.where(~flat & (dc > 0), t_cross, 0.0), axis=1)
     t1 = np.min(np.where(~flat & (dc < 0), t_cross, 1.0), axis=1)
@@ -276,11 +307,17 @@ def dcd_edge_tet(state, elem_bvh):
 
 @dataclass
 class ContactLogEntry:
+    """What one substep's detection found: its contacts, the constraints
+    built from them, the inverted elements of the scene at detection, and
+    the contacts whose query returned None and so built no constraint."""
+
     substep: int
     n_constraints: int
     max_penetration: float
     n_vertex_contacts: int
     n_edge_contacts: int
+    n_inverted_elements: int
+    n_queries_none: int
     query_elements_visited: int
     query_candidates: int
 
@@ -291,9 +328,11 @@ class ContactLogEntry:
             "max_penetration_depth": self.max_penetration,
             "vertex_contacts": self.n_vertex_contacts,
             "edge_contacts": self.n_edge_contacts,
+            "inverted_elements": self.n_inverted_elements,
             "query_stats": {
                 "elements_visited": self.query_elements_visited,
                 "candidates_tested": self.query_candidates,
+                "no_path": self.n_queries_none,
             },
         }
 
@@ -332,6 +371,8 @@ def _build_constraints(state, runtime, config):
         max_penetration=0.0,
         n_vertex_contacts=len(vertex_contacts),
         n_edge_contacts=len(edge_contacts),
+        n_inverted_elements=sum(int(np.count_nonzero(m.inverted_flags)) for m in state.meshes),
+        n_queries_none=0,
         query_elements_visited=0,
         query_candidates=0,
     )
@@ -347,6 +388,7 @@ def _build_constraints(state, runtime, config):
             exclude_vertex=int(ids[0]) if ma == mb and len(ids) == 1 else None,
         )
         if res is None:
+            entry.n_queries_none += 1
             continue
         entry.query_elements_visited += res.elements_visited
         entry.query_candidates += res.bvh_candidates_tested
@@ -364,25 +406,32 @@ def _build_constraints(state, runtime, config):
 
 
 def _project_springs(state, config, dt):
+    """One sweep of the distance constraints, one array update per level
+    of state.spring_levels (see the module docstring). A spring of zero
+    total inverse mass or of length below 1e-14 moves nothing."""
     alpha = config.material_compliance / (dt * dt)
     x = state.positions
-    # springs, masses and rest lengths as Python numbers, which round as
-    # numpy's scalars do; the length is np.linalg.norm(d) bit for bit
-    w = state.inv_mass.tolist()
-    for (i, j), rest in zip(state.springs.tolist(), state.rest_lengths.tolist()):
-        wi, wj = w[i], w[j]
-        denom0 = wi + wj
-        if denom0 == 0.0:
-            continue
-        d = x[i] - x[j]
-        dist = math.sqrt(d @ d)
-        if dist < 1e-14:
-            continue
-        c = dist - rest
-        dlam = -c / (denom0 + alpha)
-        grad = d / dist
-        x[i] += wi * dlam * grad
-        x[j] -= wj * dlam * grad
+    w = state.inv_mass[state.springs]
+    denom = w[:, 0] + w[:, 1]
+    moves = denom != 0.0
+    denom += alpha
+    # x[i] += (w_i dlam) grad and x[j] -= (w_j dlam) grad, the latter as the
+    # exactly equal x[j] += (-w_j dlam) grad
+    w *= [1.0, -1.0]
+    bounds = state.spring_levels.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        ij, rows = state.springs[lo:hi], slice(lo, hi)
+        xij = x[ij]
+        d = xij[:, 0] - xij[:, 1]
+        # a stacked matmul takes each row's dot as `d @ d` does, where
+        # einsum or a sum of products can round differently
+        dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        keep = moves[rows] & ~(dist < 1e-14)
+        if not keep.all():
+            rows = np.flatnonzero(keep) + lo
+            ij, xij, d, dist = ij[keep], xij[keep], d[keep], dist[keep]
+        dlam = -(dist - state.rest_lengths[rows]) / denom[rows]
+        x[ij] = xij + (w[rows] * dlam[:, None])[:, :, None] * (d / dist[:, None])[:, None, :]
 
 
 def _project_collisions(state, constraints, alpha, margin):
@@ -409,37 +458,44 @@ def xpbd_substep(state, config, runtime):
     constraints once, then ITERATIONS sweeps of springs followed by
     collision projections, then velocity update. Returns (state,
     ContactLogEntry). Raises NumericalBlowup with a diagnostic dump if
-    positions go non-finite."""
+    positions go non-finite or any arithmetic of the substep overflows;
+    an overflow ends the substep where it happens, without a warning."""
     dt = config.dt
     g = np.asarray(config.gravity, dtype=float)[: state.dim]
+    substep = state.substeps_done + 1
+    try:
+        with np.errstate(over="raise"):
+            prev = state.positions.copy()
+            movable = state.inv_mass > 0
+            state.velocities[movable] += dt * g
+            state.positions[movable] += dt * state.velocities[movable]
+            # the meshes reject non-finite positions, so check before they
+            # take them
+            if not np.all(np.isfinite(state.positions)):
+                raise NumericalBlowup(
+                    f"non-finite predicted positions in substep {substep}",
+                    state_dump=state.dump(),
+                )
 
-    prev = state.positions.copy()
-    movable = state.inv_mass > 0
-    state.velocities[movable] += dt * g
-    state.positions[movable] += dt * state.velocities[movable]
-    # the meshes reject non-finite positions, so check before they take them
+            runtime.refit(state)
+            constraints, entry = _build_constraints(state, runtime, config)
+
+            alpha = config.collision_compliance / (dt * dt)
+            for _ in range(ITERATIONS):
+                _project_springs(state, config, dt)
+                _project_collisions(state, constraints, alpha, CONTACT_MARGIN)
+
+            state.velocities[:] = (state.positions - prev) / dt
+            if config.damping:
+                state.velocities *= 1.0 - config.damping
+    except FloatingPointError as exc:
+        raise NumericalBlowup(
+            f"non-finite values in substep {substep} ({exc})", state_dump=state.dump()
+        ) from exc
+    state.substeps_done = substep
     if not np.all(np.isfinite(state.positions)):
         raise NumericalBlowup(
-            f"non-finite predicted positions in substep {state.substeps_done + 1}",
-            state_dump=state.dump(),
-        )
-
-    runtime.refit(state)
-    constraints, entry = _build_constraints(state, runtime, config)
-
-    alpha = config.collision_compliance / (dt * dt)
-    for _ in range(ITERATIONS):
-        _project_springs(state, config, dt)
-        _project_collisions(state, constraints, alpha, CONTACT_MARGIN)
-
-    state.velocities[:] = (state.positions - prev) / dt
-    if config.damping:
-        state.velocities *= 1.0 - config.damping
-    state.substeps_done += 1
-    if not np.all(np.isfinite(state.positions)):
-        raise NumericalBlowup(
-            f"non-finite positions after substep {state.substeps_done}",
-            state_dump=state.dump(),
+            f"non-finite positions after substep {substep}", state_dump=state.dump()
         )
     return state, entry
 

@@ -476,8 +476,6 @@ def test_criterion_9_core_invariants(rng):
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
     st = make_state([shapes.box_grid(1, 1, 1)])
-    st.springs = st.springs[:0]
-    st.rest_lengths = st.rest_lengths[:0]
     con = CollisionConstraint(
         rows=(0,), weights=(1.0,), target_point=np.array([0.0, 0.0, 0.7]), normal=n
     )

@@ -409,9 +409,11 @@ def test_simulate_bad_scene_exit_2(tmp_path, capsys, scene):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_simulate_blowup_exit_2(tmp_path, capsys):
-    # a finite scene that loads, whose velocities overflow in substep 2
+    # a finite scene that loads, whose predicted positions overflow the
+    # element centroids in substep 1 and whose velocities would overflow in
+    # substep 2: the overflow ends the run without a warning
     save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
     (tmp_path / "scene.json").write_text(
         '{"meshes": [{"path": "box.json"}], "config": {"dt": 1.0, "gravity": [1e308, 0, 0]}}'

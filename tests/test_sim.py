@@ -421,8 +421,6 @@ def test_plane_constraint_projection():
     )
     from boundarypath.sim import _project_collisions
 
-    state.springs = state.springs[:0]
-    state.rest_lengths = state.rest_lengths[:0]
     _project_collisions(state, [con], alpha=0.0, margin=0.0)
     assert con.value(state.positions[0]) >= -1e-9
 
@@ -433,8 +431,6 @@ def test_projection_never_violates(rng):
 
     m1 = shapes.box_grid(1, 1, 1)
     state, config, rt = make_runtime([m1])
-    state.springs = state.springs[:0]
-    state.rest_lengths = state.rest_lengths[:0]
     for _ in range(20):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
@@ -462,13 +458,14 @@ def test_momentum_conserved_springs_only(rng):
 
 
 def ref_project_springs(state, config, dt):
-    """The spring sweep indexing the state's arrays per spring, with
-    np.linalg.norm for each length: the list-reading sweep must move
+    """The spring sweep one spring at a time in (i, j) order, not the
+    state's level order, indexing the state's arrays per spring, with
+    np.linalg.norm for each length: the level-by-level sweep must move
     every position bit for bit as this one does."""
     alpha = config.material_compliance / (dt * dt)
     x = state.positions
     w = state.inv_mass
-    for k in range(len(state.springs)):
+    for k in np.lexsort((state.springs[:, 1], state.springs[:, 0])):
         i, j = int(state.springs[k, 0]), int(state.springs[k, 1])
         wi, wj = w[i], w[j]
         denom0 = wi + wj
@@ -485,15 +482,31 @@ def ref_project_springs(state, config, dt):
         x[j] -= wj * dlam * grad
 
 
+def two_grids(res, offset):
+    """Two overlapping box_grid boxes (3D) or rect_grid sheets (2D) with
+    res cells per side, the second translated by offset."""
+    grid = shapes.box_grid if len(offset) == 3 else shapes.rect_grid
+    a, b = grid(*[res] * len(offset)), grid(*[res] * len(offset))
+    b.set_vertices(b.vertices + np.asarray(offset))
+    return a, b
+
+
+# (scene, pinned vertices, gravity, damping, material compliance): the
+# recovery scene of criterion 8 with two vertices pinned, so that a spring
+# of zero total inverse mass is skipped; the same boxes at res 3; and two
+# overlapping sheets
+SPRING_SCENES = [
+    ((2, (0.8, 0.1, 0.05)), [0, 1], (0.0, -9.8, 0.0), 0.5, 0.0),
+    ((3, (0.8, 0.1, 0.05)), [], (0.0, 0.0, 0.0), 1.0, 0.0),
+    ((4, (0.7, 0.15)), [0], (0.0, -9.8), 0.3, 1e-5),
+]
+
+
 def test_spring_projection_matches_reference(monkeypatch):
-    # the recovery scene of criterion 8, with one pinned vertex so that a
-    # spring of zero total inverse mass is skipped
-    def play():
-        a, b = shapes.box_grid(2, 2, 2), shapes.box_grid(2, 2, 2)
-        b.set_vertices(b.vertices + np.array([0.8, 0.1, 0.05]))
-        state = make_state([a, b])
-        state.inv_mass[[0, 1]] = 0.0
-        config = SimConfig(gravity=(0.0, -9.8, 0.0), damping=0.5)
+    def play(grids, pinned, gravity, damping, compliance):
+        state = make_state(list(two_grids(*grids)))
+        state.inv_mass[pinned] = 0.0
+        config = SimConfig(gravity=gravity, damping=damping, material_compliance=compliance)
         runtime = SimRuntime(state, config)
         out = []
         for _ in range(12):
@@ -501,12 +514,33 @@ def test_spring_projection_matches_reference(monkeypatch):
             out.append(state.positions.copy())
         return out
 
-    got = play()
-    monkeypatch.setattr(sim, "_project_springs", ref_project_springs)
-    want = play()
-    assert not np.array_equal(want[0], want[-1])
-    for x, x_ref in zip(got, want):
-        assert np.array_equal(x, x_ref)
+    for scene in SPRING_SCENES:
+        with monkeypatch.context() as patch:
+            got = play(*scene)
+            patch.setattr(sim, "_project_springs", ref_project_springs)
+            want = play(*scene)
+        assert not np.array_equal(want[0], want[-1])
+        for x, x_ref in zip(got, want):
+            assert np.array_equal(x, x_ref) and np.array_equal(np.signbit(x), np.signbit(x_ref))
+
+
+@pytest.mark.parametrize("grids", [(2, (0.8, 0.1, 0.05)), (3, (0.8, 0.1, 0.05)), (4, (0.7, 0.15))])
+def test_spring_levels(grids):
+    # within a level no two springs share a vertex, and of two springs that
+    # share one, the earlier in (i, j) order has the lower level
+    state = make_state(list(two_grids(*grids)))
+    bounds = state.spring_levels
+    level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    assert bounds[0] == 0 and bounds[-1] == len(state.springs) and np.all(np.diff(bounds) > 0)
+    order = np.lexsort((state.springs[:, 1], state.springs[:, 0]))
+    assert np.array_equal(state.springs[order], np.unique(state.springs, axis=0))
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order))
+    for v in range(len(state.positions)):
+        mine = np.flatnonzero((state.springs == v).any(axis=1))
+        assert len(set(level[mine].tolist())) == len(mine)
+        by_rank = mine[np.argsort(rank[mine])]
+        assert np.all(np.diff(level[by_rank]) > 0)
 
 
 def test_recovery_two_meshes():
@@ -565,7 +599,7 @@ def test_recovery_sweep(res):
         assert recovered or k < RECOVER_BY, f"res {res}: still penetrating at substep {k}; {counts}"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_blowup_detected():
     m1 = shapes.box_grid(1, 1, 1)
     state, config, rt = make_runtime([m1])
@@ -612,7 +646,7 @@ def test_scene_at_a_large_scale_loads(tmp_path):
     assert state.positions.max() == pytest.approx(1e70)
 
 
-def test_contact_log_entries():
+def test_contact_log_entries(monkeypatch):
     m1, m2 = two_cubes()
     state, config, rt = make_runtime([m1, m2], damping=1.0)
     state, entry = xpbd_substep(state, config, rt)
@@ -620,3 +654,25 @@ def test_contact_log_entries():
     assert doc["constraint_count"] > 0
     assert doc["max_penetration_depth"] > 0
     assert "query_stats" in doc
+    assert doc["inverted_elements"] == 0 and doc["query_stats"]["no_path"] == 0
+
+    # a corner vertex moved past the opposite corner inverts elements, and
+    # a query that returns None builds no constraint; both show in the entry
+    m1, m2 = two_cubes()
+    state, config, rt = make_runtime([m1, m2], damping=1.0)
+    state.positions[0] = [1.5, 1.5, 1.5]
+    query = sim.shortest_path_to_boundary
+    calls = []
+
+    def first_query_empty(*args, **kwargs):
+        calls.append(1)
+        return None if len(calls) == 1 else query(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "shortest_path_to_boundary", first_query_empty)
+    state, entry = xpbd_substep(state, config, rt)
+    inverted = sum(int(np.count_nonzero(m.inverted_flags)) for m in state.meshes)
+    assert entry.n_inverted_elements == inverted > 0
+    assert entry.n_queries_none == 1
+    assert entry.n_constraints == entry.n_vertex_contacts + entry.n_edge_contacts - 1
+    doc = entry.as_dict()
+    assert doc["inverted_elements"] == inverted and doc["query_stats"]["no_path"] == 1
