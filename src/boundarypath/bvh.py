@@ -203,11 +203,15 @@ def build_boundary_bvh(mesh):
 
 class ElementBvh:
     """Hierarchy over elements (rows of vertex ids) for collision
-    candidates; the simulator keeps one over every element of its scene."""
+    candidates; the simulator keeps one over every element of its scene.
+    `boxes` holds each element's box from the last build or refit, the
+    tree's leaf boxes in element order."""
 
     def __init__(self, vertices, elements):
         self.elements = elements
-        self.tree = AabbTree(_simplex_boxes(vertices, elements))
+        self.boxes = _simplex_boxes(vertices, elements)
+        self.tree = AabbTree(self.boxes)
 
     def refit(self, vertices):
-        self.tree.refit(_simplex_boxes(vertices, self.elements))
+        self.boxes = _simplex_boxes(vertices, self.elements)
+        self.tree.refit(self.boxes)

@@ -6,11 +6,17 @@ features of self-intersecting or overlapping meshes are pushed out along
 the true nearest exit. Discrete collision detection only (vertex-element
 and edge-element); continuous detection and friction are out of scope.
 
-Collision detection is array code: every probe of the scene (vertices and
-element centroids, or boundary edges) goes in one batched box-overlap call
-to one element tree over every element of every mesh, and the candidate
-pairs are tested with one batched barycentric solve. The contacts, and
-their order, are those of testing one probe at a time.
+Collision detection is array code over one element tree that holds every
+element of every mesh. Its candidate pairs are kept across detections, as
+in Verlet's neighbour lists with a skin: `SimRuntime` keeps one list per
+probe kind (points, i.e. vertices then element centroids, and boundary
+edges), taken by one batched box-overlap call with every probe box grown
+by the skin on each side. Each detection runs only the exact box test on
+the kept pairs, with the current boxes, and tests what passes with one
+batched barycentric solve. A list is taken again once some vertex may
+have moved far enough that a pair outside it could overlap
+(`KeptPairs`), so the contacts, and their order, stay those of a fresh
+walk, and so of testing one probe at a time.
 
 The spring sweep is array code too, one update per dependency level. A
 spring's level is one above the highest level among the earlier springs
@@ -39,6 +45,11 @@ ITERATIONS = 3  # material + collision projection sweeps per substep
 # projection targets c >= CONTACT_MARGIN; exactly-on-face points otherwise
 # flicker in and out of the strict containment test
 CONTACT_MARGIN = 1e-7
+# kept candidate pairs are taken with every probe box grown by SKIN times
+# the median largest side of the scene's element boxes (KeptPairs); a
+# larger skin retakes less often but makes each retake walk costlier
+SKIN = 0.05
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -192,22 +203,72 @@ def _owner(offsets, ids):
     return m, ids - offsets[m]
 
 
-def _candidates(state, elem_bvh, lo, hi, probe_ids):
-    """Candidate (probe, element) pairs from one box-overlap call over the
-    scene's element tree. Probe k has the box [lo[k], hi[k]] and owns the
-    global vertex ids in row k of probe_ids. Skipped elements and elements
-    sharing a vertex with the probe are dropped. Returns the pairs sorted
-    by probe, then by global element id, i.e. (target mesh, element id),
-    and each element's vertex positions."""
-    probe, e = elem_bvh.tree.box_overlap(lo, hi)
-    elements = state.elements[e]
-    shared = (elements[:, :, None] == probe_ids[probe][:, None, :]).any(axis=(1, 2))
-    skipped = np.concatenate([mesh.skipped_flags for mesh in state.meshes])[e]
-    keep = ~skipped & ~shared
-    return probe[keep], e[keep], state.positions[elements[keep]]
+class KeptPairs:
+    """The candidate (probe, element) pairs of one probe kind, kept across
+    detections: a neighbour list with a skin (Verlet 1967).
+
+    A take is one box-overlap walk of the element tree with every probe
+    box grown by `skin` on each side. It drops the pairs whose probe
+    shares a vertex with the element, which is topology and so done once
+    per take, keeps the rest in the walk's (probe, element) order, and
+    records the positions it was taken at. Skip flags change with the
+    positions, so the list ignores them.
+
+    The list is taken again when 2 m + 64 eps (max|x| + skin) > skin,
+    where m = max |x - x_taken| over all coordinates and x is the current
+    positions. While it is not, the list holds every pair whose current
+    boxes overlap: a min, a max and an average of vertex coordinates each
+    move by at most m when every vertex does, so every probe box and
+    element box has moved by at most m per side since the take, and a
+    pair that overlaps now was within 2 m <= skin of overlapping then.
+    The allowance covers the rounding of the grown corners, of the
+    centroid means at both times and of m itself, each a few eps
+    (max|x| + skin). Far from the origin the allowance exceeds the skin
+    and every detection takes the list again, so the pairs stay exact at
+    any offset."""
+
+    def __init__(self, skin):
+        self.skin = skin
+        self.taken_at = None  # positions at the last take
+        self.probe = self.element = None
+        self.retaken = False  # whether the last detection took the list
+        self.tested = 0  # kept pairs the last detection's exact box test ran on
+
+    def _stale(self, x):
+        if self.taken_at is None:
+            return True
+        moved = np.abs(x - self.taken_at).max(initial=0.0)
+        allowance = 64.0 * EPS * (np.abs(x).max(initial=0.0) + self.skin)
+        return bool(2.0 * moved + allowance > self.skin)
+
+    def candidates(self, state, elem_bvh, lo, hi, probe_ids, n_probes):
+        """Candidate pairs among the first n_probes probes, exactly those of
+        a fresh box-overlap walk. Probe k has the box [lo[k], hi[k]] and
+        owns the global vertex ids in row k of probe_ids; elem_bvh must be
+        refit to the current positions. Elements that are skipped or share
+        a vertex with the probe are dropped. Returns the pairs sorted by
+        probe, then by global element id, i.e. (target mesh, element id),
+        and each element's vertex positions."""
+        self.retaken = self._stale(state.positions)
+        if self.retaken:
+            probe, e = elem_bvh.tree.box_overlap(lo - self.skin, hi + self.skin)
+            shared = state.elements[e][:, :, None] == probe_ids[probe][:, None, :]
+            keep = ~shared.any(axis=(1, 2))
+            self.probe, self.element = probe[keep], e[keep]
+            self.taken_at = state.positions.copy()
+        stop = np.searchsorted(self.probe, n_probes)
+        probe, e = self.probe[:stop], self.element[:stop]
+        self.tested = int(stop)
+        # the exact test of box_overlap on each pair; touching overlaps
+        boxes = elem_bvh.boxes[e]
+        miss = np.any(boxes[:, 0] > hi[probe], axis=1) | np.any(boxes[:, 1] < lo[probe], axis=1)
+        skipped = np.concatenate([mesh.skipped_flags for mesh in state.meshes])[e]
+        keep = ~miss & ~skipped
+        probe, e = probe[keep], e[keep]
+        return probe, e, state.positions[state.elements[e]]
 
 
-def dcd_vertex_tet(state, elem_bvh, include_centroids=False):
+def dcd_vertex_tet(state, runtime, include_centroids=False):
     """Vertex-vs-element discrete collision detection across all mesh
     pairs, self-pairs included. Returns a list of contact records
     (subject mesh, vertex ids tuple, weights, point, target mesh, element),
@@ -218,18 +279,22 @@ def dcd_vertex_tet(state, elem_bvh, include_centroids=False):
     include_centroids, element centroids join the probe set; their
     correction spreads uniformly over the element's vertices.
 
-    All probes are tested as one batch: one box-overlap call on the scene's
-    element tree, then one batched barycentric solve over every candidate
-    pair. Contacts come in subject mesh order, then probe order (the mesh's
-    vertices, then its centroids), then target mesh, then element id.
+    All probes are tested as one batch: the runtime's kept point pairs
+    (vertices, then centroids, whichever are asked for), then one batched
+    barycentric solve over every candidate pair. Contacts come in subject
+    mesh order, then probe order (the mesh's vertices, then its
+    centroids), then target mesh, then element id. The runtime must be
+    refit to the current positions.
     """
     n = len(state.positions)
-    points = state.positions
-    probe_ids = np.repeat(np.arange(n)[:, None], state.dim + 1, axis=1)
-    if include_centroids:
-        points = np.concatenate([points, points[state.elements].mean(axis=1)])
-        probe_ids = np.concatenate([probe_ids, state.elements])
-    probe, e, verts = _candidates(state, elem_bvh, points, points, probe_ids)
+    points = np.concatenate([state.positions, state.positions[state.elements].mean(axis=1)])
+    probe_ids = np.concatenate(
+        [np.repeat(np.arange(n)[:, None], state.dim + 1, axis=1), state.elements]
+    )
+    probe, e, verts = runtime.point_pairs.candidates(
+        state, runtime.elem_bvh, points, points, probe_ids,
+        len(points) if include_centroids else n,
+    )
     b = geometry.barycentric_coords(points[probe], verts)
     inside = np.all(np.isfinite(b) & (b > 0.0), axis=1)
     probe, e = probe[inside], e[inside]
@@ -266,7 +331,7 @@ def _chord_spans(ba, bb):
     return t0, t1, crosses
 
 
-def dcd_edge_tet(state, elem_bvh):
+def dcd_edge_tet(state, runtime):
     """Boundary-edge-vs-element discrete collision detection. For each
     boundary edge clipped by a non-incident element, records the midpoint
     of the clipped chord; if several elements intersect one edge, only the
@@ -276,13 +341,15 @@ def dcd_edge_tet(state, elem_bvh):
     dcd_vertex_tet's, with the chord center's barycentric weights on the
     edge endpoints, in subject mesh order, then boundary-edge order.
 
-    All meshes' boundary edges are tested as one batch: one box-overlap
-    call on the scene's element tree, then every (edge, element) pair is
-    clipped at once.
+    All meshes' boundary edges are tested as one batch: the runtime's kept
+    edge pairs, then every (edge, element) pair is clipped at once. The
+    runtime must be refit to the current positions.
     """
     edges = state.boundary_edges
     a, b = state.positions[edges[:, 0]], state.positions[edges[:, 1]]
-    edge, e, verts = _candidates(state, elem_bvh, np.minimum(a, b), np.maximum(a, b), edges)
+    edge, e, verts = runtime.edge_pairs.candidates(
+        state, runtime.elem_bvh, np.minimum(a, b), np.maximum(a, b), edges, len(edges)
+    )
     ba = geometry.barycentric_coords(a[edge], verts)
     bb = geometry.barycentric_coords(b[edge], verts)
     t0, t1, crosses = _chord_spans(ba, bb)
@@ -308,8 +375,10 @@ def dcd_edge_tet(state, elem_bvh):
 @dataclass
 class ContactLogEntry:
     """What one substep's detection found: its contacts, the constraints
-    built from them, the inverted elements of the scene at detection, and
-    the contacts whose query returned None and so built no constraint."""
+    built from them, the inverted elements of the scene at detection, the
+    contacts whose query returned None and so built no constraint, whether
+    either kept candidate list was taken again, and how many kept pairs
+    the exact box test ran on."""
 
     substep: int
     n_constraints: int
@@ -320,6 +389,8 @@ class ContactLogEntry:
     n_queries_none: int
     query_elements_visited: int
     query_candidates: int
+    pairs_retaken: bool
+    pairs_tested: int
 
     def as_dict(self):
         return {
@@ -334,6 +405,7 @@ class ContactLogEntry:
                 "candidates_tested": self.query_candidates,
                 "no_path": self.n_queries_none,
             },
+            "candidate_pairs": {"retaken": self.pairs_retaken, "tested": self.pairs_tested},
         }
 
 
@@ -342,11 +414,25 @@ class SimRuntime:
     of the scene, for collision detection, and one boundary tree per mesh,
     for the queries. Refits (never rebuilds) on vertex motion. The
     config argument is not read. Each detection runs `refit` first, the
-    one place that refreshes the meshes' derived geometry."""
+    one place that refreshes the meshes' derived geometry.
+
+    It also keeps the collision candidate pairs between detections, one
+    `KeptPairs` list for the point probes (vertices, then element
+    centroids) and one for the boundary edges. Their skin is SKIN times
+    the median largest side of the element boxes at construction. A
+    detection walks the element tree only when its list is taken again:
+    at the first detection, and once some vertex has moved far enough
+    that a pair outside the list could overlap; otherwise it runs the
+    exact box test on the kept pairs. Either way the candidates, and so
+    the contacts and their order, are those of a fresh walk."""
 
     def __init__(self, state, config):
         self.elem_bvh = ElementBvh(state.positions, state.elements)
         self.boundary_bvhs = [BoundaryBvh(mesh) for mesh in state.meshes]
+        sides = (self.elem_bvh.boxes[:, 1] - self.elem_bvh.boxes[:, 0]).max(axis=1)
+        skin = SKIN * float(np.median(sides))
+        self.point_pairs = KeptPairs(skin)
+        self.edge_pairs = KeptPairs(skin)
 
     def refit(self, state):
         self.elem_bvh.refit(state.positions)
@@ -362,8 +448,8 @@ def _build_constraints(state, runtime, config):
     point, with the pseudo-normal of its boundary feature. Contacts whose
     query comes back empty (no valid path, query point in a skipped
     element) produce no constraint."""
-    vertex_contacts = dcd_vertex_tet(state, runtime.elem_bvh, include_centroids=True)
-    edge_contacts = dcd_edge_tet(state, runtime.elem_bvh)
+    vertex_contacts = dcd_vertex_tet(state, runtime, include_centroids=True)
+    edge_contacts = dcd_edge_tet(state, runtime)
     constraints = []
     entry = ContactLogEntry(
         substep=state.substeps_done + 1,
@@ -375,6 +461,8 @@ def _build_constraints(state, runtime, config):
         n_queries_none=0,
         query_elements_visited=0,
         query_candidates=0,
+        pairs_retaken=runtime.point_pairs.retaken or runtime.edge_pairs.retaken,
+        pairs_tested=runtime.point_pairs.tested + runtime.edge_pairs.tested,
     )
     for ma, ids, w, point, mb, e in vertex_contacts + edge_contacts:
         # a self-collision vertex probe sits on its own boundary: exclude
@@ -511,9 +599,10 @@ def run_sim(state, config, n_substeps, runtime, log=None):
 
 def count_penetrations(state, runtime):
     """Current number of vertex-inside-foreign-element incidences; the
-    recovery criterion drives this to zero."""
+    recovery criterion drives this to zero. It reads the runtime's kept
+    point pairs, those of the first n (vertex) probes."""
     runtime.refit(state)
-    return len(dcd_vertex_tet(state, runtime.elem_bvh))
+    return len(dcd_vertex_tet(state, runtime))
 
 
 def _config(cls, doc, path, where, convert=()):

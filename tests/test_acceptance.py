@@ -15,7 +15,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES, threaded_ray_corpus
 
 from boundarypath import shapes
-from boundarypath.bvh import ElementBvh, build_boundary_bvh
+from boundarypath.bvh import build_boundary_bvh
 from boundarypath.geometry import barycentric_coords
 from boundarypath.mesh import SimplicialMesh
 from boundarypath.oracle import (
@@ -334,7 +334,7 @@ def test_criterion_7_rest_shape_comparison():
     )
     assert not any(deformed.element_skipped(e) for e in range(deformed.n_elements))
     state = make_state([deformed])
-    hits = dcd_vertex_tet(state, ElementBvh(state.positions, state.elements))
+    hits = dcd_vertex_tet(state, SimRuntime(state, SimConfig()))
     assert hits, "the fold must produce penetrating vertices"
 
     bvh = build_boundary_bvh(deformed)

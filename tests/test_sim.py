@@ -34,8 +34,8 @@ def make_runtime(meshes, **cfg_kw):
     return state, config, SimRuntime(state, config)
 
 
-def scene_tree(state):
-    return ElementBvh(state.positions, state.elements)
+def scene_runtime(state):
+    return SimRuntime(state, SimConfig())
 
 
 def test_dcd_vertex_inside_detected(tet):
@@ -44,7 +44,7 @@ def test_dcd_vertex_inside_detected(tet):
         np.array([[0, 1, 2, 3]]),
     )
     state = make_state([tet, other])
-    hits = dcd_vertex_tet(state, scene_tree(state))
+    hits = dcd_vertex_tet(state, scene_runtime(state))
     # other's vertex 0 sits strictly inside the unit tet
     assert any(ma == 1 and ids == (0,) and mb == 0 for ma, ids, _, _, mb, _ in hits)
 
@@ -52,12 +52,12 @@ def test_dcd_vertex_inside_detected(tet):
 def test_dcd_vertex_outside_empty():
     m1, m2 = two_cubes(offset=(5.0, 0.0, 0.0))
     state = make_state([m1, m2])
-    assert dcd_vertex_tet(state, scene_tree(state)) == []
+    assert dcd_vertex_tet(state, scene_runtime(state)) == []
 
 
 def test_dcd_vertex_incident_excluded(tet):
     state = make_state([tet])
-    assert dcd_vertex_tet(state, scene_tree(state)) == []
+    assert dcd_vertex_tet(state, scene_runtime(state)) == []
 
 
 def test_dcd_edge_symmetric_chord(tet):
@@ -74,7 +74,7 @@ def test_dcd_edge_symmetric_chord(tet):
         np.array([[0, 1, 2, 3]]),
     )
     state = make_state([tet, other])
-    hits = [h for h in dcd_edge_tet(state, scene_tree(state)) if h[0] == 1 and h[4] == 0]
+    hits = [h for h in dcd_edge_tet(state, scene_runtime(state)) if h[0] == 1 and h[4] == 0]
     assert hits
     ma, ids, w, point, mb, e = hits[0]
     assert set(ids) == {0, 1}
@@ -85,7 +85,7 @@ def test_dcd_edge_symmetric_chord(tet):
 def test_dcd_edge_fully_outside():
     m1, m2 = two_cubes(offset=(9.0, 0.0, 0.0))
     state = make_state([m1, m2])
-    assert dcd_edge_tet(state, scene_tree(state)) == []
+    assert dcd_edge_tet(state, scene_runtime(state)) == []
 
 
 # -- brute-force references for the batched DCD ----------------------------
@@ -188,31 +188,37 @@ def assert_same_contacts(got, want):
         assert np.array_equal(g[3], w[3])
 
 
-def assert_dcd_matches_reference(state, elem_bvh):
+def assert_dcd_matches_reference(state, rt):
     """Checks both DCD functions against the references; returns the
     contact count and the set of (subject mesh, target mesh) pairs seen."""
     contacts = []
     for centroids in (False, True):
-        got = dcd_vertex_tet(state, elem_bvh, include_centroids=centroids)
+        got = dcd_vertex_tet(state, rt, include_centroids=centroids)
         assert_same_contacts(got, ref_dcd_vertex_tet(state, include_centroids=centroids))
         contacts += got
-    got = dcd_edge_tet(state, elem_bvh)
+    got = dcd_edge_tet(state, rt)
     assert_same_contacts(got, ref_dcd_edge_tet(state))
     contacts += got
     return len(contacts), {(c[0], c[4]) for c in contacts}
 
 
-def test_dcd_matches_reference_two_boxes():
-    a, b = shapes.box_grid(2, 2, 2), shapes.box_grid(2, 2, 2)
-    b.set_vertices(b.vertices + np.array([0.8, 0.1, 0.05]))
-    state, config, rt = make_runtime([a, b], damping=1.0)
-    counts = []
-    for step in range(6):
-        if step in (0, 1, 5):
-            rt.refit(state)
-            counts.append(assert_dcd_matches_reference(state, rt.elem_bvh)[0])
+def assert_dcd_matches_reference_over_substeps(state, config, rt, n_substeps):
+    """Checks both DCD functions against the references on a runtime's
+    kept pairs before the first substep and after each of n_substeps, so
+    that later checks reuse pairs taken at earlier positions; returns each
+    check's contact count and (subject mesh, target mesh) pairs."""
+    seen = [assert_dcd_matches_reference(state, rt)]
+    for _ in range(n_substeps):
         state, _ = xpbd_substep(state, config, rt)
-    assert counts[0] > 0 and counts[1] > 0
+        rt.refit(state)
+        seen.append(assert_dcd_matches_reference(state, rt))
+    return seen
+
+
+def test_dcd_matches_reference_two_boxes():
+    state, config, rt = make_runtime(two_grids(2, (0.8, 0.1, 0.05)), damping=1.0)
+    seen = assert_dcd_matches_reference_over_substeps(state, config, rt, 5)
+    assert seen[0][0] > 0 and seen[1][0] > 0
 
 
 def three_boxes():
@@ -226,11 +232,9 @@ def three_boxes():
 
 def test_dcd_matches_reference_three_meshes():
     state, config, rt = three_boxes()
-    n, pairs = assert_dcd_matches_reference(state, rt.elem_bvh)
-    assert {(ma, mb) for ma in range(3) for mb in range(3) if ma != mb} <= pairs
-    state, _ = xpbd_substep(state, config, rt)
-    rt.refit(state)
-    assert assert_dcd_matches_reference(state, rt.elem_bvh)[0] > 0
+    seen = assert_dcd_matches_reference_over_substeps(state, config, rt, 3)
+    assert {(ma, mb) for ma in range(3) for mb in range(3) if ma != mb} <= seen[0][1]
+    assert seen[1][0] > 0
 
 
 def test_dcd_matches_reference_mixed_scene():
@@ -238,19 +242,22 @@ def test_dcd_matches_reference_mixed_scene():
     # detection sees the bar's self-contacts and both bodies' contacts
     bar = shapes.folded_bar(12, 2, 2)
     box = shapes.box_grid(2, 2, 2, size=(0.5, 0.3, 0.6), origin=(0.95, 0.1, -0.15))
-    state, _, rt = make_runtime([bar, box])
-    _, pairs = assert_dcd_matches_reference(state, rt.elem_bvh)
-    assert {(0, 0), (0, 1), (1, 0)} <= pairs
+    state, config, rt = make_runtime([bar, box], damping=1.0)
+    seen = assert_dcd_matches_reference_over_substeps(state, config, rt, 2)
+    assert {(0, 0), (0, 1), (1, 0)} <= seen[0][1]
 
 
 @pytest.mark.parametrize("name", ["folded_bar", "folded_strip_2d"])
 def test_dcd_matches_reference_self_contacts(name):
     mesh = shapes.folded_bar(12, 2, 2) if name == "folded_bar" else shapes.folded_strip(30, 3)
-    state = make_state([mesh])
-    assert assert_dcd_matches_reference(state, scene_tree(state))[0] > 0
+    state, config, rt = make_runtime([mesh], damping=1.0)
+    seen = assert_dcd_matches_reference_over_substeps(state, config, rt, 2)
+    assert seen[0][0] > 0
 
 
-def test_dcd_matches_reference_inverted_elements():
+def jittered_scene():
+    """A jittered box_grid, some of whose elements are inverted, and a
+    box overlapping it."""
     rng = np.random.default_rng(0)
     grid = shapes.box_grid(3, 3, 2)
     jitter = rng.normal(scale=0.22, size=grid.vertices.shape)
@@ -258,16 +265,21 @@ def test_dcd_matches_reference_inverted_elements():
     assert jittered.inverted_flags.any()
     other = shapes.box_grid(2, 2, 2)
     other.set_vertices(other.vertices + np.array([0.5, 0.3, 0.2]))
-    state = make_state([jittered, other])
-    assert assert_dcd_matches_reference(state, scene_tree(state))[0] > 0
+    return jittered, other
 
 
-@pytest.mark.parametrize("n_meshes", [1, 2, 3])
-def test_one_box_overlap_call_per_detection(monkeypatch, n_meshes):
-    meshes = [shapes.box_grid(2, 2, 2) for _ in range(n_meshes)]
-    for k, mesh in enumerate(meshes):
-        mesh.set_vertices(mesh.vertices + 0.4 * k)
-    state, config, rt = make_runtime(meshes, damping=1.0)
+def test_dcd_matches_reference_inverted_elements():
+    state, config, rt = make_runtime(jittered_scene(), damping=1.0)
+    skipped = state.meshes[0].skipped_flags.copy()
+    seen = assert_dcd_matches_reference_over_substeps(state, config, rt, 3)
+    assert seen[0][0] > 0
+    # the skip flags change between detections
+    assert not np.array_equal(skipped, state.meshes[0].skipped_flags)
+
+
+def count_walks(monkeypatch):
+    """Patches AabbTree.box_overlap to append each call's tree to the
+    returned list."""
     calls = []
     box_overlap = AabbTree.box_overlap
 
@@ -276,17 +288,133 @@ def test_one_box_overlap_call_per_detection(monkeypatch, n_meshes):
         return box_overlap(tree, lo, hi)
 
     monkeypatch.setattr(AabbTree, "box_overlap", counted)
-    for detect in (
-        lambda: dcd_vertex_tet(state, rt.elem_bvh),
-        lambda: dcd_vertex_tet(state, rt.elem_bvh, include_centroids=True),
-        lambda: dcd_edge_tet(state, rt.elem_bvh),
-    ):
+    return calls
+
+
+def test_kept_pairs_follow_skip_flags(monkeypatch):
+    # an element made nearly flat, then inverted by a move far inside the
+    # skin: the pairs are kept, and the skip flag drops the element
+    jittered, other = jittered_scene()
+    state, config, rt = make_runtime([jittered, other], damping=1.0)
+    x = state.positions
+    rt.refit(state)
+    assert_dcd_matches_reference(state, rt)
+    kept = rt.point_pairs.element
+    e = int(np.bincount(kept[kept < jittered.n_elements]).argmax())
+    a, b, c, d = state.elements[e]
+    normal = np.cross(x[b] - x[a], x[c] - x[a])
+    normal /= np.linalg.norm(normal)
+    eta = 1e-3 * rt.point_pairs.skin
+    x[d] += (eta - np.dot(x[d] - x[a], normal)) * normal
+    rt.refit(state)
+    assert not jittered.skipped_flags[e]
+    assert_dcd_matches_reference(state, rt)
+    calls = count_walks(monkeypatch)
+    x[d] -= 2.0 * eta * normal
+    rt.refit(state)
+    assert jittered.skipped_flags[e]
+    assert_dcd_matches_reference(state, rt)
+    assert calls == []
+
+
+def test_kept_pairs_retaken_past_half_the_skin(monkeypatch):
+    # one vertex moved just under, then just over, half the skin from
+    # where the pairs were taken: the first detection keeps the pairs,
+    # the second takes both lists again, and both match the reference
+    state, config, rt = make_runtime(two_grids(2, (0.8, 0.1, 0.05)), damping=1.0)
+    rt.refit(state)
+    assert_dcd_matches_reference(state, rt)
+    taken = state.positions.copy()
+    assert np.array_equal(rt.point_pairs.taken_at, taken)
+    calls = count_walks(monkeypatch)
+    half = 0.5 * rt.point_pairs.skin
+    for fraction, walks in ((1.0 - 1e-6, 0), (1.0 + 1e-6, 2)):
+        state.positions[:] = taken
+        state.positions[30, 0] -= fraction * half  # a vertex of the second box
+        rt.refit(state)
         calls.clear()
-        detect()
-        assert calls == [rt.elem_bvh.tree]
-    calls.clear()
+        assert_dcd_matches_reference(state, rt)
+        assert calls == [rt.elem_bvh.tree] * walks
+
+
+def check_every_detection(monkeypatch):
+    """Wraps both DCD functions, as xpbd_substep looks them up, so that
+    each detection is checked against its reference; returns the list to
+    which each detection appends whether it took its pairs again."""
+    retaken = []
+    dcd_vertex, dcd_edge = sim.dcd_vertex_tet, sim.dcd_edge_tet
+
+    def vertex(state, rt, include_centroids=False):
+        got = dcd_vertex(state, rt, include_centroids)
+        assert_same_contacts(got, ref_dcd_vertex_tet(state, include_centroids))
+        retaken.append(rt.point_pairs.retaken)
+        return got
+
+    def edge(state, rt):
+        got = dcd_edge(state, rt)
+        assert_same_contacts(got, ref_dcd_edge_tet(state))
+        retaken.append(rt.edge_pairs.retaken)
+        return got
+
+    monkeypatch.setattr(sim, "dcd_vertex_tet", vertex)
+    monkeypatch.setattr(sim, "dcd_edge_tet", edge)
+    return retaken
+
+
+@pytest.mark.parametrize(
+    "shift, scale, every",
+    [
+        # the rounding allowance stays below the skin: pairs are reused
+        (1e12, 1.0, False),
+        # the allowance exceeds the skin: every detection takes them again
+        (1e14, 1.0, True),
+        (0.0, 1e70, False),
+    ],
+    ids=["shift-1e12", "shift-1e14", "scale-1e70"],
+)
+def test_kept_pairs_far_from_the_origin(monkeypatch, shift, scale, every):
+    # criterion 8's scene, scaled, then translated along every axis
+    meshes = two_grids(2, (0.8, 0.1, 0.05))
+    for mesh in meshes:
+        mesh.set_vertices(mesh.vertices * scale + shift)
+    state, config, rt = make_runtime(meshes, damping=1.0)
+    retaken = check_every_detection(monkeypatch)
+    log = []
+    run_sim(state, config, 20, rt, log)
+    assert len(retaken) == 40 and retaken[:2] == [True, True]
+    assert all(retaken) if every else not all(retaken)
+    assert [e.pairs_retaken for e in log] == [a or b for a, b in zip(retaken[::2], retaken[1::2])]
+    assert sum(e.n_vertex_contacts + e.n_edge_contacts for e in log) > 0
+
+
+def overlapping_boxes(n_meshes):
+    meshes = [shapes.box_grid(2, 2, 2) for _ in range(n_meshes)]
+    for k, mesh in enumerate(meshes):
+        mesh.set_vertices(mesh.vertices + 0.4 * k)
+    return make_runtime(meshes, damping=1.0)
+
+
+@pytest.mark.parametrize("n_meshes", [1, 2, 3])
+def test_one_box_overlap_call_per_detection(monkeypatch, n_meshes):
+    calls = count_walks(monkeypatch)
+    # a fresh runtime's first substep walks the element tree once per
+    # probe kind: points (vertices, then centroids) and boundary edges
+    state, config, rt = overlapping_boxes(n_meshes)
     xpbd_substep(state, config, rt)
     assert calls == [rt.elem_bvh.tree] * 2
+    # a fresh runtime's detections walk once per probe kind, and a repeat
+    # detection with no motion since walks no more
+    state, config, rt = overlapping_boxes(n_meshes)
+    points = [
+        lambda: dcd_vertex_tet(state, rt),
+        lambda: dcd_vertex_tet(state, rt, include_centroids=True),
+        lambda: count_penetrations(state, rt),
+    ]
+    edges = [lambda: dcd_edge_tet(state, rt)]
+    for detect, walks in zip(points + edges + points + edges, [1, 0, 0, 1, 0, 0, 0, 0]):
+        calls.clear()
+        detect()
+        assert calls == [rt.elem_bvh.tree] * walks
 
 
 @pytest.mark.parametrize("n_meshes", [1, 2, 3])
@@ -376,8 +504,8 @@ def test_constraint_values():
 def test_constraints_on_scene_rows(monkeypatch):
     state, config, rt = three_boxes()
     rt.refit(state)
-    contacts = dcd_vertex_tet(state, rt.elem_bvh, include_centroids=True)
-    contacts += dcd_edge_tet(state, rt.elem_bvh)
+    contacts = dcd_vertex_tet(state, rt, include_centroids=True)
+    contacts += dcd_edge_tet(state, rt)
     answered = []
     query = sim.shortest_path_to_boundary
 
@@ -655,6 +783,17 @@ def test_contact_log_entries(monkeypatch):
     assert doc["max_penetration_depth"] > 0
     assert "query_stats" in doc
     assert doc["inverted_elements"] == 0 and doc["query_stats"]["no_path"] == 0
+    # a fresh runtime's first detection takes the candidate pairs, and the
+    # exact box test runs on every pair of both kept lists
+    assert doc["candidate_pairs"] == {"retaken": True, "tested": entry.pairs_tested}
+    assert entry.pairs_tested == rt.point_pairs.tested + rt.edge_pairs.tested
+    assert entry.pairs_tested == len(rt.point_pairs.probe) + len(rt.edge_pairs.probe)
+    assert entry.pairs_tested >= entry.n_vertex_contacts + entry.n_edge_contacts
+    # once the boxes settle, substeps reuse the kept pairs
+    log = []
+    run_sim(state, config, 29, rt, log)
+    reused = [e.as_dict()["candidate_pairs"] for e in log if not e.pairs_retaken]
+    assert reused and all(pairs["retaken"] is False and pairs["tested"] > 0 for pairs in reused)
 
     # a corner vertex moved past the opposite corner inverts elements, and
     # a query that returns None builds no constraint; both show in the entry
