@@ -306,10 +306,10 @@ def cmd_fuzz(args):
                 allow_backward=config.traversal.allow_backward,
                 epsilon=config.traversal.epsilon_i,
             )
-            if result.budget_breached or result.valid != ref:
+            if result.valid != ref:
                 findings.append(
                     {
-                        "kind": "budget_breach" if result.budget_breached else "ray_mismatch",
+                        "kind": "ray_mismatch",
                         "iteration": iteration,
                         "s": [float(x) for x in s],
                         "face": f,

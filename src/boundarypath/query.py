@@ -106,12 +106,12 @@ class ClosestBoundaryResult:
 def feasible_region_check(mesh, s, feature, p, epsilon_r):
     """False only when p provably lies outside the feasible region of the
     candidate boundary point s, so s cannot be any point's closest boundary
-    point. Thresholds are relaxed to -|epsilon_r|: returning True never
-    discards the true closest boundary point. The dot products run on
-    Python floats."""
+    point. Thresholds are relaxed to -epsilon_r (QueryConfig checks that
+    epsilon_r >= 0): returning True never discards the true closest
+    boundary point. The dot products run on Python floats."""
     if feature.kind == "face":
         return True  # the face test is implied by taking the closest point
-    thr = -abs(epsilon_r)
+    thr = -epsilon_r
     s = np.asarray(s, dtype=float).tolist()
     p = np.asarray(p, dtype=float).tolist()
     dot, sub = geometry.dot, geometry.sub

@@ -7,8 +7,11 @@ from the boundary face's owner it steps through every face the ray may exit
 by into the neighbour's state, and the segment is valid when some reachable
 state's element contains the interior point. Numerical ties near
 vertices/edges branch into several exit faces instead of failing; each state
-is entered at most once, which cuts loops; an optional backward mode handles
-inverted interior elements.
+is entered at most once, which cuts loops and bounds the work: a mesh has
+(dim + 1) * n_elements states, each with at most dim exit faces, so a
+traversal examines at most dim * (dim + 1) * n_elements exit faces and
+stops when its states run out. An optional backward mode handles inverted
+interior elements.
 """
 
 import math
@@ -81,7 +84,6 @@ class TraversalResult:
     elements_visited: int = 0
     steps: int = 0
     loop_events: int = 0
-    budget_breached: bool = False
 
 
 def exit_face_selection(mesh, element, in_local, frame, epsilon_i):
@@ -213,9 +215,6 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
     start = (int(mesh.boundary_owner[start_face]), int(mesh.boundary_owner_local[start_face]))
     stack = [(start, 0.0)]
     visited = {start}
-    # Faces per element bounds legitimate work; the extra factor absorbs
-    # branching near ties before the breach flag trips.
-    budget = max(8 * mesh.n_elements * (mesh.dim + 1), 256)
     steps = 0
     loops = 0
     hit_boundary = False
@@ -228,10 +227,6 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
             return TraversalResult(True, "reached", e, len(visited), steps, loops)
         exits = exit_face_selection(mesh, e, k, frame, eps)
         steps += len(exits)
-        if steps > budget:
-            return TraversalResult(
-                False, "exhausted", -1, len(visited), steps, loops, budget_breached=True
-            )
         for lf in exits:
             nb = int(adjacency[e, lf])
             if nb == BOUNDARY:

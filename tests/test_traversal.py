@@ -162,7 +162,6 @@ def test_vertex_threaded_ray_terminates(grid3d):
     for vid in interior:
         p = grid3d.vertices[vid]
         res = is_valid_path(grid3d, s, face, p)
-        assert not res.budget_breached
         ref = oracle.oracle_valid_path(grid3d, s, face, p)
         assert res.valid == ref
 
@@ -293,15 +292,10 @@ def ref_traverse(mesh, s, start_face, p, config, backward):
     for lf in exit_face_selection(mesh, e0, k0, frame, eps):
         faces.append(lf)
         elems.append(e0)
-    budget = max(8 * mesh.n_elements * (mesh.dim + 1), 256)
     cutoff = CUTOFF_FACTOR * frame.length
     hit_boundary = False
     while faces:
         steps += 1
-        if steps > budget:
-            return TraversalResult(
-                False, "exhausted", -1, n_visited, steps, loops, budget_breached=True
-            )
         lf = faces.pop()
         e = elems.pop()
         nb = int(mesh.adjacency[e, lf])
@@ -335,7 +329,6 @@ def assert_same_verdicts(rays, config, backward):
         got = _traverse(mesh, s, face, p, config, None, backward)
         ref = ref_traverse(mesh, s, face, p, config, backward)
         assert (got.valid, got.reason) == (ref.valid, ref.reason), (face, p)
-        assert not got.budget_breached
 
 
 def threaded_rays(mesh, rng, count):
@@ -406,13 +399,20 @@ def test_state_search_matches_reference_with_early_out(folded2d, grid3d, rng):
     assert_same_verdicts(rays, config, False)
 
 
-@pytest.mark.parametrize("backward", [False, True])
+REACH_MODES = {
+    "forward": {},
+    "early_out": {"intersection_free_early_out": True},
+    "backward": {"allow_backward": True},
+}
+
+
+@pytest.mark.parametrize("reach", list(REACH_MODES))
 @pytest.mark.parametrize("eps", [1e-10, 0.0])
-def test_steps_within_state_bound(eps, backward):
+def test_steps_within_state_bound(eps, reach):
     # each (element, entry face) state is entered at most once and has at
-    # most dim exit faces, so a working visited set keeps a traversal far
-    # below the step budget that flags a breach
-    config = TraversalConfig(epsilon_i=eps, allow_backward=backward)
+    # most dim exit faces; the traversal stops only when its states run
+    # out, so this bound is the one guard on the visited set
+    config = TraversalConfig(epsilon_i=eps, **REACH_MODES[reach])
     for mesh, s, face, p in threaded_ray_corpus():
         res = is_valid_path(mesh, s, face, p, config=config)
         n_states = (mesh.dim + 1) * mesh.n_elements
