@@ -27,8 +27,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class QueryConfig:
-    # feasibility thresholds compare against -epsilon_r, so the region is
-    # conservatively enlarged
+    # a dimensionless cosine bound: a feasibility test culls only when the
+    # cosine of its two vectors is below -epsilon_r, so the region is
+    # conservatively enlarged by the same angle at any mesh scale
     epsilon_r: float = 0.01
     enable_culling: bool = True
     traversal: TraversalConfig = field(default_factory=TraversalConfig)
@@ -47,21 +48,24 @@ class ClosestBoundaryResult:
     float64 coordinates, then the distance and the three counters. The
     attributes read them back; `point` is a read-only array view."""
 
-    __slots__ = ("_packed", "face", "feature")
+    __slots__ = ("_packed", "feature")
     _TAIL = struct.Struct("=d3I")  # distance, then the three counters
 
     def __init__(
-        self, point, face, feature, distance,
+        self, point, feature, distance,
         bvh_candidates_tested=0, traversals_run=0, elements_visited=0,
     ):
         self._packed = np.asarray(point, dtype=float).tobytes() + self._TAIL.pack(
             distance, bvh_candidates_tested, traversals_run, elements_visited
         )
-        self.face = face
         self.feature = feature
 
     def _tail(self):
         return self._TAIL.unpack_from(self._packed, len(self._packed) - self._TAIL.size)
+
+    @property
+    def face(self):
+        return self.feature.face_id
 
     @property
     def point(self):
@@ -106,25 +110,38 @@ class ClosestBoundaryResult:
 def feasible_region_check(mesh, s, feature, p, epsilon_r):
     """False only when p provably lies outside the feasible region of the
     candidate boundary point s, so s cannot be any point's closest boundary
-    point. Thresholds are relaxed to -epsilon_r (QueryConfig checks that
-    epsilon_r >= 0): returning True never discards the true closest
-    boundary point. The dot products run on Python floats."""
+    point. Each test of a pair of vectors a, b culls only when
+    dot(a, b) < -epsilon_r * |a| * |b|: epsilon_r is a dimensionless
+    cosine bound (QueryConfig checks that epsilon_r >= 0), so the region
+    is enlarged by the same angle at any mesh scale, and returning True
+    never discards the true closest boundary point. The tests compare
+    dot(a, b)² with epsilon_r² |a|² |b|² on Python floats, without a
+    square root: a square that underflows to 0, or a bound that
+    overflows to inf, never culls."""
     if feature.kind == "face":
         return True  # the face test is implied by taking the closest point
-    thr = -epsilon_r
+    eps2 = epsilon_r * epsilon_r
+    dot, sub = geometry.dot, geometry.sub
+
+    def outside(a, b, bb):  # bb is |b|², shared by several tests
+        d = dot(a, b)
+        return d < 0.0 and d * d > eps2 * dot(a, a) * bb
+
     s = np.asarray(s, dtype=float).tolist()
     p = np.asarray(p, dtype=float).tolist()
-    dot, sub = geometry.dot, geometry.sub
     ps = sub(p, s)
+    ps2 = dot(ps, ps)
     if feature.kind == "vertex":
         nbs = mesh.boundary_vertex_neighbors(feature.verts[0])
-        return not any(dot(sub(s, v), ps) < thr for v in mesh.vertices[nbs].tolist())
+        return not any(outside(sub(s, v), ps, ps2) for v in mesh.vertices[nbs].tolist())
     if feature.kind == "edge":
         g0, g1 = feature.verts
         v0, v1 = mesh.vertices[g0].tolist(), mesh.vertices[g1].tolist()
-        if dot(sub(p, v0), sub(v1, v0)) < thr:
+        e = sub(v1, v0)
+        e2 = dot(e, e)
+        if outside(sub(p, v0), e, e2):
             return False
-        if dot(sub(p, v1), sub(v0, v1)) < thr:
+        if outside(sub(p, v1), sub(v0, v1), e2):
             return False
         fids = mesh.boundary_faces_of_edge(g0, g1)
         if len(fids) != 2:
@@ -142,7 +159,8 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
                 m_other = mesh.face_edge_normals[fid, k - 1].tolist()
         if m_accord is None or m_other is None:
             return True
-        return not (dot(ps, m_accord) < thr or dot(ps, m_other) < thr)
+        # the edge normals are as long as the edge, not unit vectors
+        return not (outside(m_accord, ps, ps2) or outside(m_other, ps, ps2))
     raise ValueError(f"unknown feature kind {feature.kind!r}")
 
 
@@ -217,7 +235,7 @@ def shortest_path_to_boundary(
             n_visited += res.elements_visited
             if res.valid:
                 return ClosestBoundaryResult(
-                    s, face, feature, d, n_candidates, n_traversals, n_visited
+                    s, feature, d, n_candidates, n_traversals, n_visited
                 )
         if bound == math.inf:
             return None

@@ -137,9 +137,7 @@ def test_criterion_2_culling_neutral_and_beneficial(folded_corpus, corpus_baseli
     # high-curvature spiral fold whose turns interpenetrate at a radial
     # offset, so for points in the overlap band the nearest boundary sheet
     # belongs to the other turn and is invalid: culling must remove at least
-    # 2/3 of the traversals per query on average. The relaxation threshold is
-    # tightened to match desk-scale cell sizes (the default 0.01 would keep
-    # every candidate at this scale).
+    # 2/3 of the traversals per query on average, at the default QueryConfig.
     big = shapes.spiral_bar(90, 6, 6, thickness=0.25, total_angle=3.6 * np.pi, pitch=0.15)
     assert big.n_elements >= 10_000
     assert not any(big.element_skipped(e) for e in range(big.n_elements))
@@ -149,7 +147,7 @@ def test_criterion_2_culling_neutral_and_beneficial(folded_corpus, corpus_baseli
     means = {}
     big_results = {}
     for on in (True, False):
-        cfg = QueryConfig(enable_culling=on, epsilon_r=1e-6)
+        cfg = QueryConfig(enable_culling=on)
         scratch = TraversalScratch(cfg.traversal)
         total = 0
         recs = []

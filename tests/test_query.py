@@ -5,7 +5,7 @@ import pytest
 
 from boundarypath import oracle, shapes
 from boundarypath.bvh import build_boundary_bvh
-from boundarypath.mesh import BoundaryFeature
+from boundarypath.mesh import BoundaryFeature, SimplicialMesh
 from boundarypath.query import (
     QueryConfig,
     feasible_region_check,
@@ -169,19 +169,23 @@ def test_feasible_region_conservative(folded2d, rng):
 
 
 def ref_feasible_region_check(mesh, s, feature, p, epsilon_r):
-    """feasible_region_check with one np.dot per neighbor and the face
-    normals and edge cross products computed per call."""
-    thr = -abs(epsilon_r)
+    """feasible_region_check with one np.dot and np.linalg.norm per vector,
+    and the face normals and edge cross products computed per call: a pair
+    of vectors a, b culls when dot(a, b) < -epsilon_r * |a| * |b|."""
+
+    def outside(a, b):
+        return float(np.dot(a, b)) < -epsilon_r * float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+
     if feature.kind == "face":
         return True
     if feature.kind == "vertex":
         for nb in mesh.boundary_vertex_neighbors(feature.verts[0]):
-            if float(np.dot(p - s, s - mesh.vertices[nb])) < thr:
+            if outside(p - s, s - mesh.vertices[nb]):
                 return False
         return True
     g0, g1 = feature.verts
     v0, v1 = mesh.vertices[g0], mesh.vertices[g1]
-    if float(np.dot(p - v0, v1 - v0)) < thr or float(np.dot(p - v1, v0 - v1)) < thr:
+    if outside(p - v0, v1 - v0) or outside(p - v1, v0 - v1):
         return False
     fids = mesh.boundary_faces_of_edge(g0, g1)
     if len(fids) != 2:
@@ -198,9 +202,20 @@ def ref_feasible_region_check(mesh, s, feature, p, epsilon_r):
             n_other = -n
     if n_accord is None or n_other is None:
         return True
-    if float(np.dot(p - s, np.cross(n_accord, v1 - v0))) < thr:
+    if outside(p - s, np.cross(n_accord, v1 - v0)):
         return False
-    return float(np.dot(p - s, np.cross(n_other, v0 - v1))) >= thr
+    return not outside(p - s, np.cross(n_other, v0 - v1))
+
+
+def candidate_decisions(mesh, pts, epsilon_r):
+    """(feature kind, feasible_region_check) of every boundary face's
+    candidate for every point of pts."""
+    out = []
+    for p in pts:
+        for f in range(mesh.n_boundary_faces):
+            s, feat = mesh.closest_point_on_face(p, f)
+            out.append((feat.kind, feasible_region_check(mesh, s, feat, p, epsilon_r)))
+    return out
 
 
 @pytest.mark.parametrize("epsilon_r", [0.0, 0.01])
@@ -216,6 +231,19 @@ def test_feasible_region_matches_reference(folded3d, rng, epsilon_r):
             assert got == ref_feasible_region_check(folded3d, s, feat, p, epsilon_r), (f, p)
             kinds[feat.kind, got] = kinds.get((feat.kind, got), 0) + 1
     assert {("vertex", False), ("edge", False), ("edge", True)} <= set(kinds)
+
+
+@pytest.mark.parametrize("mesh_name", ["folded3d", "folded2d"])
+def test_feasible_region_scale_free(request, rng, mesh_name):
+    # epsilon_r is a cosine bound, so scaling every coordinate by a power
+    # of two, which is exact, must leave every decision as it was
+    mesh = request.getfixturevalue(mesh_name)
+    pts, _ = shapes.random_interior_points(mesh, rng, 20)
+    want = candidate_decisions(mesh, pts, 0.01)
+    assert ("vertex", False) in want
+    for k in (-20, -10, 10, 20):
+        scaled = SimplicialMesh(mesh.vertices * 2.0**k, mesh.elements)
+        assert candidate_decisions(scaled, pts * 2.0**k, 0.01) == want, k
 
 
 def test_radius_monotonicity(folded3d, rng):

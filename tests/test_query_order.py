@@ -78,7 +78,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
     validate = _validator(mesh, config)
     excl = mesh.boundary_faces_of_vertex(exclude_vertex) if exclude_vertex is not None else ()
     culling = config.enable_culling and exclude_vertex is None
-    best = None  # (point, face, feature, distance)
+    best = None  # (point, feature, distance)
     counts = [0, 0, 0]
     it = RefNearFaces(bvh.tree, p)
     for face, _ in it:
@@ -90,7 +90,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
         except DegenerateFace:
             continue
         d = float(np.linalg.norm(s - p))
-        if best is not None and d >= best[3]:
+        if best is not None and d >= best[2]:
             continue
         if culling and not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
             continue
@@ -101,7 +101,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
             continue
         counts[2] += res.elements_visited
         if res.valid:
-            best = (s, face, feature, d)
+            best = (s, feature, d)
             it.radius = d
     return None if best is None else ClosestBoundaryResult(*best, *counts)
 

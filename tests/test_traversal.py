@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -406,15 +408,36 @@ REACH_MODES = {
 }
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once it has run `seconds` of wall
+    time, so a loop that never ends fails the test instead of hanging it.
+    Uses SIGALRM: Unix, main thread only."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 @pytest.mark.parametrize("reach", list(REACH_MODES))
 @pytest.mark.parametrize("eps", [1e-10, 0.0])
 def test_steps_within_state_bound(eps, reach):
     # each (element, entry face) state is entered at most once and has at
     # most dim exit faces; the traversal stops only when its states run
-    # out, so this bound is the one guard on the visited set
+    # out, so this bound is the one guard on the visited set. A broken
+    # visited set makes the traversal run forever, hence the deadline: the
+    # whole corpus takes about 1 s.
     config = TraversalConfig(epsilon_i=eps, **REACH_MODES[reach])
-    for mesh, s, face, p in threaded_ray_corpus():
-        res = is_valid_path(mesh, s, face, p, config=config)
-        n_states = (mesh.dim + 1) * mesh.n_elements
-        assert res.elements_visited <= n_states
-        assert res.steps <= mesh.dim * n_states
+    with deadline(10):
+        for mesh, s, face, p in threaded_ray_corpus():
+            res = is_valid_path(mesh, s, face, p, config=config)
+            n_states = (mesh.dim + 1) * mesh.n_elements
+            assert res.elements_visited <= n_states
+            assert res.steps <= mesh.dim * n_states
