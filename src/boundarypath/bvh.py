@@ -7,6 +7,12 @@ build splits every node of one depth at once, box overlap answers a
 whole batch of query boxes in one level-by-level walk, and refit sweeps
 the tree one level at a time; all three are array code with a Python
 loop over tree depth only. Rebuild is only needed on topology change.
+
+Best-first enumeration is scalar: it reads node boxes as Python floats
+through one flat memoryview of the box array (`AabbTree.bounds_view`,
+one per enumeration; refit writes the array in place), and expands both
+children of a node inside `NearPrimIter.__next__`, so no box is copied
+into a list.
 """
 
 import heapq
@@ -80,6 +86,13 @@ class AabbTree:
         # without making a new int per node
         self.node_ids = np.where(self.prim >= 0, self.prim, -self.left).tolist()
 
+    @property
+    def bounds_view(self):
+        """The boxes as one flat run of floats, node by node, lo then hi:
+        a memoryview of `bounds`, which refit writes in place. Made on
+        request rather than kept, so that a tree can still be pickled."""
+        return memoryview(self.bounds.reshape(-1))
+
     def refit(self, boxes):
         """Leaves take their primitives' boxes; internal nodes are swept
         one level at a time from the deepest, so both children of a level
@@ -129,33 +142,23 @@ class NearPrimIter:
     """Best-first enumeration of primitives by lower-bound distance to a
     point. Yields each primitive once, as (primitive, lower bound), in
     non-decreasing lower-bound order. `bound` is a lower bound on the
-    distance of every primitive not yet yielded."""
+    distance of every primitive not yet yielded.
+
+    A node's bound is its box distance, summed axis by axis on Python
+    floats from the tree's `bounds_view`; both children of a node are
+    read with one slice of it, as their boxes are consecutive."""
 
     def __init__(self, tree, point):
         self.tree = tree
         self.point = np.asarray(point, dtype=float).tolist()
-        self._heap = []
-        self._push(0, 1)
-
-    def _push(self, first, count):
-        """Push nodes first .. first + count - 1 under their box distances
-        to the point: the boxes are read with one slice, and the distance
-        is summed axis by axis on Python floats."""
-        heap = self._heap
-        boxes = enumerate(self.tree.bounds[first:first + count].tolist(), first)
-        if len(self.point) == 3:
-            x0, x1, x2 = self.point
-            for node, ((l0, l1, l2), (h0, h1, h2)) in boxes:
-                d0 = l0 - x0 if x0 < l0 else (x0 - h0 if x0 > h0 else 0.0)
-                d1 = l1 - x1 if x1 < l1 else (x1 - h1 if x1 > h1 else 0.0)
-                d2 = l2 - x2 if x2 < l2 else (x2 - h2 if x2 > h2 else 0.0)
-                heapq.heappush(heap, (math.sqrt(d0 * d0 + d1 * d1 + d2 * d2), node))
-        else:
-            x0, x1 = self.point
-            for node, ((l0, l1), (h0, h1)) in boxes:
-                d0 = l0 - x0 if x0 < l0 else (x0 - h0 if x0 > h0 else 0.0)
-                d1 = l1 - x1 if x1 < l1 else (x1 - h1 if x1 > h1 else 0.0)
-                heapq.heappush(heap, (math.sqrt(d0 * d0 + d1 * d1), node))
+        self._boxes = tree.bounds_view
+        dim = len(self.point)
+        root = self._boxes[:2 * dim]
+        s = 0.0
+        for x, l, h in zip(self.point, root[:dim], root[dim:]):
+            d = l - x if x < l else (x - h if x > h else 0.0)
+            s += d * d
+        self._heap = [(math.sqrt(s), 0)]
 
     @property
     def bound(self):
@@ -165,15 +168,43 @@ class NearPrimIter:
         return self
 
     def __next__(self):
-        heap = self._heap
-        node_ids = self.tree.node_ids
-        while heap:
-            dist, node = heapq.heappop(heap)
-            pid = node_ids[node]
-            if pid >= 0:
-                return pid, dist
-            # both children; the right child is left + 1
-            self._push(-pid, 2)
+        heap, node_ids, boxes = self._heap, self.tree.node_ids, self._boxes
+        replace, push = heapq.heapreplace, heapq.heappush
+        # the nearest node is read in place: a leaf is popped, and an
+        # internal node is replaced by its left child, -pid, while its right
+        # child, -pid + 1, is pushed
+        if len(self.point) == 3:
+            x0, x1, x2 = self.point
+            while heap:
+                dist, node = heap[0]
+                pid = node_ids[node]
+                if pid >= 0:
+                    heapq.heappop(heap)
+                    return pid, dist
+                l0, l1, l2, h0, h1, h2, m0, m1, m2, g0, g1, g2 = boxes[-6 * pid:12 - 6 * pid]
+                d0 = l0 - x0 if x0 < l0 else (x0 - h0 if x0 > h0 else 0.0)
+                d1 = l1 - x1 if x1 < l1 else (x1 - h1 if x1 > h1 else 0.0)
+                d2 = l2 - x2 if x2 < l2 else (x2 - h2 if x2 > h2 else 0.0)
+                replace(heap, (math.sqrt(d0 * d0 + d1 * d1 + d2 * d2), -pid))
+                d0 = m0 - x0 if x0 < m0 else (x0 - g0 if x0 > g0 else 0.0)
+                d1 = m1 - x1 if x1 < m1 else (x1 - g1 if x1 > g1 else 0.0)
+                d2 = m2 - x2 if x2 < m2 else (x2 - g2 if x2 > g2 else 0.0)
+                push(heap, (math.sqrt(d0 * d0 + d1 * d1 + d2 * d2), 1 - pid))
+        else:
+            x0, x1 = self.point
+            while heap:
+                dist, node = heap[0]
+                pid = node_ids[node]
+                if pid >= 0:
+                    heapq.heappop(heap)
+                    return pid, dist
+                l0, l1, h0, h1, m0, m1, g0, g1 = boxes[-4 * pid:8 - 4 * pid]
+                d0 = l0 - x0 if x0 < l0 else (x0 - h0 if x0 > h0 else 0.0)
+                d1 = l1 - x1 if x1 < l1 else (x1 - h1 if x1 > h1 else 0.0)
+                replace(heap, (math.sqrt(d0 * d0 + d1 * d1), -pid))
+                d0 = m0 - x0 if x0 < m0 else (x0 - g0 if x0 > g0 else 0.0)
+                d1 = m1 - x1 if x1 < m1 else (x1 - g1 if x1 > g1 else 0.0)
+                push(heap, (math.sqrt(d0 * d0 + d1 * d1), 1 - pid))
         raise StopIteration
 
 

@@ -15,7 +15,18 @@ is derived in one batched pass at construction and again on every
   outward normals, diameter, degeneracy flag, the barycentric floors
   above which the closest-point classifier needs no tolerance tests and,
   in 3D, the in-plane normal of each edge, which feasibility culling
-  reads.
+  reads; its vertex rows and edge vectors, the operands of
+  closest_point_on_face; and its plane row (unit normal, offset and
+  rounding slack), read through a flat memoryview by distance_bounds;
+- per vertex: whether it is a vertex of a skipped boundary face, which
+  keeps feasibility culling conservative there.
+
+distance_bounds gives the query the key a face waits under before its
+closest point is computed: the larger of the face's box bound and its
+plane bound |N . p - c| less a rounding slack. The plane bound never
+exceeds the distance computed later, so the query takes its candidates
+in the same order and gives the same answers; only faces whose plane
+bound is beyond the answer are never computed.
 """
 
 from dataclasses import dataclass
@@ -30,6 +41,13 @@ BOUNDARY = -1
 # A closest point within this fraction of its face's diameter of an edge
 # or vertex is classified as that feature.
 FEATURE_TOL = 1e-12
+
+# Rounding allowances of a face's lower distance bound (distance_bounds),
+# in units of a query point's 1-norm and of a face's largest coordinate
+# magnitude: 2^-48 = 32u and 2^-44 = 512u, with the unit roundoff
+# u = 2^-53, each at least twice the rounding it covers.
+BOUND_POINT_SLACK = 2.0**-48
+BOUND_FACE_SLACK = 2.0**-44
 
 # Local face k is opposite element vertex k; the listed order gives an
 # outward normal when the element has positive signed volume.
@@ -199,6 +217,10 @@ class SimplicialMesh:
         self.skipped_flags = self.inverted_flags | self.degenerate_flags
         # per boundary face: its owner is skipped
         self.boundary_face_skipped = self.skipped_flags[self.boundary_owner]
+        # per vertex: it is a vertex of a skipped boundary face, which
+        # feasibility culling reads
+        self.touches_skipped_face = np.zeros(len(v), dtype=bool)
+        self.touches_skipped_face[self.boundary_faces[self.boundary_face_skipped]] = True
         # a skipped element owning no boundary face makes queries traverse
         # backward
         self.has_inverted_interior = bool(np.any(self.skipped_flags & ~self._owns_boundary))
@@ -214,10 +236,14 @@ class SimplicialMesh:
         f = self.vertices[self.boundary_faces]
         if self.dim == 3:
             edges = f[:, [1, 2, 0]] - f  # edge k runs from face vertex k to k + 1
-            n = geometry.cross_rows(f[:, 1] - f[:, 0], f[:, 2] - f[:, 0])
+            # (b - a) x (c - a); c - a is minus edge 2, exactly
+            n = geometry.cross_rows(edges[:, 0], -edges[:, 2])
         else:
             edges = f[:, 1:] - f[:, :1]
             n = edges[:, 0, ::-1] * [1.0, -1.0]
+        # the closest point's operands, read per call
+        self.face_vertices = f
+        self.face_edges = edges
         lengths = geometry.row_norms(edges)
         diam = lengths.max(axis=1)
         n_len = geometry.row_norms(n)
@@ -226,8 +252,13 @@ class SimplicialMesh:
         if self.dim == 3:
             self.face_degenerate |= n_len <= 1e-30 * np.maximum(diam, 1.0)
         self.face_area_normals = n
+        planes = np.empty((len(f), self.dim + 2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.face_unit_normals = n / n_len[:, None]
+            planes[:, :self.dim] = n / n_len[:, None]
+        self.face_unit_normals = planes[:, :self.dim]
+        extent = np.abs(f).max(axis=(1, 2))  # the largest coordinate magnitude
+        self._refresh_face_planes(planes, extent)
+        with np.errstate(divide="ignore", invalid="ignore"):
             # each face vertex's distance to the face's edge (3D) or vertex
             # (2D) that does not touch it: twice the area over that edge's
             # length, or the length
@@ -241,7 +272,7 @@ class SimplicialMesh:
             floors = (2.0 * FEATURE_TOL) * diam[:, None] / heights
         # where the roundoff of the coordinates could reach the tolerance,
         # the floors are infinite and the tolerance tests decide
-        noisy = np.abs(f).max(axis=(1, 2)) > diam * (FEATURE_TOL / (64.0 * np.finfo(float).eps))
+        noisy = extent > diam * (FEATURE_TOL / (64.0 * np.finfo(float).eps))
         floors[noisy] = np.inf
         self.face_bary_floors = floors
         # 3D only: edge k of each face crossed into the face's plane,
@@ -252,14 +283,39 @@ class SimplicialMesh:
             else None
         )
 
+    def _refresh_face_planes(self, planes, extent):
+        """Complete each face's row of `planes` after its unit normal N:
+        the offset c = N . v0 and the slack that distance_bounds
+        subtracts, 8 mu + BOUND_FACE_SLACK * extent. mu is the face's
+        thickness along N as computed, the largest |N . e| over its edges:
+        zero but for the rounding of N, and large for a sliver, whose
+        normal is inaccurate. extent is the face's largest coordinate
+        magnitude. A degenerate face, or one whose normal is nan, has a
+        nan offset, so it keeps its box bound."""
+        f, k = self.face_vertices, self.dim
+        n = planes[:, :k]
+        mu = np.abs(geometry.row_dots(n[:, None], self.face_edges)).max(axis=1)
+        planes[:, k] = geometry.row_dots(n, f[:, 0])
+        planes[:, k + 1] = 8.0 * mu + BOUND_FACE_SLACK * extent
+        planes[self.face_degenerate | np.isnan(mu), k] = np.nan
+        self.face_planes = planes
+
+    @property
+    def face_planes_view(self):
+        """face_planes as one flat run of floats, read without a copy: a
+        memoryview, made on request rather than kept, so that a mesh can
+        still be pickled."""
+        return memoryview(self.face_planes.reshape(-1))
+
     def set_vertices(self, vertices):
         """Replace vertex positions and recompute everything derived from
         them: signed volumes, the inverted/degenerate/skip flags and
-        barycentric rows of the elements, has_inverted_interior, and the
+        barycentric rows of the elements, has_inverted_interior, the
         skip flags, normals, diameters, degeneracy flags, barycentric
-        floors and edge normals of the boundary faces. Topology and the
-        boundary feature maps do not depend on positions and stay. Any BVH built over this
-        mesh must be refit by the caller. Raises ValueError, as the
+        floors, edge normals, vertex rows, edges and plane rows of the
+        boundary faces, and the vertices' touches_skipped_face flags.
+        Topology and the boundary feature maps do not depend on positions
+        and stay. Any BVH built over this mesh must be refit by the caller. Raises ValueError, as the
         constructor does, for another shape or non-finite coordinates."""
         vertices = np.ascontiguousarray(vertices, dtype=float)
         if vertices.shape != self.vertices.shape:
@@ -352,13 +408,17 @@ class SimplicialMesh:
         if self.face_degenerate[face_id]:
             raise DegenerateFace(f"boundary face {face_id} is degenerate")
         gids = self.boundary_faces[face_id]
-        verts = self.vertices.take(gids, axis=0)
+        verts = self.face_vertices[face_id]
         if self.dim == 3:
-            edges = verts[1:] - verts[0]
-            # ab.ap, ac.ap; ab.bp, ac.bp; ab.cp, ac.cp
-            (d1, d2), (d3, d4), (d5, d6) = geometry.row_dots(edges, (p - verts)[:, None]).tolist()
+            edges = self.face_edges[face_id]
+            # ab.ap, ca.ap; ab.bp, ca.bp; ab.cp, ca.cp from edges 0 and 2.
+            # ac is minus edge 2 exactly, and negation commutes with
+            # rounding, so negating the ca dots gives the ac dots bit for bit
+            (d1, d2), (d3, d4), (d5, d6) = geometry.row_dots(edges[::2], (p - verts)[:, None]).tolist()
+            d2, d4, d6 = -d2, -d4, -d6
             a, b, c = verts.tolist()
-            ab, ac = edges.tolist()
+            ab, _, ca = edges.tolist()
+            ac = [-x for x in ca]
             vc = d1 * d4 - d3 * d2
             vb = d5 * d2 - d1 * d6
             va = d3 * d6 - d5 * d4
@@ -411,14 +471,73 @@ class SimplicialMesh:
             # geometry.closest_point_on_segment(q, v_i, v_i+1) for all three
             # edges at once; a face that is not degenerate has no
             # zero-length edge
-            ab = verts[[1, 2, 0]] - verts
-            t = np.clip(geometry.row_dots(qv, ab) / geometry.row_dots(ab, ab), 0.0, 1.0)
-            near = np.flatnonzero(geometry.row_norms(q - (verts + t[:, None] * ab)) <= tol)
+            t = np.clip(geometry.row_dots(qv, edges) / geometry.row_dots(edges, edges), 0.0, 1.0)
+            near = np.flatnonzero(geometry.row_norms(q - (verts + t[:, None] * edges)) <= tol)
             if len(near):
                 i = int(near[0])
                 pair = (int(gids[i]), int(gids[(i + 1) % 3]))
                 return q, BoundaryFeature("edge", face_id, pair)
         return q, self._face_feature(face_id)
+
+    def distance_bounds(self, p):
+        """For a query point p, the function key(face, box) that returns
+        the larger of `box`, a lower bound on the distance from p to the
+        face's box, and the face's plane bound
+
+            |N . p - c| - slack(face) - BOUND_POINT_SLACK |p|_1,
+
+        with the face's unit normal N, offset c and slack from
+        face_planes, worked on Python floats. A face with a nan offset
+        keeps its box bound.
+
+        The plane bound never exceeds the distance from p to the point
+        that closest_point_on_face gives on the face, as the query
+        computes it (the square root of d . d, with d their difference).
+        In exact arithmetic |N . (p - q)| <= |N| |p - q| for every q, and
+        the slack covers, at least twice over, the rounding by which the
+        computed value can exceed the computed distance. With the unit
+        roundoff u = 2^-53, R <= 3A and E <= 2R the largest 1-norms of the
+        face's vertices and edges (A its largest coordinate magnitude),
+        that is the rounding of:
+
+        - the closest point. But for the rounding of its coordinates
+          (2u R + 15u E), it is a + v e0 - w e2 (face region), a + v e0,
+          a - w e2 or b + w e1 (edge regions) or a vertex, with the face's
+          stored edges e_k, which differ from the exact vertex differences
+          by u E. So it lies in the face's plane within (|v| + |w|) mu. In
+          the edge regions v and w lie in [0, 1] as computed; in the face
+          region they are the coordinates of a projection inside the
+          triangle, off by rounding only, and the slack allows
+          |v| + |w| <= 3.
+        - N . p (3u |p|_1), c (3u R) and mu (3u E);
+        - the computed distance (4u) and |N| != 1 (5u), relative to
+          |N . p - c| <= |p|_1 + R;
+        - and the bound's own subtractions.
+
+        The box bound is the enumeration's own: it can exceed the computed
+        distance by the rounding of the closest point, as it did before
+        the plane bound was added. In 2D the plane is the edge's line and
+        the same bound holds."""
+        x = np.asarray(p, dtype=float).tolist()
+        rows = self.face_planes_view
+        p_slack = BOUND_POINT_SLACK * sum(map(abs, x))
+        if len(x) == 3:
+            x0, x1, x2 = x
+
+            def key(face, box):
+                n0, n1, n2, c, slack = rows[5 * face:5 * face + 5]
+                g = abs(n0 * x0 + n1 * x1 + n2 * x2 - c) - slack - p_slack
+                return g if g > box else box
+
+        else:
+            x0, x1 = x
+
+            def key(face, box):
+                n0, n1, c, slack = rows[4 * face:4 * face + 4]
+                g = abs(n0 * x0 + n1 * x1 - c) - slack - p_slack
+                return g if g > box else box
+
+        return key
 
     def _face_feature(self, face_id):
         """The face-interior feature of a face, made on first use and

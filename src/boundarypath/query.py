@@ -8,6 +8,17 @@ excludes the query point, and otherwise checked with the topological ray
 traversal, once its distance is below the lower bound of every face not
 yet enumerated. The first valid candidate is the answer, so of several
 candidates at the same distance the lowest face id wins.
+
+An enumerated face waits for its closest point under a key, the larger
+of its box bound and its plane bound (`SimplicialMesh.distance_bounds`).
+The plane bound is the distance from the query point to the face's
+plane less a stated rounding slack, so it never exceeds the distance
+computed for the face. Keys only decide when a face's closest point is
+computed; the candidates are still validated in (distance, face id)
+order against the same enumeration bound, so answers, culling checks and
+traversals are those of the box bound alone, bit for bit. A face whose
+key is beyond the answer is never computed, and on a slanted face the
+plane bound is the tighter of the two.
 """
 
 import heapq
@@ -117,7 +128,19 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
     never discards the true closest boundary point. The tests compare
     dot(a, b)² with epsilon_r² |a|² |b|² on Python floats, without a
     square root: a square that underflows to 0, or a bound that
-    overflows to inf, never culls."""
+    overflows to inf, never culls.
+
+    Next to skipped boundary faces the candidate is kept. A test that
+    culls proves that a point nearer to p lies on a boundary face around
+    the feature: along a boundary edge from the vertex (vertex tests),
+    at an end of the edge, or in one of the edge's two faces (edge
+    tests). Every such face has the feature's vertex, or an end of its
+    edge, as a vertex. The nearer point only makes s lose if it is itself
+    a candidate, and the points of a skipped face (one whose element is
+    inverted or degenerate) are not: over the remaining faces s can be
+    the nearest while lying outside its own region. So the tests run
+    only when no face at the vertex, or at either end of the edge, is
+    skipped (mesh.touches_skipped_face)."""
     if feature.kind == "face":
         return True  # the face test is implied by taking the closest point
     eps2 = epsilon_r * epsilon_r
@@ -131,11 +154,16 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
     p = np.asarray(p, dtype=float).tolist()
     ps = sub(p, s)
     ps2 = dot(ps, ps)
+    touched = mesh.touches_skipped_face
     if feature.kind == "vertex":
+        if touched[feature.verts[0]]:
+            return True
         nbs = mesh.boundary_vertex_neighbors(feature.verts[0])
         return not any(outside(sub(s, v), ps, ps2) for v in mesh.vertices[nbs].tolist())
     if feature.kind == "edge":
         g0, g1 = feature.verts
+        if touched[g0] or touched[g1]:
+            return True
         v0, v1 = mesh.vertices[g0].tolist(), mesh.vertices[g1].tolist()
         e = sub(v1, v0)
         e2 = dot(e, e)
@@ -205,25 +233,30 @@ def shortest_path_to_boundary(
 
     n_candidates = n_traversals = n_visited = 0
     # heap of (distance, face, point, feature); an enumerated face waits
-    # under its lower bound, with no point, until it reaches the top
+    # under a lower bound on its distance, with no point, until it
+    # reaches the top: the larger of its box bound and its plane bound
     pending = []
+    key = mesh.distance_bounds(p)
     it = bvh.nearest_faces(p)
     while True:
         # Every face not yet enumerated is at least `bound` away, so a
         # pending candidate nearer than that cannot tie with one to come.
         bound = it.bound
         while pending and pending[0][0] < bound:
-            d, face, s, feature = heapq.heappop(pending)
+            d, face, s, feature = pending[0]
             if s is None:
                 try:
                     s, feature = mesh.closest_point_on_face(p, face)
                 except DegenerateFace:
+                    heapq.heappop(pending)
                     continue
                 d = s - p
-                # np.linalg.norm(d) bit for bit: the norm of a vector is
-                # the square root of its dot product with itself
-                heapq.heappush(pending, (math.sqrt(d @ d), face, s, feature))
+                # the face's entry gives way to its candidate, under
+                # np.linalg.norm(d) bit for bit: the norm of a vector is the
+                # square root of its dot product with itself
+                heapq.heapreplace(pending, (math.sqrt(d @ d), face, s, feature))
                 continue
+            heapq.heappop(pending)
             if culling and not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
                 continue
             n_traversals += 1
@@ -242,4 +275,4 @@ def shortest_path_to_boundary(
         face, lb = next(it)
         n_candidates += 1
         if not (skip[face] or face in excl_faces):
-            heapq.heappush(pending, (lb, face, None, None))
+            heapq.heappush(pending, (key(face, lb), face, None, None))

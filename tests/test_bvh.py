@@ -286,3 +286,37 @@ def test_build_matches_per_node_build(rng, dim):
         # each depth's internal nodes, all of them in id order
         assert [level.tolist() for level in tree.levels] == levels
         assert sum(levels, []) == np.flatnonzero(tree.prim < 0).tolist()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_near_prims_read_the_refit_boxes(rng, dim):
+    """After set_vertices and refit, enumeration reads the new boxes
+    through the tree's flat view: the same (primitive, bound) pairs, in
+    the same order, as a best-first walk over every node's box distance
+    computed with numpy from tree.lo and tree.hi."""
+    mesh = shapes.folded_bar(12, 2, 2) if dim == 3 else shapes.folded_strip(30, 3)
+    bvh = BoundaryBvh(mesh)
+    tree = bvh.tree
+    mesh.set_vertices(mesh.vertices + rng.normal(scale=0.05, size=mesh.vertices.shape))
+    bvh.refit(mesh)
+    assert np.shares_memory(np.asarray(tree.bounds_view), tree.bounds)
+    for p in rng.normal(size=(10, dim)) * 2.0:
+        # per node, the box distance: the per-axis gaps squared and summed
+        # left to right, as the enumeration sums them
+        gap = np.maximum(tree.lo - p, 0.0) + np.maximum(p - tree.hi, 0.0)
+        sq = gap * gap
+        total = sq[:, 0]
+        for k in range(1, dim):
+            total = total + sq[:, k]
+        dist = np.sqrt(total).tolist()
+        heap, want = [(dist[0], 0)], []
+        while heap:
+            d, node = heapq.heappop(heap)
+            if tree.prim[node] >= 0:
+                want.append((int(tree.prim[node]), d))
+                continue
+            left = int(tree.left[node])
+            heapq.heappush(heap, (dist[left], left))
+            heapq.heappush(heap, (dist[left + 1], left + 1))
+        assert list(bvh.nearest_faces(p)) == want
+        assert len(want) == mesh.n_boundary_faces

@@ -10,6 +10,7 @@ from conftest import (
 from boundarypath import geometry, shapes
 from boundarypath.errors import DegenerateFace, NonManifold, ZeroNormal
 from boundarypath.mesh import (
+    BOUND_FACE_SLACK,
     BOUNDARY,
     FEATURE_TOL,
     BoundaryFeature,
@@ -457,9 +458,12 @@ def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
         "signed_volumes", "inverted_flags", "degenerate_flags", "skipped_flags", "bary_rows",
         "boundary_face_skipped", "has_inverted_interior",
         "face_diameters", "face_degenerate", "face_area_normals", "face_unit_normals",
-        "face_bary_floors",
+        "face_bary_floors", "face_vertices", "face_edges", "face_planes", "touches_skipped_face",
     ):
         assert np.array_equal(getattr(mesh, name), getattr(fresh, name), equal_nan=True), name
+    # the flat view the query reads is the refreshed rows, not a copy of older ones
+    assert np.array_equal(np.asarray(mesh.face_planes_view), mesh.face_planes.ravel(), equal_nan=True)
+    assert np.shares_memory(np.asarray(mesh.face_planes_view), mesh.face_planes)
     if mesh.dim == 3:
         assert np.array_equal(mesh.face_edge_normals, fresh.face_edge_normals, equal_nan=True)
     else:
@@ -568,6 +572,29 @@ def test_face_cache_matches_per_face_formulas(base_and_scrambled):
                 for k, e in enumerate(edges):
                     assert np.array_equal(mesh.face_edge_normals[f, k], np.cross(-n / np.linalg.norm(n), e))
         assert not mesh.face_degenerate.any()
+
+
+def test_face_rows_match_per_face_reference(base_and_scrambled):
+    """The closest point's operands and the plane rows, face by face, and
+    the per-vertex flag that culling reads."""
+    for mesh in both_meshes(*base_and_scrambled):
+        k = mesh.dim
+        for f in range(mesh.n_boundary_faces):
+            verts = mesh.vertices[mesh.boundary_faces[f]]
+            edges = [verts[(i + 1) % k] - verts[i] for i in range(k if k == 3 else 1)]
+            assert np.array_equal(mesh.face_vertices[f], verts)
+            assert np.array_equal(mesh.face_edges[f], edges)
+            n = mesh.face_unit_normals[f]
+            assert np.shares_memory(n, mesh.face_planes)
+            if mesh.face_degenerate[f]:
+                assert np.isnan(mesh.face_planes[f, k])
+                continue
+            assert mesh.face_planes[f, k] == np.dot(n, verts[0])
+            mu = max(abs(np.dot(n, e)) for e in edges)
+            extent = np.abs(verts).max()
+            assert mesh.face_planes[f, k + 1] == 8.0 * mu + BOUND_FACE_SLACK * extent
+        touched = {int(g) for f in np.flatnonzero(mesh.boundary_face_skipped) for g in mesh.boundary_faces[f]}
+        assert set(np.flatnonzero(mesh.touches_skipped_face).tolist()) == touched
 
 
 def test_element_contains_matches_solve(base_and_scrambled):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_query_order import STRIPS_AND_INVERTED, jittered_bar
 
 from boundarypath import oracle, shapes
 from boundarypath.bvh import build_boundary_bvh
@@ -290,3 +291,38 @@ def test_culling_disabled_for_self_queries(folded3d):
         )
         assert on is not None and off is not None
         assert on.face == off.face and on.distance == off.distance
+
+
+def _same_answer(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.face == b.face and a.distance == b.distance and np.array_equal(a.point, b.point)
+
+
+@pytest.mark.parametrize("name", sorted(STRIPS_AND_INVERTED))
+def test_culling_neutral_next_to_skipped_faces(name):
+    """Culling keeps every candidate next to a skipped boundary face, so
+    on the meshes with inverted elements it changes no answer."""
+    mesh = STRIPS_AND_INVERTED[name]()
+    bvh = build_boundary_bvh(mesh)
+    on, off = QueryConfig(enable_culling=True), QueryConfig(enable_culling=False)
+    for seed in (17, 0, 1, 2, 3):
+        points, elems = shapes.random_interior_points(mesh, np.random.default_rng(seed), 120)
+        for i, (p, e) in enumerate(zip(points, elems)):
+            a = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e), config=on)
+            b = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e), config=off)
+            assert _same_answer(a, b), (seed, i)
+
+
+def test_culling_keeps_the_answer_next_to_skipped_faces():
+    """Point 87 of seed 17 on the jittered bar: its nearest reachable
+    boundary point lies on edge (20, 10), next to the skipped faces 29 and
+    30. Culling used to discard it and answer face 128 at 0.0699."""
+    mesh = jittered_bar()
+    points, elems = shapes.random_interior_points(mesh, np.random.default_rng(17), 120)
+    assert mesh.boundary_face_skipped[[29, 30]].all()
+    assert mesh.touches_skipped_face[[20, 10]].all()
+    res = shortest_path_to_boundary(mesh, build_boundary_bvh(mesh), points[87], p_element=int(elems[87]))
+    assert res.face == 28 and res.distance == pytest.approx(0.0427, abs=5e-5)
+    ref = oracle.oracle_closest_boundary(mesh, points[87])
+    assert res.distance == pytest.approx(ref[2], abs=1e-9)
