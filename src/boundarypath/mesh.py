@@ -1,9 +1,11 @@
 """Simplicial mesh representation: tetrahedral in 3D, triangular in 2D.
 
-Topology (element adjacency, oriented boundary faces) and the boundary
-feature maps (vertex/edge incidence, as grouped arrays) are built once,
-at construction; the face-interior feature of a boundary face is made
-when an answer first needs it. Geometry that depends on positions only
+Topology (element adjacency, oriented boundary faces), the boundary
+feature maps (vertex/edge incidence, as grouped arrays) and the edge
+twins (face_edge_twins: per boundary face and edge slot, the other
+face's slot on that edge, which edge culling reads) are built once, at
+construction; the face-interior feature of a boundary face is made when
+an answer first needs it. Geometry that depends on positions only
 is derived in one batched pass at construction and again on every
 `set_vertices`, so queries read it instead of recomputing it:
 
@@ -118,20 +120,58 @@ def _grouped(keys, values, n_keys):
 
 def _feature_maps(boundary_faces, n_vertices, dim):
     """Boundary faces of each vertex, boundary neighbors of each vertex
-    (sorted) and boundary faces of each edge, as grouped arrays. Faces are
-    listed in face id order; edges are keyed by lo * n_vertices + hi of
-    their vertex ids."""
+    (sorted) and boundary faces of each edge, as grouped arrays, and the
+    edge twins. Faces are listed in face id order; edges are keyed by
+    lo * n_vertices + hi of their vertex ids.
+
+    A 3D face's edge slot k runs from its vertex k to vertex k + 1, and
+    its flat slot is 3 * face + k; a 2D face is its one edge, with the
+    flat slot face. The twins give, per flat slot, the flat slot of the
+    other face's run of the same edge, or -1. A slot has a twin only when
+    exactly two slots of two distinct faces run the edge, in opposite
+    directions: the one arrangement that feasibility culling's edge test
+    reads."""
     n_faces = len(boundary_faces)
     vertex_faces = _grouped(boundary_faces.ravel(), np.repeat(np.arange(n_faces), dim), n_vertices)
     # a 3D face has three edges, vertex i to i + 1; a 2D face is one edge
     a = boundary_faces if dim == 3 else boundary_faces[:, :1]
     b = boundary_faces[:, [1, 2, 0]] if dim == 3 else boundary_faces[:, 1:]
-    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    a, b = a.ravel(), b.ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     pairs = np.unique(np.concatenate([lo * n_vertices + hi, hi * n_vertices + lo]))
     neighbors = _grouped(pairs // n_vertices, pairs % n_vertices, n_vertices)
     edge_keys, edge_ids = np.unique(lo * n_vertices + hi, return_inverse=True)
-    edge_faces = _grouped(edge_ids, np.repeat(np.arange(n_faces), a.shape[1]), len(edge_keys))
-    return vertex_faces, neighbors, (edge_keys, *edge_faces)
+    slots, start = _grouped(edge_ids, np.arange(len(a)), len(edge_keys))
+    per_face = 3 if dim == 3 else 1
+    # the first and second slot of each edge that two slots run
+    first = start[:-1][np.diff(start) == 2]
+    s0, s1 = slots[first], slots[first + 1]
+    twin = (a[s0] == b[s1]) & (a[s0] != b[s0]) & (s0 // per_face != s1 // per_face)
+    twins = np.full(len(a), -1, dtype=np.int64)
+    twins[s0[twin]], twins[s1[twin]] = s1[twin], s0[twin]
+    return vertex_faces, neighbors, (edge_keys, slots // per_face, start), twins
+
+
+def bary_inside(rows, v0, p, tol):
+    """Whether every barycentric coordinate of p is >= -tol in the element
+    with vertex 0 at v0 and barycentric rows `rows` (bary_rows of the
+    element, flattened), all float sequences, worked on Python floats.
+    The element containment test of both element_contains and the ray
+    traversal."""
+    if len(rows) == 9:
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = rows
+        v0, v1, v2 = v0
+        d0, d1, d2 = p[0] - v0, p[1] - v1, p[2] - v2
+        x = a0 * d0 + a1 * d1 + a2 * d2
+        y = b0 * d0 + b1 * d1 + b2 * d2
+        z = c0 * d0 + c1 * d1 + c2 * d2
+        return x >= -tol and y >= -tol and z >= -tol and 1.0 - (x + y + z) >= -tol
+    a0, a1, b0, b1 = rows
+    v0, v1 = v0
+    d0, d1 = p[0] - v0, p[1] - v1
+    x = a0 * d0 + a1 * d1
+    y = b0 * d0 + b1 * d1
+    return x >= -tol and y >= -tol and 1.0 - (x + y) >= -tol
 
 
 class SimplicialMesh:
@@ -170,9 +210,9 @@ class SimplicialMesh:
         self.boundary_faces = self.elements[owners[:, None], face_idx]
         self._owns_boundary = np.zeros(len(self.elements), dtype=bool)
         self._owns_boundary[owners] = True
-        self._vertex_faces, self._vertex_neighbors, self._edge_faces = _feature_maps(
-            self.boundary_faces, len(self.vertices), self.dim
-        )
+        (
+            self._vertex_faces, self._vertex_neighbors, self._edge_faces, self.face_edge_twins
+        ) = _feature_maps(self.boundary_faces, len(self.vertices), self.dim)
         # unique boundary edges as sorted (lo, hi) vertex pairs in key
         # order; in 2D a boundary face is an edge
         keys = self._edge_faces[0]
@@ -346,21 +386,10 @@ class SimplicialMesh:
 
     def element_contains(self, e, p, tol=0.0):
         """Whether every barycentric coordinate of p in element e is >= -tol,
-        worked on Python floats. A flat element's coordinates are nan, so
-        it contains nothing."""
-        v = self.vertices[self.elements[e, 0]].tolist()
-        if self.dim == 3:
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self.bary_rows[e].tolist()
-            d0, d1, d2 = p[0] - v[0], p[1] - v[1], p[2] - v[2]
-            x = a0 * d0 + a1 * d1 + a2 * d2
-            y = b0 * d0 + b1 * d1 + b2 * d2
-            z = c0 * d0 + c1 * d1 + c2 * d2
-            return x >= -tol and y >= -tol and z >= -tol and 1.0 - (x + y + z) >= -tol
-        (a0, a1), (b0, b1) = self.bary_rows[e].tolist()
-        d0, d1 = p[0] - v[0], p[1] - v[1]
-        x = a0 * d0 + a1 * d1
-        y = b0 * d0 + b1 * d1
-        return x >= -tol and y >= -tol and 1.0 - (x + y) >= -tol
+        worked on Python floats (bary_inside). A flat element's
+        coordinates are nan, so it contains nothing."""
+        v0 = self.vertices[self.elements[e, 0]].tolist()
+        return bary_inside(self.bary_rows[e].ravel().tolist(), v0, p, tol)
 
     # -- boundary feature topology ------------------------------------------
 

@@ -19,6 +19,11 @@ order against the same enumeration bound, so answers, culling checks and
 traversals are those of the box bound alone, bit for bit. A face whose
 key is beyond the answer is never computed, and on a slanted face the
 plane bound is the tighter of the two.
+
+Culling reads only rows kept on the mesh, on Python floats: a vertex
+check the vertex's boundary neighbours, an edge check the edge normals
+of the two faces on the edge, found through the edge-twin table built
+with the topology, so no check searches for the edge's faces.
 """
 
 import heapq
@@ -29,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
 from .errors import DegenerateFace, ZeroLengthSegment
 from .traversal import TraversalConfig, is_valid_path, is_valid_path_inverted
 
@@ -128,7 +132,14 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
     never discards the true closest boundary point. The tests compare
     dot(a, b)² with epsilon_r² |a|² |b|² on Python floats, without a
     square root: a square that underflows to 0, or a bound that
-    overflows to inf, never culls.
+    overflows to inf, never culls. Each dot product is written out and
+    summed left to right.
+
+    A vertex test reads the vertex's boundary neighbours. An edge test
+    reads the in-plane edge normals of the feature's face, which runs the
+    edge in the feature's order, and of its twin, the other face on the
+    edge (mesh.face_edge_twins). An edge without a twin keeps the
+    candidate.
 
     Next to skipped boundary faces the candidate is kept. A test that
     culls proves that a point nearer to p lies on a boundary face around
@@ -144,51 +155,73 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
     if feature.kind == "face":
         return True  # the face test is implied by taking the closest point
     eps2 = epsilon_r * epsilon_r
-    dot, sub = geometry.dot, geometry.sub
-
-    def outside(a, b, bb):  # bb is |b|², shared by several tests
-        d = dot(a, b)
-        return d < 0.0 and d * d > eps2 * dot(a, a) * bb
-
     s = np.asarray(s, dtype=float).tolist()
     p = np.asarray(p, dtype=float).tolist()
-    ps = sub(p, s)
-    ps2 = dot(ps, ps)
     touched = mesh.touches_skipped_face
+    # each test of a, b below culls when dot(a, b) < 0 and
+    # dot(a, b)² > eps2 |a|² |b|²
     if feature.kind == "vertex":
-        if touched[feature.verts[0]]:
+        g = feature.verts[0]
+        if touched[g]:
             return True
-        nbs = mesh.boundary_vertex_neighbors(feature.verts[0])
-        return not any(outside(sub(s, v), ps, ps2) for v in mesh.vertices[nbs].tolist())
+        nbs = mesh.vertices.take(mesh.boundary_vertex_neighbors(g), axis=0).tolist()
+        if mesh.dim == 3:
+            (s0, s1, s2), (p0, p1, p2) = s, p
+            q0, q1, q2 = p0 - s0, p1 - s1, p2 - s2
+            qq = q0 * q0 + q1 * q1 + q2 * q2
+            # a boundary edge from the vertex, reversed (s - v), against p - s
+            for v0, v1, v2 in nbs:
+                a0, a1, a2 = s0 - v0, s1 - v1, s2 - v2
+                d = a0 * q0 + a1 * q1 + a2 * q2
+                if d < 0.0 and d * d > eps2 * (a0 * a0 + a1 * a1 + a2 * a2) * qq:
+                    return False
+            return True
+        (s0, s1), (p0, p1) = s, p
+        q0, q1 = p0 - s0, p1 - s1
+        qq = q0 * q0 + q1 * q1
+        for v0, v1 in nbs:
+            a0, a1 = s0 - v0, s1 - v1
+            d = a0 * q0 + a1 * q1
+            if d < 0.0 and d * d > eps2 * (a0 * a0 + a1 * a1) * qq:
+                return False
+        return True
     if feature.kind == "edge":
         g0, g1 = feature.verts
         if touched[g0] or touched[g1]:
             return True
-        v0, v1 = mesh.vertices[g0].tolist(), mesh.vertices[g1].tolist()
-        e = sub(v1, v0)
-        e2 = dot(e, e)
-        if outside(sub(p, v0), e, e2):
+        (s0, s1, s2), (p0, p1, p2) = s, p
+        (a0, a1, a2), (b0, b1, b2) = mesh.vertices[g0].tolist(), mesh.vertices[g1].tolist()
+        # the edge v0 -> v1 against p - v0, then v1 -> v0 against p - v1
+        e0, e1, e2 = b0 - a0, b1 - a1, b2 - a2
+        ee = e0 * e0 + e1 * e1 + e2 * e2
+        w0, w1, w2 = p0 - a0, p1 - a1, p2 - a2
+        d = w0 * e0 + w1 * e1 + w2 * e2
+        if d < 0.0 and d * d > eps2 * (w0 * w0 + w1 * w1 + w2 * w2) * ee:
             return False
-        if outside(sub(p, v1), sub(v0, v1), e2):
+        w0, w1, w2 = p0 - b0, p1 - b1, p2 - b2
+        e0, e1, e2 = a0 - b0, a1 - b1, a2 - b2
+        d = w0 * e0 + w1 * e1 + w2 * e2
+        if d < 0.0 and d * d > eps2 * (w0 * w0 + w1 * w1 + w2 * w2) * ee:
             return False
-        fids = mesh.boundary_faces_of_edge(g0, g1)
-        if len(fids) != 2:
-            return True  # open or non-closed boundary edge: stay conservative
-        # per face, the in-plane normal of the edge pointing away from it:
-        # edge g0 -> g1 of the face that runs that way, g1 -> g0 of the other
-        m_accord = None
-        m_other = None
-        for fid in fids:
-            tri = mesh.boundary_faces[fid].tolist()
-            k = tri.index(g0)
-            if tri[(k + 1) % 3] == g1:
-                m_accord = mesh.face_edge_normals[fid, k].tolist()
-            else:
-                m_other = mesh.face_edge_normals[fid, k - 1].tolist()
-        if m_accord is None or m_other is None:
+        # the feature's face runs the edge g0 -> g1 in its slot k; the
+        # twin is the other face's slot on the edge, run g1 -> g0. An edge
+        # without a twin (open, shared by more than two faces, or run the
+        # same way twice) keeps the candidate
+        face = feature.face_id
+        slot = 3 * face + mesh.boundary_faces[face].tolist().index(g0)
+        twin = mesh.face_edge_twins[slot]
+        if twin < 0:
             return True
-        # the edge normals are as long as the edge, not unit vectors
-        return not (outside(m_accord, ps, ps2) or outside(m_other, ps, ps2))
+        # per face, the in-plane normal of the edge pointing away from it,
+        # as long as the edge, against p - s
+        q0, q1, q2 = p0 - s0, p1 - s1, p2 - s2
+        qq = q0 * q0 + q1 * q1 + q2 * q2
+        normals = memoryview(mesh.face_edge_normals.reshape(-1))
+        for m0, m1, m2 in (normals[3 * slot:3 * slot + 3], normals[3 * twin:3 * twin + 3]):
+            d = m0 * q0 + m1 * q1 + m2 * q2
+            if d < 0.0 and d * d > eps2 * (m0 * m0 + m1 * m1 + m2 * m2) * qq:
+                return False
+        return True
     raise ValueError(f"unknown feature kind {feature.kind!r}")
 
 

@@ -12,27 +12,35 @@ is entered at most once, which cuts loops and bounds the work: a mesh has
 traversal examines at most dim * (dim + 1) * n_elements exit faces and
 stops when its states run out. An optional backward mode handles inverted
 interior elements.
+
+A visited element is read once: its vertex coordinates, taken with one
+numpy take, feed the containment test (`mesh.bary_inside`), the exit test
+(`exit_faces`) and, in backward, early-out or traced runs, the crossing
+parameters of the faces it pushes. Barycentric rows and adjacency are
+read through flat memoryviews, made per traversal, and the query point
+is turned into floats once.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import geometry
 from .errors import ZeroLengthSegment
-from .mesh import BOUNDARY, local_faces
+from .mesh import BOUNDARY, LOCAL_FACES_2D, LOCAL_FACES_3D, bary_inside, local_faces
 
 # A backward traversal drops branches whose face crossing lies farther from
 # the boundary point than this many segment lengths.
 CUTOFF_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
-class RayFrame:
+class RayFrame(NamedTuple):
     """Ray origin plus an orthonormal frame, all as tuples of Python
     floats: uv holds the dim - 1 unit vectors that span the plane
-    perpendicular to the ray direction."""
+    perpendicular to the ray direction. A named tuple, which one
+    traversal makes in a fraction of a frozen dataclass's time."""
 
     origin: tuple
     direction: tuple
@@ -41,8 +49,15 @@ class RayFrame:
 
 
 def make_ray_frame(origin, target):
-    origin = tuple(np.asarray(origin, dtype=float).tolist())
-    delta = geometry.sub(np.asarray(target, dtype=float).tolist(), origin)
+    return _ray_frame(
+        tuple(np.asarray(origin, dtype=float).tolist()), np.asarray(target, dtype=float).tolist()
+    )
+
+
+def _ray_frame(origin, target):
+    """make_ray_frame from the origin as a tuple of floats and the target
+    as a float sequence."""
+    delta = geometry.sub(target, origin)
     length = math.hypot(*delta)
     if length <= 1e-14:
         raise ZeroLengthSegment("origin and target coincide")
@@ -88,33 +103,43 @@ class TraversalResult:
 
 def exit_face_selection(mesh, element, in_local, frame, epsilon_i):
     """Local indices of the faces the ray may exit through, given that it
-    entered `element` through local face `in_local`.
-
-    The element's vertices, read with one tolist, are projected to the
-    plane perpendicular to the ray, and the sign tests run on the
-    projections, all on Python floats. They use the orientation sign of
-    the projected incoming face, so they stay correct for inverted
-    elements and backward rays. With the tolerance, several faces can
-    pass near vertices/edges; an empty set signals numerical starvation.
-    """
-    order = local_faces(mesh.dim)[in_local]
+    entered `element` through local face `in_local` (exit_faces on the
+    element's vertices, read with one tolist)."""
     verts = mesh.vertices.take(mesh.elements[element], axis=0).tolist()
+    return exit_faces(verts, in_local, frame, epsilon_i)
+
+
+def exit_faces(verts, in_local, frame, epsilon_i):
+    """The exit test of the traversal: local indices of the faces the ray
+    may exit through, for an element with vertex coordinates `verts` (float
+    sequences, in element order) entered through local face `in_local`.
+
+    The vertices are projected to the plane perpendicular to the ray, and
+    the sign tests run on the projections, all on Python floats. They use
+    the orientation sign of the projected incoming face, so they stay
+    correct for inverted elements and backward rays. With the tolerance,
+    several faces can pass near vertices/edges; an empty set signals
+    numerical starvation.
+    """
     eps = epsilon_i
-    if mesh.dim == 3:
+    if len(verts) == 4:
+        order = LOCAL_FACES_3D[in_local]
         o0, o1, o2 = frame.origin
         (u0, u1, u2), (v0, v1, v2) = frame.uv
-        proj = [
-            (
-                (x0 - o0) * u0 + (x1 - o1) * u1 + (x2 - o2) * u2,
-                (x0 - o0) * v0 + (x1 - o1) * v1 + (x2 - o2) * v2,
-            )
-            for x0, x1, x2 in verts
-        ]
         i, j, k = order
-        a0, a1 = proj[i]
-        b0, b1 = proj[j]
-        c0, c1 = proj[k]
-        x, y = proj[in_local]  # the vertex opposite the entry face
+        # the entry face's vertices a, b, c and the opposite one, x,
+        # projected
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (x0, x1, x2) = (
+            verts[i], verts[j], verts[k], verts[in_local]
+        )
+        a0, a1, a2 = a0 - o0, a1 - o1, a2 - o2
+        a0, a1 = a0 * u0 + a1 * u1 + a2 * u2, a0 * v0 + a1 * v1 + a2 * v2
+        b0, b1, b2 = b0 - o0, b1 - o1, b2 - o2
+        b0, b1 = b0 * u0 + b1 * u1 + b2 * u2, b0 * v0 + b1 * v1 + b2 * v2
+        c0, c1, c2 = c0 - o0, c1 - o1, c2 - o2
+        c0, c1 = c0 * u0 + c1 * u1 + c2 * u2, c0 * v0 + c1 * v1 + c2 * v2
+        x0, x1, x2 = x0 - o0, x1 - o1, x2 - o2
+        x, y = x0 * u0 + x1 * u1 + x2 * u2, x0 * v0 + x1 * v1 + x2 * v2
         det = (b0 - a0) * (c1 - a1) - (b1 - a1) * (c0 - a0)
         if abs(det) <= eps:
             # the entry face projects to a (near-)degenerate triangle: the
@@ -134,6 +159,7 @@ def exit_face_selection(mesh, element, in_local, frame, epsilon_i):
         if d0 >= -eps and d1 <= eps:
             out.append(order[2])
         return out
+    order = LOCAL_FACES_2D[in_local]
     (o0, o1), ((u0, u1),) = frame.origin, frame.uv
     proj = [(x0 - o0) * u0 + (x1 - o1) * u1 for x0, x1 in verts]
     p0, p1, p2 = proj[order[0]], proj[order[1]], proj[in_local]
@@ -149,15 +175,13 @@ def exit_face_selection(mesh, element, in_local, frame, epsilon_i):
     return out
 
 
-def _crossing_parameter(mesh, element, lf, frame):
-    """Ray parameter where the ray line crosses the plane of a face, on
-    Python floats.
+def _crossing_parameter(pts, frame):
+    """Ray parameter where the ray line crosses the plane of a face with
+    vertex coordinates `pts` (float sequences), on Python floats.
 
     Falls back to the projection of the face centroid for near-parallel
     faces; only used for cutoffs and trace output, never for validity."""
-    face = mesh.elements[element][list(local_faces(mesh.dim)[lf])]
-    pts = mesh.vertices[face].tolist()
-    if mesh.dim == 3:
+    if len(pts) == 3:
         n = geometry.triangle_area_normal(*pts)
     else:
         n = geometry.edge_outward_normal_2d(*pts)
@@ -190,11 +214,17 @@ def is_valid_path_inverted(mesh, s, start_face, p, config=None, scratch=None):
 
 
 def _traverse(mesh, s, start_face, p, config, scratch, backward):
-    frame = make_ray_frame(s, p)
     p = np.asarray(p, dtype=float).tolist()
+    frame = _ray_frame(tuple(np.asarray(s, dtype=float).tolist()), p)
     eps = config.epsilon_i
-    adjacency = mesh.adjacency
-    adj_local = mesh.adj_local
+    dim = mesh.dim
+    nv, nr = dim + 1, dim * dim
+    faces = local_faces(dim)
+    vertices, elements = mesh.vertices, mesh.elements
+    # flat views of the per-element rows, read without a copy
+    rows = memoryview(mesh.bary_rows.reshape(-1))
+    adjacency = memoryview(mesh.adjacency.reshape(-1))
+    adj_local = memoryview(mesh.adj_local.reshape(-1))
     trace = None if scratch is None else scratch.trace
     if trace is not None:
         trace.clear()
@@ -223,21 +253,24 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
         (e, k), t = stack.pop()
         if trace is not None:
             trace.append((e, k, t, len(stack)))
-        if mesh.element_contains(e, p, eps):
+        # the element's vertex coordinates, read once for the containment
+        # test, the exit test and the crossing parameters
+        verts = vertices.take(elements[e], axis=0).tolist()
+        if bary_inside(rows[nr * e:nr * e + nr], verts[0], p, eps):
             return TraversalResult(True, "reached", e, len(visited), steps, loops)
-        exits = exit_face_selection(mesh, e, k, frame, eps)
+        exits = exit_faces(verts, k, frame, eps)
         steps += len(exits)
         for lf in exits:
-            nb = int(adjacency[e, lf])
+            nb = adjacency[nv * e + lf]
             if nb == BOUNDARY:
                 # the branch exits the mesh; tie branches may still reach p
                 hit_boundary = True
                 continue
-            state = (nb, int(adj_local[e, lf]))
+            state = (nb, adj_local[nv * e + lf])
             if state in visited:
                 loops += 1
                 continue
-            t = _crossing_parameter(mesh, e, lf, frame) if measure else 0.0
+            t = _crossing_parameter([verts[j] for j in faces[lf]], frame) if measure else 0.0
             if abs(t) > reach:
                 continue
             visited.add(state)

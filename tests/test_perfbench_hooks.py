@@ -25,13 +25,16 @@ def test_trace_hooks_install_run_restore(monkeypatch):
         mesh = shapes.box_grid(2, 2, 2)
         tree = build_boundary_bvh(mesh)
         tracer.active = True
-        res = query.shortest_path_to_boundary(mesh, tree, np.array([0.3, 0.4, 0.5]))
+        # the point projects onto the centre vertex of the x = 0 side
+        res = query.shortest_path_to_boundary(mesh, tree, np.array([0.2, 0.5, 0.5]))
         tracer.active = False
     finally:
         tracer.restore()
     assert res is not None and res.distance > 0.0
-    # the answer lies on an edge, so culling took the feature-map path
-    assert res.feature.kind in ("edge", "vertex")
+    # the answer lies on a vertex, so culling read the vertex's boundary
+    # neighbours (mesh.boundary_topology); an edge check reads the edge
+    # twins instead
+    assert res.feature.kind == "vertex"
     for layer in ("bvh.enumerate", "mesh.closest_point", "query.cull", "traversal", "mesh.boundary_topology"):
         assert tracer.calls[layer] > 0, layer
     assert tracer.counts["bvh.candidates"] > 0

@@ -326,3 +326,115 @@ def test_culling_keeps_the_answer_next_to_skipped_faces():
     assert res.face == 28 and res.distance == pytest.approx(0.0427, abs=5e-5)
     ref = oracle.oracle_closest_boundary(mesh, points[87])
     assert res.distance == pytest.approx(ref[2], abs=1e-9)
+
+
+# --- the edge-twin table that edge culling reads ------------------------------
+
+
+def ref_edge_twin(mesh, face, k):
+    """The twin of edge slot k of a boundary face as edge culling used to
+    find it per check: the edge's faces from boundary_faces_of_edge, then
+    each face's slot by a search of its vertex list. -1 where culling keeps
+    the candidate."""
+    n = mesh.boundary_faces.shape[1]
+    m = 3 if mesh.dim == 3 else 1  # edge slots per face
+    tri = mesh.boundary_faces[face].tolist()
+    g0, g1 = tri[k], tri[(k + 1) % n]
+    fids = mesh.boundary_faces_of_edge(g0, g1)
+    if len(fids) != 2:
+        return -1
+    accord = other = None
+    for fid in fids:
+        tri = mesh.boundary_faces[fid].tolist()
+        j = tri.index(g0)
+        if tri[(j + 1) % n] == g1:
+            accord = m * fid + j
+        else:
+            other = m * fid + (j - 1) % n
+    if accord is None or other is None:
+        return -1
+    assert accord == m * face + k
+    return other
+
+
+TWIN_MESHES = {
+    "box_grid": lambda: shapes.box_grid(2, 3, 2),
+    "folded_bar": lambda: shapes.folded_bar(8, 2, 2),
+    "spiral_bar": lambda: shapes.spiral_bar(12, 2, 2, thickness=0.25, total_angle=3.6 * np.pi, pitch=0.15),
+    "rect_grid": lambda: shapes.rect_grid(4, 3),
+    **STRIPS_AND_INVERTED,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_MESHES))
+def test_edge_twins_match_slot_search(name):
+    mesh = TWIN_MESHES[name]()
+    m = 3 if mesh.dim == 3 else 1  # edge slots per face
+    twins = mesh.face_edge_twins
+    assert twins.shape == (m * mesh.n_boundary_faces,)
+    for face in range(mesh.n_boundary_faces):
+        for k in range(m):
+            assert twins[m * face + k] == ref_edge_twin(mesh, face, k), (face, k)
+    paired = np.flatnonzero(twins >= 0)
+    assert np.array_equal(twins[twins[paired]], paired)
+    if mesh.dim == 3:
+        # a closed surface: every edge is run by two faces, both ways
+        assert len(paired) == len(twins)
+
+
+def two_tets(second):
+    """Tet (0, 1, 2, 3) and a second tet over the shared edge 0-1:
+    vertices 3 and 7 lie above the z = 0 plane, 4 below, 5 and 6 off to
+    the side."""
+    verts = np.array(
+        [
+            [0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.2, 1], [0.3, 0.2, -1],
+            [0.5, -1, 0.5], [0.5, -1, -0.5], [0.2, 0.4, 0.8],
+        ],
+        dtype=float,
+    )
+    return SimplicialMesh(verts, np.array([[0, 1, 2, 3], second]))
+
+
+def edge_0_1_slots(mesh):
+    faces = mesh.boundary_faces.tolist()
+    return [
+        (f, k) for f, tri in enumerate(faces) for k in range(3)
+        if {tri[k], tri[(k + 1) % 3]} == {0, 1}
+    ]
+
+
+def ring_decisions(mesh, face, k):
+    """feasible_region_check on the midpoint of the face's edge slot k,
+    for points on a ring around the edge."""
+    g = mesh.boundary_faces[face].tolist()
+    feature = BoundaryFeature("edge", face, (g[k], g[(k + 1) % 3]))
+    s = mesh.vertices[[0, 1]].mean(axis=0)
+    angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    ring = s + 0.3 * np.column_stack([np.zeros(24), np.cos(angles), np.sin(angles)])
+    return [feasible_region_check(mesh, s, feature, p, 0.01) for p in ring]
+
+
+def test_edge_without_twin_keeps_the_candidate():
+    # the second tet shares the face (0, 1, 2), oriented as a neighbour
+    paired = two_tets([1, 0, 2, 4])
+    # a tet on the same side of that face, so that it orders the face as
+    # the first tet does: the two boundary faces at edge 0-1 run it the
+    # same way
+    same_way = two_tets([0, 1, 2, 7])
+    # a tet that shares only the edge: four boundary faces run it
+    bowtie = two_tets([0, 1, 5, 6])
+    cases = {paired: 2, same_way: 2, bowtie: 4}
+    # no face is skipped, so culling reaches the edge test on every mesh
+    assert not any(mesh.touches_skipped_face.any() for mesh in cases)
+    for mesh, count in cases.items():
+        slots = edge_0_1_slots(mesh)
+        assert len(slots) == count
+        for face, k in slots:
+            want = ref_edge_twin(mesh, face, k)
+            assert mesh.face_edge_twins[3 * face + k] == want
+            assert (want >= 0) == (mesh is paired)
+            decisions = ring_decisions(mesh, face, k)
+            # the paired edge culls the points behind both its faces; the
+            # others keep every candidate
+            assert all(decisions) == (mesh is not paired), decisions

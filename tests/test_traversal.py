@@ -1,3 +1,4 @@
+import math
 import signal
 from contextlib import contextmanager
 from itertools import combinations
@@ -8,14 +9,13 @@ from conftest import containing_elements, threaded_ray_corpus
 
 from boundarypath import geometry, oracle, shapes
 from boundarypath.errors import ZeroLengthSegment
-from boundarypath.mesh import BOUNDARY, SimplicialMesh
+from boundarypath.mesh import BOUNDARY, SimplicialMesh, local_faces
 from boundarypath.query import QueryConfig
 from boundarypath.traversal import (
     CUTOFF_FACTOR,
     TraversalConfig,
     TraversalResult,
     TraversalScratch,
-    _crossing_parameter,
     _traverse,
     exit_face_selection,
     format_trace,
@@ -272,7 +272,7 @@ def test_config_validation():
 # --- equivalence with the exit-face-stack traversal ------------------------
 
 
-def ref_traverse(mesh, s, start_face, p, config, backward):
+def ref_stack_traverse(mesh, s, start_face, p, config, backward):
     """The traversal as two parallel stacks of exit faces: the start element
     is tested and expanded before the loop, a state is marked visited when
     its entry face is popped, and each mode has its own reach test. The
@@ -309,10 +309,10 @@ def ref_traverse(mesh, s, start_face, p, config, backward):
             loops += 1
             continue
         if backward:
-            if abs(_crossing_parameter(mesh, e, lf, frame)) > cutoff:
+            if abs(ref_crossing(mesh, e, lf, frame)) > cutoff:
                 continue
         elif config.intersection_free_early_out:
-            if abs(_crossing_parameter(mesh, e, lf, frame)) > frame.length:
+            if abs(ref_crossing(mesh, e, lf, frame)) > frame.length:
                 continue
         visited.add((nb, in_local))
         n_visited += 1
@@ -329,7 +329,7 @@ def assert_same_verdicts(rays, config, backward):
     """rays: (mesh, s, face, p) tuples."""
     for mesh, s, face, p in rays:
         got = _traverse(mesh, s, face, p, config, None, backward)
-        ref = ref_traverse(mesh, s, face, p, config, backward)
+        ref = ref_stack_traverse(mesh, s, face, p, config, backward)
         assert (got.valid, got.reason) == (ref.valid, ref.reason), (face, p)
 
 
@@ -365,7 +365,7 @@ def candidate_rays(mesh, points):
             if mesh.boundary_face_skipped[face] or dists[face] <= 1e-12:
                 continue
             rays.append((mesh, cands[face], int(face), p))
-            if ref_traverse(mesh, cands[face], int(face), p, config, backward).valid:
+            if ref_stack_traverse(mesh, cands[face], int(face), p, config, backward).valid:
                 break
     return rays
 
@@ -441,3 +441,171 @@ def test_steps_within_state_bound(eps, reach):
             n_states = (mesh.dim + 1) * mesh.n_elements
             assert res.elements_visited <= n_states
             assert res.steps <= mesh.dim * n_states
+
+
+# --- equivalence with the traversal that read each element twice ----------
+
+
+def ref_contains(mesh, e, p, tol):
+    """element_contains as it read vertex 0 and the barycentric rows of
+    the element on each call."""
+    v = mesh.vertices[mesh.elements[e, 0]].tolist()
+    if mesh.dim == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = mesh.bary_rows[e].tolist()
+        d0, d1, d2 = p[0] - v[0], p[1] - v[1], p[2] - v[2]
+        x = a0 * d0 + a1 * d1 + a2 * d2
+        y = b0 * d0 + b1 * d1 + b2 * d2
+        z = c0 * d0 + c1 * d1 + c2 * d2
+        return x >= -tol and y >= -tol and z >= -tol and 1.0 - (x + y + z) >= -tol
+    (a0, a1), (b0, b1) = mesh.bary_rows[e].tolist()
+    d0, d1 = p[0] - v[0], p[1] - v[1]
+    x = a0 * d0 + a1 * d1
+    y = b0 * d0 + b1 * d1
+    return x >= -tol and y >= -tol and 1.0 - (x + y) >= -tol
+
+
+def ref_exits(mesh, element, in_local, frame, epsilon_i):
+    """exit_face_selection as it gathered the element's vertices on each
+    call."""
+    order = local_faces(mesh.dim)[in_local]
+    verts = mesh.vertices.take(mesh.elements[element], axis=0).tolist()
+    eps = epsilon_i
+    if mesh.dim == 3:
+        o0, o1, o2 = frame.origin
+        (u0, u1, u2), (v0, v1, v2) = frame.uv
+        proj = [
+            (
+                (x0 - o0) * u0 + (x1 - o1) * u1 + (x2 - o2) * u2,
+                (x0 - o0) * v0 + (x1 - o1) * v1 + (x2 - o2) * v2,
+            )
+            for x0, x1, x2 in verts
+        ]
+        i, j, k = order
+        a0, a1 = proj[i]
+        b0, b1 = proj[j]
+        c0, c1 = proj[k]
+        x, y = proj[in_local]
+        det = (b0 - a0) * (c1 - a1) - (b1 - a1) * (c0 - a0)
+        if abs(det) <= eps:
+            return list(order)
+        sgn = 1.0 if det > 0.0 else -1.0
+        d0 = sgn * (x * a1 - y * a0)
+        d1 = sgn * (x * b1 - y * b0)
+        d2 = sgn * (x * c1 - y * c0)
+        out = []
+        if d1 >= -eps and d2 <= eps:
+            out.append(order[0])
+        if d2 >= -eps and d0 <= eps:
+            out.append(order[1])
+        if d0 >= -eps and d1 <= eps:
+            out.append(order[2])
+        return out
+    (o0, o1), ((u0, u1),) = frame.origin, frame.uv
+    proj = [(x0 - o0) * u0 + (x1 - o1) * u1 for x0, x1 in verts]
+    p0, p1, p2 = proj[order[0]], proj[order[1]], proj[in_local]
+    out = []
+    if min(p1, p2) <= eps and max(p1, p2) >= -eps:
+        out.append(order[0])
+    if min(p0, p2) <= eps and max(p0, p2) >= -eps:
+        out.append(order[1])
+    return out
+
+
+def ref_crossing(mesh, element, lf, frame):
+    """_crossing_parameter as it gathered its face on each call."""
+    face = mesh.elements[element][list(local_faces(mesh.dim)[lf])]
+    pts = mesh.vertices[face].tolist()
+    if mesh.dim == 3:
+        n = geometry.triangle_area_normal(*pts)
+    else:
+        n = geometry.edge_outward_normal_2d(*pts)
+    d = frame.direction
+    denom = sum(a * b for a, b in zip(n, d))
+    if abs(denom) <= 1e-14 * max(math.sqrt(sum(a * a for a in n)), 1.0):
+        centroid = [sum(c) / len(pts) for c in zip(*pts)]
+        return sum((c - o) * b for c, o, b in zip(centroid, frame.origin, d))
+    return sum(a * (x - o) for a, x, o in zip(n, pts[0], frame.origin)) / denom
+
+
+def ref_traverse(mesh, s, start_face, p, config, scratch, backward):
+    """The state search as it was when each visited element was read twice,
+    in the containment test and in the exit test."""
+    frame = make_ray_frame(s, p)
+    p = np.asarray(p, dtype=float).tolist()
+    eps = config.epsilon_i
+    trace = None if scratch is None else scratch.trace
+    if trace is not None:
+        trace.clear()
+    if backward:
+        reach = CUTOFF_FACTOR * frame.length
+    elif config.intersection_free_early_out:
+        reach = frame.length
+    else:
+        reach = math.inf
+    measure = trace is not None or reach < math.inf
+    start = (int(mesh.boundary_owner[start_face]), int(mesh.boundary_owner_local[start_face]))
+    stack = [(start, 0.0)]
+    visited = {start}
+    steps = 0
+    loops = 0
+    hit_boundary = False
+    while stack:
+        (e, k), t = stack.pop()
+        if trace is not None:
+            trace.append((e, k, t, len(stack)))
+        if ref_contains(mesh, e, p, eps):
+            return TraversalResult(True, "reached", e, len(visited), steps, loops)
+        exits = ref_exits(mesh, e, k, frame, eps)
+        steps += len(exits)
+        for lf in exits:
+            nb = int(mesh.adjacency[e, lf])
+            if nb == BOUNDARY:
+                hit_boundary = True
+                continue
+            state = (nb, int(mesh.adj_local[e, lf]))
+            if state in visited:
+                loops += 1
+                continue
+            t = ref_crossing(mesh, e, lf, frame) if measure else 0.0
+            if abs(t) > reach:
+                continue
+            visited.add(state)
+            stack.append((state, t))
+    reason = "hit_boundary" if hit_boundary else "exhausted"
+    return TraversalResult(False, reason, -1, len(visited), steps, loops)
+
+
+def inverted_interior_meshes():
+    """A 3D grid with an interior vertex pushed through its neighbours, and
+    the 2D pleated strip: both have inverted interior elements."""
+    grid = shapes.box_grid(3, 3, 3)
+    verts = grid.vertices.copy()
+    verts[21] += [0.6, 0.42, 0.24]  # the interior vertex at (1/3, 1/3, 1/3)
+    return [SimplicialMesh(verts, grid.elements), shapes.pleated_strip()]
+
+
+@pytest.mark.parametrize(
+    "reach, traced", [("forward", False), ("forward", True), ("early_out", True), ("backward", True)]
+)
+def test_one_read_traversal_matches_reference(reach, traced):
+    # criterion 4's rays, threaded through interior vertices and edge
+    # midpoints in 2D and 3D, plus rays on meshes with inverted interior
+    # elements. A traced traversal takes the crossing parameter of every
+    # state it pushes, as the early-out and backward ones do anyway.
+    config = TraversalConfig(**REACH_MODES[reach])
+    rng = np.random.default_rng(5)
+    rays = threaded_ray_corpus()
+    for mesh in inverted_interior_meshes():
+        rays += threaded_rays(mesh, rng, 300)
+    assert {mesh.dim for mesh, *_ in rays} == {2, 3}
+    backward = config.allow_backward
+    states = 0
+    for mesh, s, face, p in rays:
+        got_scratch = TraversalScratch(trace=[] if traced else None)
+        want_scratch = TraversalScratch(trace=[] if traced else None)
+        got = _traverse(mesh, s, face, p, config, got_scratch, backward)
+        want = ref_traverse(mesh, s, face, p, config, want_scratch, backward)
+        assert got == want, (face, p)
+        assert got_scratch.trace == want_scratch.trace, (face, p)
+        states += got.elements_visited
+    assert states > 5 * len(rays)
