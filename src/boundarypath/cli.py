@@ -7,11 +7,13 @@ with an output directory writes its one output file there and then a
 replayable manifest.
 
 `validate` and `fuzz` compare each engine answer with the oracle's, run
-with the same backward mode and epsilon_i: both must find no path, or
+with the same epsilon_i; both traverse backward exactly when the mesh has
+a skipped (inverted or degenerate) element. Both must find no path, or
 their distances must agree within 1e-9 and the engine's face must be one
 of the oracle's co-minimal faces. `fuzz` also compares each adversarial
-ray's validity verdict with the oracle's. `bench` requires culling on and
-culling off to give the same (face, distance) for every point.
+ray's validity verdict with the oracle's, forward and backward. `bench`
+requires culling on and culling off to give the same (face, distance) for
+every point.
 
 Exit codes: 0 success, 1 validation/fuzz/bench findings, 2 usage or I/O
 error.
@@ -32,14 +34,20 @@ from .errors import MeshError, NumericalBlowup
 from .meshio import export_boundary_obj, load_mesh, save_mesh, write_obj
 from .query import QueryConfig, shortest_path_to_boundary
 from .sim import SimRuntime, count_penetrations, load_scene, run_sim
-from .traversal import TraversalConfig, TraversalScratch, format_trace, is_valid_path
+from .traversal import (
+    TraversalConfig,
+    TraversalScratch,
+    format_trace,
+    is_valid_path,
+    is_valid_path_inverted,
+)
 
 
 def _query_config(args):
     return QueryConfig(
         epsilon_r=args.eps_r,
         enable_culling=not getattr(args, "no_culling", False),
-        traversal=TraversalConfig(epsilon_i=args.eps_i, allow_backward=args.allow_backward),
+        traversal=TraversalConfig(epsilon_i=args.eps_i),
     )
 
 
@@ -50,7 +58,6 @@ def _add_common(sub, seed=True, no_culling=True):
     sub.add_argument("--eps-r", type=_tolerance, default=QueryConfig.epsilon_r)
     if no_culling:
         sub.add_argument("--no-culling", action="store_true")
-    sub.add_argument("--allow-backward", action="store_true")
     if seed:
         sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=str, default=None)
@@ -161,7 +168,7 @@ def _save_run(args, inputs, text):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / OUTPUT_FILES[args.command]).write_text(text)
-    flags = ("eps_i", "eps_r", "no_culling", "allow_backward")
+    flags = ("eps_i", "eps_r", "no_culling")
     manifest = {
         "command": args.command,
         "inputs": list(inputs),
@@ -191,14 +198,10 @@ def _mesh_paths(target):
 def _oracle_mismatch(mesh, bvh, p, e, config):
     """Replayable record of the engine's disagreement with the oracle on
     point p of element e, or None when they agree. The oracle runs with
-    the same backward mode and epsilon_i as the engine."""
+    the same epsilon_i as the engine, and in its own auto mode, which
+    traverses backward when the engine does."""
     res = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e), config=config)
-    ref = oracle.oracle_closest_boundary(
-        mesh,
-        p,
-        allow_backward=True if config.traversal.allow_backward else None,
-        epsilon=config.traversal.epsilon_i,
-    )
+    ref = oracle.oracle_closest_boundary(mesh, p, epsilon=config.traversal.epsilon_i)
     if res is None and ref is None:
         return None
     if (
@@ -291,33 +294,31 @@ def cmd_fuzz(args):
         mesh = _fuzz_mesh(rng)
         bad = _differential(mesh, rng, args.samples, config)
         findings += [{"kind": "mismatch", "iteration": iteration, **rec} for rec in bad]
-        # exact vertex/edge hits stress the tie branching; each verdict is
-        # checked against the oracle's, run with the same backward mode
-        # and epsilon_i
+        # exact vertex/edge hits stress the tie branching; each ray's
+        # verdict is checked against the oracle's forward and backward,
+        # run with the same epsilon_i
+        modes = (("forward", is_valid_path, False), ("backward", is_valid_path_inverted, True))
         for s, f, target in _fuzz_rays(mesh, rng, args.samples):
             if np.linalg.norm(target - s) <= 1e-12:
                 continue
-            result = is_valid_path(mesh, s, f, target, config=config.traversal)
-            ref = oracle.oracle_valid_path(
-                mesh,
-                s,
-                f,
-                target,
-                allow_backward=config.traversal.allow_backward,
-                epsilon=config.traversal.epsilon_i,
-            )
-            if result.valid != ref:
-                findings.append(
-                    {
-                        "kind": "ray_mismatch",
-                        "iteration": iteration,
-                        "s": [float(x) for x in s],
-                        "face": f,
-                        "target": [float(x) for x in target],
-                        "engine": result.valid,
-                        "reference": ref,
-                    }
+            for mode, validate, backward in modes:
+                result = validate(mesh, s, f, target, config=config.traversal)
+                ref = oracle.oracle_valid_path(
+                    mesh, s, f, target, allow_backward=backward, epsilon=config.traversal.epsilon_i
                 )
+                if result.valid != ref:
+                    findings.append(
+                        {
+                            "kind": "ray_mismatch",
+                            "mode": mode,
+                            "iteration": iteration,
+                            "s": [float(x) for x in s],
+                            "face": f,
+                            "target": [float(x) for x in target],
+                            "engine": result.valid,
+                            "reference": ref,
+                        }
+                    )
     print(f"{args.iterations} iterations, {len(findings)} findings")
     _save_run(args, [], json.dumps(findings, indent=2))
     return 1 if findings else 0

@@ -1,7 +1,5 @@
 """Low-level geometric predicates for simplicial meshes in 2D and 3D."""
 
-import operator
-
 import numpy as np
 
 
@@ -51,18 +49,6 @@ def cross_rows(a, b):
 def row_norms(x):
     """Euclidean norms of the rows of x, equal to np.linalg.norm per row."""
     return np.sqrt(row_dots(x, x))
-
-
-def dot(a, b):
-    """Dot product of two float sequences on Python floats, summed left to
-    right. For sign and threshold tests only: BLAS, behind np.dot, may
-    round otherwise."""
-    return sum(map(operator.mul, a, b))
-
-
-def sub(a, b):
-    """a - b for two float sequences, as a list."""
-    return list(map(operator.sub, a, b))
 
 
 def closest_point_on_segment(p, a, b):

@@ -12,7 +12,7 @@ is derived in one batched pass at construction and again on every
 - per element: signed volume, inverted and degenerate flags and their
   union (the skip flag), and the rows of the inverse edge matrix that map
   p - v0 to barycentric coordinates (nan for a flat element); whether any
-  skipped element owns no boundary face;
+  element is skipped, which makes queries traverse backward;
 - per boundary face: whether its owner is skipped, area-weighted and unit
   outward normals, diameter, degeneracy flag, the barycentric floors
   above which the closest-point classifier needs no tolerance tests and,
@@ -208,8 +208,6 @@ class SimplicialMesh:
         self.boundary_owner, self.boundary_owner_local = owners, local
         face_idx = np.asarray(local_faces(self.dim))[local]
         self.boundary_faces = self.elements[owners[:, None], face_idx]
-        self._owns_boundary = np.zeros(len(self.elements), dtype=bool)
-        self._owns_boundary[owners] = True
         (
             self._vertex_faces, self._vertex_neighbors, self._edge_faces, self.face_edge_twins
         ) = _feature_maps(self.boundary_faces, len(self.vertices), self.dim)
@@ -261,9 +259,8 @@ class SimplicialMesh:
         # feasibility culling reads
         self.touches_skipped_face = np.zeros(len(v), dtype=bool)
         self.touches_skipped_face[self.boundary_faces[self.boundary_face_skipped]] = True
-        # a skipped element owning no boundary face makes queries traverse
-        # backward
-        self.has_inverted_interior = bool(np.any(self.skipped_flags & ~self._owns_boundary))
+        # any skipped element makes queries traverse backward
+        self.has_skipped_elements = bool(self.skipped_flags.any())
         with np.errstate(divide="ignore", invalid="ignore"):
             rows /= det[:, None, None]
         # a flat element has no barycentric coordinates; nan rows make
@@ -350,7 +347,7 @@ class SimplicialMesh:
     def set_vertices(self, vertices):
         """Replace vertex positions and recompute everything derived from
         them: signed volumes, the inverted/degenerate/skip flags and
-        barycentric rows of the elements, has_inverted_interior, the
+        barycentric rows of the elements, has_skipped_elements, the
         skip flags, normals, diameters, degeneracy flags, barycentric
         floors, edge normals, vertex rows, edges and plane rows of the
         boundary faces, and the vertices' touches_skipped_face flags.
@@ -549,9 +546,11 @@ class SimplicialMesh:
         the same bound holds."""
         x = np.asarray(p, dtype=float).tolist()
         rows = self.face_planes_view
-        p_slack = BOUND_POINT_SLACK * sum(map(abs, x))
+        # the 1-norm summed left to right: sum() of floats is compensated
+        # from Python 3.12 on, and would round otherwise there
         if len(x) == 3:
             x0, x1, x2 = x
+            p_slack = BOUND_POINT_SLACK * (abs(x0) + abs(x1) + abs(x2))
 
             def key(face, box):
                 n0, n1, n2, c, slack = rows[5 * face:5 * face + 5]
@@ -560,6 +559,7 @@ class SimplicialMesh:
 
         else:
             x0, x1 = x
+            p_slack = BOUND_POINT_SLACK * (abs(x0) + abs(x1))
 
             def key(face, box):
                 n0, n1, c, slack = rows[4 * face:4 * face + 4]

@@ -207,10 +207,11 @@ def oracle_closest_boundary(
 ):
     """Exhaustive scan: closest point on every boundary face, sorted by
     distance, first candidate with a valid path wins. Returns
-    (point, face, distance) or None."""
+    (point, face, distance) or None. allow_backward=None takes the
+    engine's rule: backward on a mesh with any skipped element."""
     p = np.asarray(p, dtype=float)
     if allow_backward is None:
-        allow_backward = mesh.has_inverted_interior
+        allow_backward = mesh.has_skipped_elements
     points, dists = closest_boundary_candidates(mesh, p)
     skip = np.asarray(mesh.boundary_face_skipped)
     if exclude_vertex is not None:

@@ -6,8 +6,10 @@ the face can contribute. Candidates are validated in exact (distance,
 face id) order: a candidate is culled when its local feasible region
 excludes the query point, and otherwise checked with the topological ray
 traversal, once its distance is below the lower bound of every face not
-yet enumerated. The first valid candidate is the answer, so of several
-candidates at the same distance the lowest face id wins.
+yet enumerated. The traversal runs backward on a mesh with any skipped
+(inverted or degenerate) element and forward otherwise. The first valid
+candidate is the answer, so of several candidates at the same distance
+the lowest face id wins.
 
 An enumerated face waits for its closest point under a key, the larger
 of its box bound and its plane bound (`SimplicialMesh.distance_bounds`).
@@ -249,8 +251,9 @@ def shortest_path_to_boundary(
         )
         return None
 
-    backward = config.traversal.allow_backward or mesh.has_inverted_interior
-    validate = is_valid_path_inverted if backward else is_valid_path
+    # inverted elements can hide the path from a forward traversal, so a
+    # mesh with any skipped element is traversed backward
+    validate = is_valid_path_inverted if mesh.has_skipped_elements else is_valid_path
 
     skip = mesh.boundary_face_skipped
     excl_faces = (

@@ -42,12 +42,15 @@ from .query import QueryConfig, shortest_path_to_boundary
 from .traversal import TraversalConfig
 
 ITERATIONS = 3  # material + collision projection sweeps per substep
-# projection targets c >= CONTACT_MARGIN; exactly-on-face points otherwise
-# flicker in and out of the strict containment test
-CONTACT_MARGIN = 1e-7
+# CONTACT_MARGIN and SKIN are relative to the scene's length scale, the
+# median largest side of its element boxes (SimRuntime.length), so a scene
+# scaled by a power of two moves as the unscaled one does, times the scale.
+# projection targets c >= CONTACT_MARGIN * length; exactly-on-face points
+# otherwise flicker in and out of the strict containment test
+CONTACT_MARGIN = 2e-7
 # kept candidate pairs are taken with every probe box grown by SKIN times
-# the median largest side of the scene's element boxes (KeptPairs); a
-# larger skin retakes less often but makes each retake walk costlier
+# the length scale (KeptPairs); a larger skin retakes less often but
+# makes each retake walk costlier
 SKIN = 0.05
 EPS = np.finfo(float).eps
 
@@ -419,7 +422,9 @@ class SimRuntime:
     It also keeps the collision candidate pairs between detections, one
     `KeptPairs` list for the point probes (vertices, then element
     centroids) and one for the boundary edges. Their skin is SKIN times
-    the median largest side of the element boxes at construction. A
+    the scene's length scale, `length`: the median largest side of the
+    element boxes at construction. The contact margin, `margin`, is
+    CONTACT_MARGIN times the same length. A
     detection walks the element tree only when its list is taken again:
     at the first detection, and once some vertex has moved far enough
     that a pair outside the list could overlap; otherwise it runs the
@@ -430,9 +435,10 @@ class SimRuntime:
         self.elem_bvh = ElementBvh(state.positions, state.elements)
         self.boundary_bvhs = [BoundaryBvh(mesh) for mesh in state.meshes]
         sides = (self.elem_bvh.boxes[:, 1] - self.elem_bvh.boxes[:, 0]).max(axis=1)
-        skin = SKIN * float(np.median(sides))
-        self.point_pairs = KeptPairs(skin)
-        self.edge_pairs = KeptPairs(skin)
+        self.length = float(np.median(sides))
+        self.margin = CONTACT_MARGIN * self.length
+        self.point_pairs = KeptPairs(SKIN * self.length)
+        self.edge_pairs = KeptPairs(SKIN * self.length)
 
     def refit(self, state):
         self.elem_bvh.refit(state.positions)
@@ -571,7 +577,7 @@ def xpbd_substep(state, config, runtime):
             alpha = config.collision_compliance / (dt * dt)
             for _ in range(ITERATIONS):
                 _project_springs(state, config, dt)
-                _project_collisions(state, constraints, alpha, CONTACT_MARGIN)
+                _project_collisions(state, constraints, alpha, runtime.margin)
 
             state.velocities[:] = (state.positions - prev) / dt
             if config.damping:

@@ -10,15 +10,19 @@ vertices/edges branch into several exit faces instead of failing; each state
 is entered at most once, which cuts loops and bounds the work: a mesh has
 (dim + 1) * n_elements states, each with at most dim exit faces, so a
 traversal examines at most dim * (dim + 1) * n_elements exit faces and
-stops when its states run out. An optional backward mode handles inverted
-interior elements.
+stops when its states run out. Backward mode (`is_valid_path_inverted`)
+handles inverted elements: queries take it on any mesh with a skipped
+(inverted or degenerate) element, and forward mode (`is_valid_path`)
+everywhere else.
 
 A visited element is read once: its vertex coordinates, taken with one
 numpy take, feed the containment test (`mesh.bary_inside`), the exit test
 (`exit_faces`) and, in backward, early-out or traced runs, the crossing
 parameters of the faces it pushes. Barycentric rows and adjacency are
 read through flat memoryviews, made per traversal, and the query point
-is turned into floats once.
+is turned into floats once. The crossing parameters' dot products are
+written out and summed left to right, so they round alike on every
+Python version (sum() of floats is compensated from Python 3.12 on).
 """
 
 import math
@@ -57,7 +61,7 @@ def make_ray_frame(origin, target):
 def _ray_frame(origin, target):
     """make_ray_frame from the origin as a tuple of floats and the target
     as a float sequence."""
-    delta = geometry.sub(target, origin)
+    delta = [t - o for t, o in zip(target, origin)]
     length = math.hypot(*delta)
     if length <= 1e-14:
         raise ZeroLengthSegment("origin and target coincide")
@@ -72,7 +76,6 @@ def _ray_frame(origin, target):
 @dataclass
 class TraversalConfig:
     epsilon_i: float = 1e-10
-    allow_backward: bool = False
     intersection_free_early_out: bool = False
 
     def __post_init__(self):
@@ -177,37 +180,48 @@ def exit_faces(verts, in_local, frame, epsilon_i):
 
 def _crossing_parameter(pts, frame):
     """Ray parameter where the ray line crosses the plane of a face with
-    vertex coordinates `pts` (float sequences), on Python floats.
+    vertex coordinates `pts` (float sequences), on Python floats, each dot
+    product written out and summed left to right.
 
     Falls back to the projection of the face centroid for near-parallel
     faces; only used for cutoffs and trace output, never for validity."""
     if len(pts) == 3:
-        n = geometry.triangle_area_normal(*pts)
-    else:
-        n = geometry.edge_outward_normal_2d(*pts)
-    dot, d = geometry.dot, frame.direction
-    denom = dot(n, d)
-    if abs(denom) <= 1e-14 * max(math.sqrt(dot(n, n)), 1.0):
-        centroid = [sum(c) / len(pts) for c in zip(*pts)]
-        return dot(geometry.sub(centroid, frame.origin), d)
-    return dot(n, geometry.sub(pts[0], frame.origin)) / denom
+        n0, n1, n2 = geometry.triangle_area_normal(*pts)
+        (d0, d1, d2), (o0, o1, o2) = frame.direction, frame.origin
+        denom = n0 * d0 + n1 * d1 + n2 * d2
+        if abs(denom) > 1e-14 * max(math.sqrt(n0 * n0 + n1 * n1 + n2 * n2), 1.0):
+            a0, a1, a2 = pts[0]
+            return (n0 * (a0 - o0) + n1 * (a1 - o1) + n2 * (a2 - o2)) / denom
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = pts
+        m0, m1, m2 = (a0 + b0 + c0) / 3, (a1 + b1 + c1) / 3, (a2 + b2 + c2) / 3
+        return (m0 - o0) * d0 + (m1 - o1) * d1 + (m2 - o2) * d2
+    n0, n1 = geometry.edge_outward_normal_2d(*pts)
+    (d0, d1), (o0, o1) = frame.direction, frame.origin
+    denom = n0 * d0 + n1 * d1
+    if abs(denom) > 1e-14 * max(math.sqrt(n0 * n0 + n1 * n1), 1.0):
+        a0, a1 = pts[0]
+        return (n0 * (a0 - o0) + n1 * (a1 - o1)) / denom
+    (a0, a1), (b0, b1) = pts
+    m0, m1 = (a0 + b0) / 2, (a1 + b1) / 2
+    return (m0 - o0) * d0 + (m1 - o1) * d1
 
 
 def is_valid_path(mesh, s, start_face, p, config=None, scratch=None):
     """Whether the segment from boundary point s (on boundary face
-    `start_face`) to p is a valid path. Traversal always launches from the
+    `start_face`) to p is a valid path, traversed forward: with no reach
+    limit, or within the segment's length with
+    config.intersection_free_early_out. Traversal always launches from the
     boundary end. Raises ZeroLengthSegment when s and p coincide."""
     if config is None:
         config = TraversalConfig()
-    return _traverse(mesh, s, start_face, p, config, scratch, config.allow_backward)
+    return _traverse(mesh, s, start_face, p, config, scratch, False)
 
 
 def is_valid_path_inverted(mesh, s, start_face, p, config=None, scratch=None):
-    """Backward-enabled variant for meshes with inverted interior elements.
-
-    It traverses backward whatever config.allow_backward says. Callers
-    never start from an inverted boundary element (those are skipped as
-    candidates)."""
+    """is_valid_path traversed backward, for meshes with skipped (inverted
+    or degenerate) elements: branches run either way along the ray, up to
+    CUTOFF_FACTOR segment lengths from s. Callers never start from a
+    skipped boundary element (those are skipped as candidates)."""
     if config is None:
         config = TraversalConfig()
     return _traverse(mesh, s, start_face, p, config, scratch, True)

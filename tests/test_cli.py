@@ -172,27 +172,41 @@ def test_query_bad_tolerance_exit_2(cube_path, capsys, flag, value):
 
 @pytest.mark.parametrize(
     "argv",
-    [["query", "0.5 0.5 0.5", "--seed", "1"], ["bench", "--no-culling"]],
-    ids=["query-seed", "bench-no-culling"],
+    [
+        ["query", "0.5 0.5 0.5", "--seed", "1"],
+        ["bench", "--no-culling"],
+        ["query", "0.5 0.5 0.5", "--allow-backward"],
+        ["validate", "--allow-backward"],
+        ["fuzz", "--allow-backward"],
+        ["bench", "--allow-backward"],
+    ],
+    ids=[
+        "query-seed", "bench-no-culling", "query-allow-backward", "validate-allow-backward",
+        "fuzz-allow-backward", "bench-allow-backward",
+    ],
 )
 def test_flags_without_effect_exit_2(cube_path, capsys, argv):
-    # query samples nothing, and bench always runs with culling on and off
+    # query samples nothing, bench always runs with culling on and off, and
+    # the mesh decides the traversal direction: backward exactly when it
+    # has a skipped element
+    mesh = [] if argv[0] == "fuzz" else [cube_path]
     with pytest.raises(SystemExit) as err:
-        main([argv[0], cube_path, *argv[1:]])
+        main([argv[0], *mesh, *argv[1:]])
     assert err.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    flag = next(a for a in argv if a.startswith("--"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_manifest_records_only_the_command_flags(cube_path, tmp_path):
     out = tmp_path / "q"
     assert main(["query", cube_path, "0.5 0.5 0.5", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert sorted(manifest["overrides"]) == ["allow_backward", "eps_i", "eps_r", "no_culling"]
+    assert sorted(manifest["overrides"]) == ["eps_i", "eps_r", "no_culling"]
     assert manifest["seed"] is None
     out = tmp_path / "b"
     assert main(["bench", cube_path, "--samples", "4", "--seed", "5", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert sorted(manifest["overrides"]) == ["allow_backward", "eps_i", "eps_r"]
+    assert sorted(manifest["overrides"]) == ["eps_i", "eps_r"]
     assert manifest["seed"] == 5
 
 
@@ -215,15 +229,19 @@ def test_validate_manifest_lists_the_meshes_it_read(tmp_path, capsys):
     assert manifest["inputs"] == [str(vd / "bar.json")]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 11: with every inverted element owning a boundary face, the "
-    "engine traverses forward with no reach limit and the oracle monotonically",
+@pytest.mark.parametrize(
+    "make", [shapes.flipped_corner_grid, lambda: shapes.inverted_path_strip()[0]],
+    ids=["flipped_corner_grid", "inverted_path_strip"],
 )
-def test_validate_flipped_corner_grid(tmp_path, capsys):
-    path = tmp_path / "flipped.json"
-    save_mesh(shapes.flipped_corner_grid(), path)
+def test_validate_inverted_boundary_elements(tmp_path, capsys, make):
+    # each mesh's inverted elements own boundary faces, and engine and
+    # oracle both traverse backward on it. When only inverted elements
+    # owning no boundary face made them do so, these runs found 10 and 55
+    # mismatches
+    path = tmp_path / "mesh.json"
+    save_mesh(make(), path)
     assert main(["validate", str(path), "--samples", "200", "--seed", "0"]) == 0
+    assert "200 queries, 0 mismatches" in capsys.readouterr().out
 
 
 def test_validate_clean(cube_path, capsys):
@@ -294,6 +312,8 @@ def test_fuzz_exit_1_when_a_ray_verdict_flips(tmp_path, monkeypatch):
     assert main(argv) == 1
     findings = json.loads((out / "findings.json").read_text())
     assert findings and {f["kind"] for f in findings} == {"ray_mismatch"}
+    # every ray is checked in both modes, and only the forward one flips
+    assert {f["mode"] for f in findings} == {"forward"}
 
 
 def test_bench_culling_benefit(tmp_path, capsys):
@@ -379,6 +399,7 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"epsilon_i": Infinity}}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"cutoff_factor": 2}}}}',
         '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"trace": true}}}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"query": {"traversal": {"allow_backward": true}}}}',
         '{"meshes": []}',
         '{"meshes": [{"path": "box.json", "translate": [1, 2]}]}',
         '{"meshes": [{"path": "box.json", "translate": [NaN, 0, 0]}]}',
@@ -395,7 +416,7 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         "damping-3", "damping-negative", "iterations-zero", "query-unknown-key", "stiffness_k",
         "include_centroids",
         "query-exclude-vertex", "epsilon-r-nan", "epsilon-r-negative", "epsilon-i-inf",
-        "traversal-cutoff-factor", "traversal-trace",
+        "traversal-cutoff-factor", "traversal-trace", "traversal-allow-backward",
         "meshes-empty",
         "translate-2d", "translate-nan", "scale-string", "scale-zero", "mass-string",
         "mesh-unknown-key", "mixed-dimensions",

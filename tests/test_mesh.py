@@ -305,12 +305,28 @@ def test_pseudo_normal_zero_raises():
         mesh.pseudo_normal(BoundaryFeature("nope", 0))
 
 
-def test_has_inverted_interior():
+def test_has_skipped_elements():
+    # any inverted or flat element counts, whether or not it owns a
+    # boundary face
     pleated = shapes.pleated_strip()
-    assert pleated.has_inverted_interior
+    assert pleated.has_skipped_elements
     flipped = shapes.flipped_corner_grid()
-    # its single inverted element owns boundary faces, so no interior inversion
-    assert flipped.inverted_flags.any() and not flipped.has_inverted_interior
+    owners = set(flipped.boundary_owner.tolist())
+    assert set(np.flatnonzero(flipped.inverted_flags).tolist()) <= owners
+    assert flipped.has_skipped_elements
+    strip = shapes.inverted_path_strip()[0]
+    assert strip.has_skipped_elements
+    grid = shapes.rect_grid(3, 3)
+    assert not grid.has_skipped_elements
+    # a flat element is skipped too, and set_vertices refreshes the flag
+    v = grid.vertices.copy()
+    e = grid.elements[4]
+    v[e[2]] = 0.5 * (v[e[0]] + v[e[1]])
+    grid.set_vertices(v)
+    assert grid.degenerate_flags.any() and not grid.inverted_flags.any()
+    assert grid.has_skipped_elements
+    grid.set_vertices(shapes.rect_grid(3, 3).vertices)
+    assert not grid.has_skipped_elements
 
 
 def test_set_vertices_refreshes_geometry(tri):
@@ -456,7 +472,7 @@ def test_set_vertices_matches_fresh_mesh(base_and_scrambled):
     for name in (
         "adjacency", "adj_local", "boundary_faces", "boundary_owner", "boundary_owner_local",
         "signed_volumes", "inverted_flags", "degenerate_flags", "skipped_flags", "bary_rows",
-        "boundary_face_skipped", "has_inverted_interior",
+        "boundary_face_skipped", "has_skipped_elements",
         "face_diameters", "face_degenerate", "face_area_normals", "face_unit_normals",
         "face_bary_floors", "face_vertices", "face_edges", "face_planes", "touches_skipped_face",
     ):

@@ -62,9 +62,8 @@ class RefNearFaces:
                     heapq.heappush(self.heap, (d, child))
 
 
-def _validator(mesh, config):
-    backward = config.traversal.allow_backward or mesh.has_inverted_interior
-    return is_valid_path_inverted if backward else is_valid_path
+def _validator(mesh):
+    return is_valid_path_inverted if mesh.has_skipped_elements else is_valid_path
 
 
 def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_vertex=None):
@@ -75,7 +74,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
     p = np.asarray(p, dtype=float)
     if p_element is not None and mesh.element_skipped(int(p_element)):
         return None
-    validate = _validator(mesh, config)
+    validate = _validator(mesh)
     excl = mesh.boundary_faces_of_vertex(exclude_vertex) if exclude_vertex is not None else ()
     culling = config.enable_culling and exclude_vertex is None
     best = None  # (point, feature, distance)
@@ -108,7 +107,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
 
 def tied_faces(mesh, p, config, exclude_vertex, distance):
     """Faces whose candidate the query accepts at exactly `distance`."""
-    validate = _validator(mesh, config)
+    validate = _validator(mesh)
     excl = mesh.boundary_faces_of_vertex(exclude_vertex) if exclude_vertex is not None else ()
     _, dists = oracle.closest_boundary_candidates(mesh, p)
     out = []
@@ -196,7 +195,7 @@ def jittered_bar():
     mesh = shapes.folded_bar(8, 2, 2)
     rng = np.random.default_rng(7)
     mesh.set_vertices(mesh.vertices + rng.normal(scale=0.06, size=mesh.vertices.shape))
-    assert mesh.inverted_flags.any() and mesh.has_inverted_interior
+    assert mesh.inverted_flags.any() and mesh.has_skipped_elements
     return mesh
 
 
@@ -219,6 +218,40 @@ def test_strips_and_inverted_meshes(name):
     for p, e in zip(points, elems):
         tally.check(mesh, bvh, p, int(e))
     tally.done()
+
+
+JITTERED_BAR_DISAGREES = (
+    "ROADMAP item 12 judges it: 6 of 600 answers differ from the oracle's (seeds 17 and 0-3, "
+    "120 points each), each time with a shorter oracle path; seed 17 point 46 gives engine "
+    "face 128 at 0.0999 and oracle face 28 at 0.0632. Culling off gives the engine's answer, "
+    "and a backward traversal from the oracle's point rejects it even with CUTOFF_FACTOR 1e9 "
+    "and epsilon_i 1e-6"
+)
+
+
+@pytest.mark.xfail(strict=True, reason=JITTERED_BAR_DISAGREES)
+def test_jittered_bar_matches_oracle():
+    # 22 inverted elements: engine and oracle both traverse backward
+    mesh = jittered_bar()
+    assert mesh.has_skipped_elements
+    bvh = build_boundary_bvh(mesh)
+    differ = []
+    for seed in (17, 0, 1, 2, 3):
+        points, elems = shapes.random_interior_points(mesh, np.random.default_rng(seed), 120)
+        for k, (p, e) in enumerate(zip(points, elems)):
+            res = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e))
+            ref = oracle.oracle_closest_boundary(mesh, p)
+            if res is None and ref is None:
+                continue
+            if (
+                res is not None
+                and ref is not None
+                and abs(res.distance - ref[2]) <= 1e-9
+                and res.face in oracle.co_minimal_faces(mesh, p, ref[2])
+            ):
+                continue
+            differ.append((seed, k))
+    assert not differ, differ
 
 
 @pytest.mark.parametrize("culling", [True, False], ids=["culling-on", "culling-off"])

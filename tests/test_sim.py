@@ -387,6 +387,25 @@ def test_kept_pairs_far_from_the_origin(monkeypatch, shift, scale, every):
     assert sum(e.n_vertex_contacts + e.n_edge_contacts for e in log) > 0
 
 
+def test_positions_scale_with_the_scene():
+    # criterion 8's scene scaled by 2^k, which is exact in binary: the
+    # margin and the skin are relative to the scene's length scale, so
+    # positions after 30 substeps are 2^k times the unit-scale positions,
+    # bit for bit. Smaller scales wait for scale-free query tolerances
+    # (ROADMAP item 7)
+    def play(k):
+        meshes = two_grids(2, (0.8, 0.1, 0.05))
+        for mesh in meshes:
+            mesh.set_vertices(mesh.vertices * 2.0**k)
+        state, config, rt = make_runtime(meshes, damping=1.0)
+        run_sim(state, config, 30, rt)
+        return state.positions
+
+    unit = play(0)
+    for k in (-24, -20, -10, 10, 20, 40):
+        assert np.array_equal(play(k), unit * 2.0**k), k
+
+
 def overlapping_boxes(n_meshes):
     meshes = [shapes.box_grid(2, 2, 2) for _ in range(n_meshes)]
     for k, mesh in enumerate(meshes):
@@ -691,8 +710,8 @@ HOLD_THROUGH = 40  # and then read 0 after every substep through this one
 RELAPSE = "relapses at substep 4: contacts are detected before the spring sweeps (ROADMAP item 16)"
 DIVERGES = "11 inverted elements after substep 1, then diverges (ROADMAP items 16 and 9)"
 INVERTS = (
-    "penetrations 3, 3, 1, 2, 2, 2, 0, 1, ...; 4 of 12 tets inverted after substep 1 "
-    "and 6 from substep 6 on (ROADMAP item 9)"
+    "penetrations 3, 3, 1, 3, 2, 3, 1, 0, 1, 0, 3, ...; 4 of 12 tets inverted after "
+    "substep 1, 5 from substep 3 and 6 from substep 6 on (ROADMAP item 9)"
 )
 OFFSET = (0.8, 0.1, 0.05)  # criterion 8's translation of the second box
 

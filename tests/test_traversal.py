@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import signal
 from contextlib import contextmanager
 from itertools import combinations
@@ -237,7 +239,7 @@ def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
 
     rays = []
     for mesh in meshes:
-        assert mesh.has_inverted_interior
+        assert mesh.has_skipped_elements
         rays += candidate_rays(mesh, shapes.random_interior_points(mesh, rng, 30)[0])
         rays += threaded_rays(mesh, rng, 100)
     got = traces(rays)
@@ -357,7 +359,7 @@ def candidate_rays(mesh, points):
     and including the first one the reference accepts: the traversals a
     query without culling runs."""
     config = TraversalConfig()
-    backward = mesh.has_inverted_interior
+    backward = mesh.has_skipped_elements
     rays = []
     for p in points:
         cands, dists = oracle.closest_boundary_candidates(mesh, p)
@@ -401,10 +403,11 @@ def test_state_search_matches_reference_with_early_out(folded2d, grid3d, rng):
     assert_same_verdicts(rays, config, False)
 
 
+# per reach mode, the entry point that runs it and its config fields
 REACH_MODES = {
-    "forward": {},
-    "early_out": {"intersection_free_early_out": True},
-    "backward": {"allow_backward": True},
+    "forward": (is_valid_path, {}),
+    "early_out": (is_valid_path, {"intersection_free_early_out": True}),
+    "backward": (is_valid_path_inverted, {}),
 }
 
 
@@ -434,10 +437,11 @@ def test_steps_within_state_bound(eps, reach):
     # out, so this bound is the one guard on the visited set. A broken
     # visited set makes the traversal run forever, hence the deadline: the
     # whole corpus takes about 1 s.
-    config = TraversalConfig(epsilon_i=eps, **REACH_MODES[reach])
+    validate, fields = REACH_MODES[reach]
+    config = TraversalConfig(epsilon_i=eps, **fields)
     with deadline(10):
         for mesh, s, face, p in threaded_ray_corpus():
-            res = is_valid_path(mesh, s, face, p, config=config)
+            res = validate(mesh, s, face, p, config=config)
             n_states = (mesh.dim + 1) * mesh.n_elements
             assert res.elements_visited <= n_states
             assert res.steps <= mesh.dim * n_states
@@ -511,6 +515,13 @@ def ref_exits(mesh, element, in_local, frame, epsilon_i):
     return out
 
 
+def ltr_sum(terms):
+    """The terms summed left to right, from the first one: sum() starts
+    from 0, which turns a -0.0 sum into 0.0, and from Python 3.12 on it
+    compensates float sums."""
+    return functools.reduce(operator.add, terms)
+
+
 def ref_crossing(mesh, element, lf, frame):
     """_crossing_parameter as it gathered its face on each call."""
     face = mesh.elements[element][list(local_faces(mesh.dim)[lf])]
@@ -520,11 +531,11 @@ def ref_crossing(mesh, element, lf, frame):
     else:
         n = geometry.edge_outward_normal_2d(*pts)
     d = frame.direction
-    denom = sum(a * b for a, b in zip(n, d))
-    if abs(denom) <= 1e-14 * max(math.sqrt(sum(a * a for a in n)), 1.0):
-        centroid = [sum(c) / len(pts) for c in zip(*pts)]
-        return sum((c - o) * b for c, o, b in zip(centroid, frame.origin, d))
-    return sum(a * (x - o) for a, x, o in zip(n, pts[0], frame.origin)) / denom
+    denom = ltr_sum(a * b for a, b in zip(n, d))
+    if abs(denom) <= 1e-14 * max(math.sqrt(ltr_sum(a * a for a in n)), 1.0):
+        centroid = [ltr_sum(c) / len(pts) for c in zip(*pts)]
+        return ltr_sum((c - o) * b for c, o, b in zip(centroid, frame.origin, d))
+    return ltr_sum(a * (x - o) for a, x, o in zip(n, pts[0], frame.origin)) / denom
 
 
 def ref_traverse(mesh, s, start_face, p, config, scratch, backward):
@@ -592,13 +603,14 @@ def test_one_read_traversal_matches_reference(reach, traced):
     # midpoints in 2D and 3D, plus rays on meshes with inverted interior
     # elements. A traced traversal takes the crossing parameter of every
     # state it pushes, as the early-out and backward ones do anyway.
-    config = TraversalConfig(**REACH_MODES[reach])
+    validate, fields = REACH_MODES[reach]
+    config = TraversalConfig(**fields)
+    backward = validate is is_valid_path_inverted
     rng = np.random.default_rng(5)
     rays = threaded_ray_corpus()
     for mesh in inverted_interior_meshes():
         rays += threaded_rays(mesh, rng, 300)
     assert {mesh.dim for mesh, *_ in rays} == {2, 3}
-    backward = config.allow_backward
     states = 0
     for mesh, s, face, p in rays:
         got_scratch = TraversalScratch(trace=[] if traced else None)
