@@ -14,15 +14,18 @@ import numpy as np
 
 from .mesh import BOUNDARY, local_faces
 
+# the tolerance of every crossing and containment test
+TOL = 1e-10
 
-def _contains(mesh, e, p, tol):
+
+def _contains(mesh, e, p):
     verts = mesh.vertices[mesh.elements[e]]
     A = (verts[1:] - verts[0]).T
     try:
         x = np.linalg.solve(A, np.asarray(p, float) - verts[0])
     except np.linalg.LinAlgError:
         return False
-    return bool(x.min() >= -tol and x.sum() <= 1.0 + tol)
+    return bool(x.min() >= -TOL and x.sum() <= 1.0 + TOL)
 
 
 def _line_segment_min(s, d, e0, e1):
@@ -83,12 +86,10 @@ def _line_face_min(mesh, s, d, element, lf):
     return best
 
 
-def oracle_valid_path(
-    mesh, s, start_face, p, allow_backward=False, epsilon=1e-10, cutoff_factor=2.0
-):
+def oracle_valid_path(mesh, s, start_face, p, allow_backward=False, cutoff_factor=2.0):
     """BFS over the element graph restricted to faces crossed by the
     segment s -> p. Forward mode requires the crossing parameter to advance
-    monotonically (within epsilon); backward mode drops monotonicity and
+    monotonically (within TOL); backward mode drops monotonicity and
     stops branches past cutoff_factor times the segment length."""
     s = np.asarray(s, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -97,9 +98,8 @@ def oracle_valid_path(
     if L <= 1e-14:
         return False
     d = delta / L
-    tol = epsilon
     e0 = int(mesh.boundary_owner[start_face])
-    if _contains(mesh, e0, p, tol):
+    if _contains(mesh, e0, p):
         return True
     # states: (element, entry local face, entry parameter)
     seen = set()
@@ -116,20 +116,20 @@ def oracle_valid_path(
             if nb == BOUNDARY:
                 continue
             dist, t_f = _line_face_min(mesh, s, d, e, lf)
-            if dist > tol:
+            if dist > TOL:
                 continue
             if allow_backward:
-                if abs(t_f) > cutoff_factor * L + tol:
+                if abs(t_f) > cutoff_factor * L + TOL:
                     continue
             else:
-                if t_f < t_e - tol or t_f > L + tol:
+                if t_f < t_e - TOL or t_f > L + TOL:
                     continue
             in_nb = int(mesh.adj_local[e, lf])
             state = (nb, in_nb)
             if state in seen:
                 continue
             seen.add(state)
-            if _contains(mesh, nb, p, tol):
+            if _contains(mesh, nb, p):
                 return True
             queue.append((nb, in_nb, t_f))
     return False
@@ -196,22 +196,15 @@ def closest_boundary_candidates(mesh, p):
     return q, np.linalg.norm(q - p, axis=1)
 
 
-def oracle_closest_boundary(
-    mesh,
-    p,
-    p_element=None,
-    exclude_vertex=None,
-    allow_backward=None,
-    epsilon=1e-10,
-    cutoff_factor=2.0,
-):
+def oracle_closest_boundary(mesh, p, p_element=None, exclude_vertex=None):
     """Exhaustive scan: closest point on every boundary face, sorted by
     distance, first candidate with a valid path wins. Returns
-    (point, face, distance) or None. allow_backward=None takes the
-    engine's rule: backward on a mesh with any skipped element."""
+    (point, face, distance) or None. Paths are searched backward on a mesh
+    with any skipped element, as the engine does. p_element is not read
+    yet (ROADMAP item 1): a valid path may end in any copy of p, not only
+    the one in p_element."""
     p = np.asarray(p, dtype=float)
-    if allow_backward is None:
-        allow_backward = mesh.has_skipped_elements
+    backward = mesh.has_skipped_elements
     points, dists = closest_boundary_candidates(mesh, p)
     skip = np.asarray(mesh.boundary_face_skipped)
     if exclude_vertex is not None:
@@ -223,15 +216,7 @@ def oracle_closest_boundary(
             continue
         if dists[face] <= 1e-14:
             continue  # zero-length segment can never be a valid path
-        if oracle_valid_path(
-            mesh,
-            points[face],
-            face,
-            p,
-            allow_backward=allow_backward,
-            epsilon=epsilon,
-            cutoff_factor=cutoff_factor,
-        ):
+        if oracle_valid_path(mesh, points[face], face, p, allow_backward=backward):
             return points[face].copy(), face, float(dists[face])
     return None
 

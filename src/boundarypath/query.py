@@ -42,18 +42,16 @@ from .traversal import TraversalConfig, is_valid_path, is_valid_path_inverted
 log = logging.getLogger(__name__)
 
 
+# a dimensionless cosine bound: a feasibility test culls only when the
+# cosine of its two vectors is below -EPSILON_R, so the region is
+# conservatively enlarged by the same angle at any mesh scale
+EPSILON_R = 0.01
+
+
 @dataclass
 class QueryConfig:
-    # a dimensionless cosine bound: a feasibility test culls only when the
-    # cosine of its two vectors is below -epsilon_r, so the region is
-    # conservatively enlarged by the same angle at any mesh scale
-    epsilon_r: float = 0.01
     enable_culling: bool = True
     traversal: TraversalConfig = field(default_factory=TraversalConfig)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon_r) and self.epsilon_r >= 0.0):
-            raise ValueError("epsilon_r must be finite and >= 0")
 
 
 class ClosestBoundaryResult:
@@ -129,7 +127,7 @@ def feasible_region_check(mesh, s, feature, p, epsilon_r):
     candidate boundary point s, so s cannot be any point's closest boundary
     point. Each test of a pair of vectors a, b culls only when
     dot(a, b) < -epsilon_r * |a| * |b|: epsilon_r is a dimensionless
-    cosine bound (QueryConfig checks that epsilon_r >= 0), so the region
+    cosine bound of at least 0 (the query passes EPSILON_R), so the region
     is enlarged by the same angle at any mesh scale, and returning True
     never discards the true closest boundary point. The tests compare
     dot(a, b)² with epsilon_r² |a|² |b|² on Python floats, without a
@@ -293,7 +291,7 @@ def shortest_path_to_boundary(
                 heapq.heapreplace(pending, (math.sqrt(d @ d), face, s, feature))
                 continue
             heapq.heappop(pending)
-            if culling and not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
+            if culling and not feasible_region_check(mesh, s, feature, p, EPSILON_R):
                 continue
             n_traversals += 1
             try:

@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from .errors import MeshError
 from .mesh import SimplicialMesh
 
 
@@ -233,10 +234,14 @@ def deformed_sheet(rng, nx=4, ny=4, amplitude=0.25, modes=3):
 
 def random_interior_points(mesh, rng, n):
     """Sample n points uniformly-ish inside non-skipped elements, weighted
-    by absolute volume. Returns (points (n, dim), element ids (n,))."""
+    by absolute volume. Returns (points (n, dim), element ids (n,)).
+    Raises MeshError when every element is skipped."""
     weights = np.abs(mesh.signed_volumes)
     weights[mesh.skipped_flags] = 0.0
-    weights = weights / weights.sum()
+    total = weights.sum()
+    if not total > 0.0:
+        raise MeshError("no points to sample: every element is inverted or degenerate")
+    weights = weights / total
     elems = rng.choice(mesh.n_elements, size=n, p=weights)
     bary = rng.dirichlet(np.ones(mesh.dim + 1), size=n)
     # a stack of (1, dim + 1) @ (dim + 1, dim) products rounds as the

@@ -30,7 +30,7 @@ operations, and moves every position bit for bit as that sweep does.
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .bvh import BoundaryBvh, ElementBvh
 from .errors import NumericalBlowup, ParseError
 from .meshio import load_mesh
 from .query import QueryConfig, shortest_path_to_boundary
-from .traversal import TraversalConfig
 
 ITERATIONS = 3  # material + collision projection sweeps per substep
 # CONTACT_MARGIN and SKIN are relative to the scene's length scale, the
@@ -53,6 +52,8 @@ CONTACT_MARGIN = 2e-7
 # makes each retake walk costlier
 SKIN = 0.05
 EPS = np.finfo(float).eps
+# every contact query runs with the default query settings
+QUERY_CONFIG = QueryConfig()
 
 
 @dataclass
@@ -62,7 +63,6 @@ class SimConfig:
     collision_compliance: float = 0.0
     material_compliance: float = 0.0
     damping: float = 0.0  # scales velocities by (1 - damping); 1 = quasi-static
-    query: QueryConfig = field(default_factory=QueryConfig)
 
     def __post_init__(self):
         numbers = (
@@ -447,7 +447,7 @@ class SimRuntime:
             bvh.refit(mesh)
 
 
-def _build_constraints(state, runtime, config):
+def _build_constraints(state, runtime):
     """DCD + shortest-path queries -> collision constraints, once per
     substep, with the substep's ContactLogEntry. Element centroids join
     the vertex probes. Each constraint is anchored at the query's boundary
@@ -478,7 +478,7 @@ def _build_constraints(state, runtime, config):
             runtime.boundary_bvhs[mb],
             point,
             p_element=e,
-            config=config.query,
+            config=QUERY_CONFIG,
             exclude_vertex=int(ids[0]) if ma == mb and len(ids) == 1 else None,
         )
         if res is None:
@@ -572,7 +572,7 @@ def xpbd_substep(state, config, runtime):
                 )
 
             runtime.refit(state)
-            constraints, entry = _build_constraints(state, runtime, config)
+            constraints, entry = _build_constraints(state, runtime)
 
             alpha = config.collision_compliance / (dt * dt)
             for _ in range(ITERATIONS):
@@ -611,24 +611,26 @@ def count_penetrations(state, runtime):
     return len(dcd_vertex_tet(state, runtime))
 
 
-def _config(cls, doc, path, where, convert=()):
-    """cls(**doc) for a JSON object of cls's fields. `convert` pairs a key
-    with a function applied to its value first, such as the builder of a
-    nested config. Raises ParseError for a non-object, an unknown key or a
-    value that the conversion or cls rejects."""
+def _config(doc, path, dim):
+    """SimConfig(**doc) for a JSON object of SimConfig's fields, in a scene
+    of dim-dimensional meshes. Raises ParseError for a non-object, an
+    unknown key, a gravity that is not a list of dim finite numbers, or a
+    value that SimConfig rejects."""
     if not isinstance(doc, dict):
-        raise ParseError(path, 0, f'"{where}" must be an object')
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        raise ParseError(path, 0, '"config" must be an object')
+    unknown = sorted(set(doc) - {f.name for f in fields(SimConfig)})
     if unknown:
-        raise ParseError(path, 0, f"unknown {where} keys: {', '.join(unknown)}")
+        raise ParseError(path, 0, f"unknown config keys: {', '.join(unknown)}")
     kwargs = dict(doc)
     try:
-        for key, fn in convert:
-            if key in kwargs:
-                kwargs[key] = fn(kwargs[key])
-        return cls(**kwargs)
+        if "gravity" in kwargs:
+            g = kwargs["gravity"]
+            if not isinstance(g, list) or len(g) != dim:
+                raise ValueError(f"gravity must be a list of {dim} numbers for a {dim}D scene")
+            kwargs["gravity"] = tuple(_finite(x, "a gravity entry") for x in g)
+        return SimConfig(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ParseError(path, 0, f"bad {where}: {exc}") from exc
+        raise ParseError(path, 0, f"bad config: {exc}") from exc
 
 
 def _finite(value, what):
@@ -670,12 +672,11 @@ def _place(mesh, spec):
 
 def load_scene(path):
     """JSON scene: {"meshes": [{"path", "translate"?, "scale"?,
-    "mass"?}], "config": {SimConfig fields}}. The config's "query" object
-    holds QueryConfig fields, and its "traversal" object TraversalConfig
-    fields. Returns (state, config). Raises ParseError for a document of
-    another shape, an unknown key in a mesh entry or in the config at any
-    level, a value that a mesh entry or the config classes reject, or
-    meshes of different dimensions."""
+    "mass"?}], "config": {SimConfig fields}}, with one gravity entry per
+    coordinate of the meshes. Returns (state, config). Raises ParseError
+    for a document of another shape, an unknown key in a mesh entry or in
+    the config, a value that a mesh entry or SimConfig rejects, or meshes
+    of different dimensions."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -690,20 +691,6 @@ def load_scene(path):
         raise ParseError(
             path, 0, 'a scene needs a non-empty "meshes" list of {"path": ...} objects'
         )
-
-    def traversal(d):
-        return _config(TraversalConfig, d, path, "config.query.traversal")
-
-    def query(d):
-        return _config(QueryConfig, d, path, "config.query", [("traversal", traversal)])
-
-    config = _config(
-        SimConfig,
-        doc.get("config", {}),
-        path,
-        "config",
-        [("query", query), ("gravity", lambda g: tuple(float(x) for x in g))],
-    )
     meshes = []
     masses = []
     base = path.rsplit("/", 1)[0] if "/" in path else "."
@@ -719,4 +706,5 @@ def load_scene(path):
         meshes.append(mesh)
     if len({mesh.dim for mesh in meshes}) > 1:
         raise ParseError(path, 0, "all meshes in a scene must share a dimension")
+    config = _config(doc.get("config", {}), path, meshes[0].dim)
     return make_state(meshes, masses), config

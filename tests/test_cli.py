@@ -6,6 +6,7 @@ import pytest
 
 from boundarypath import cli, oracle, query, shapes
 from boundarypath.cli import build_parser, main
+from boundarypath.mesh import SimplicialMesh
 from boundarypath.meshio import save_mesh
 
 
@@ -73,14 +74,6 @@ def test_query_writes_manifest_and_obj(cube_path, tmp_path):
     assert manifest["command"] == "query"
     text = obj.read_text()
     assert text.count("l ") == 2 and text.count("v ") == 4
-
-
-def test_query_no_culling_same_result(cube_path, capsys):
-    main(["query", cube_path, "0.3 0.4 0.5"])
-    a = json.loads(capsys.readouterr().out)["results"][0]
-    main(["query", cube_path, "0.3 0.4 0.5", "--no-culling"])
-    b = json.loads(capsys.readouterr().out)["results"][0]
-    assert a["distance"] == b["distance"] and a["result_point"] == b["result_point"]
 
 
 def test_query_bad_point_exit_2(cube_path):
@@ -164,10 +157,12 @@ def test_simulate_substeps_below_one_exit_2(tmp_path, substeps):
     ],
 )
 def test_query_bad_tolerance_exit_2(cube_path, capsys, flag, value):
+    # the tolerances are constants: the flags that once set them are
+    # refused, whatever their value
     with pytest.raises(SystemExit) as err:
         main(["query", cube_path, "0.5 0.5 0.5", flag, value])
     assert err.value.code == 2
-    assert f"argument {flag}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -179,16 +174,27 @@ def test_query_bad_tolerance_exit_2(cube_path, capsys, flag, value):
         ["validate", "--allow-backward"],
         ["fuzz", "--allow-backward"],
         ["bench", "--allow-backward"],
+        ["query", "0.5 0.5 0.5", "--no-culling"],
+        ["validate", "--eps-i", "1e-9"],
+        ["validate", "--eps-r", "0.1"],
+        ["validate", "--no-culling"],
+        ["fuzz", "--eps-i", "1e-9"],
+        ["fuzz", "--eps-r", "0.1"],
+        ["fuzz", "--no-culling"],
+        ["bench", "--eps-i", "1e-9"],
+        ["bench", "--eps-r", "0.1"],
     ],
     ids=[
         "query-seed", "bench-no-culling", "query-allow-backward", "validate-allow-backward",
-        "fuzz-allow-backward", "bench-allow-backward",
+        "fuzz-allow-backward", "bench-allow-backward", "query-no-culling", "validate-eps-i",
+        "validate-eps-r", "validate-no-culling", "fuzz-eps-i", "fuzz-eps-r", "fuzz-no-culling",
+        "bench-eps-i", "bench-eps-r",
     ],
 )
 def test_flags_without_effect_exit_2(cube_path, capsys, argv):
-    # query samples nothing, bench always runs with culling on and off, and
-    # the mesh decides the traversal direction: backward exactly when it
-    # has a skipped element
+    # query samples nothing, bench always runs with culling on and off, the
+    # mesh decides the traversal direction (backward exactly when it has a
+    # skipped element), and the query tolerances and culling are constants
     mesh = [] if argv[0] == "fuzz" else [cube_path]
     with pytest.raises(SystemExit) as err:
         main([argv[0], *mesh, *argv[1:]])
@@ -201,12 +207,11 @@ def test_manifest_records_only_the_command_flags(cube_path, tmp_path):
     out = tmp_path / "q"
     assert main(["query", cube_path, "0.5 0.5 0.5", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert sorted(manifest["overrides"]) == ["eps_i", "eps_r", "no_culling"]
+    assert sorted(manifest) == ["argv", "command", "inputs", "output_dir", "seed", "version"]
     assert manifest["seed"] is None
     out = tmp_path / "b"
     assert main(["bench", cube_path, "--samples", "4", "--seed", "5", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert sorted(manifest["overrides"]) == ["eps_i", "eps_r"]
     assert manifest["seed"] == 5
 
 
@@ -331,6 +336,33 @@ def test_bench_culling_benefit(tmp_path, capsys):
     assert float(on["mean_traversals"]) < float(off["mean_traversals"])
 
 
+def test_bench_with_no_answered_point(tmp_path, capsys):
+    # every element that owns a boundary face is inverted, so every
+    # boundary face is skipped and no query finds a path: both modes leave
+    # their cells empty and agree
+    mesh = shapes.box_grid(3, 3, 3)
+    elements = mesh.elements.copy()
+    owners = np.unique(mesh.boundary_owner)
+    elements[owners, -2:] = elements[owners, :-3:-1]
+    path = tmp_path / "inverted.json"
+    save_mesh(SimplicialMesh(mesh.vertices, elements), path)
+    assert main(["bench", str(path), "--samples", "5", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1:] == ["culling_on,,,,,,", "culling_off,,,,,,"]
+
+
+@pytest.mark.parametrize("command", ["validate", "bench"])
+def test_sampling_a_mesh_with_every_element_skipped_exit_2(tmp_path, capsys, command):
+    # a single tet with two vertices swapped is inverted, so it has no
+    # element to sample query points in
+    path = tmp_path / "tet.json"
+    save_mesh(SimplicialMesh(np.eye(4, 3, k=-1), np.array([[0, 1, 3, 2]])), path)
+    assert main([command, str(path), "--samples", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "inverted or degenerate" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bench_exit_1_when_culling_changes_an_answer(tmp_path, monkeypatch, capsys):
     # a check that rejects every vertex and edge candidate is not conservative
     monkeypatch.setattr(
@@ -382,6 +414,9 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"meshes": [{"path": "box.json"}], "config": {"dt": NaN}}',
         '{"meshes": [{"path": "box.json"}], "config": {"dt": Infinity}}',
         '{"meshes": [{"path": "box.json"}], "config": {"gravity": [0, NaN, 0]}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"gravity": [0, -9.8]}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"gravity": [0, -9.8, 0, 5]}}',
+        '{"meshes": [{"path": "box.json"}], "config": {"gravity": []}}',
         '{"meshes": [{"path": "box.json"}], "config": {"damping": NaN}}',
         '{"meshes": [{"path": "box.json"}], "config": {"contact_margin": NaN}}',
         '{"meshes": [{"path": "box.json"}], "config": {"collision_compliance": Infinity}}',
@@ -411,7 +446,8 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
     ],
     ids=[
         "no-meshes", "meshes-not-list", "unknown-key", "substeps", "friction", "not-json",
-        "dt-zero", "dt-nan", "dt-inf", "gravity-nan", "damping-nan", "contact-margin-nan",
+        "dt-zero", "dt-nan", "dt-inf", "gravity-nan", "gravity-short", "gravity-long",
+        "gravity-empty", "damping-nan", "contact-margin-nan",
         "compliance-inf", "material-compliance-negative", "collision-compliance-negative",
         "damping-3", "damping-negative", "iterations-zero", "query-unknown-key", "stiffness_k",
         "include_centroids",
@@ -458,6 +494,9 @@ def test_simulate_overscaled_scene_exit_2(tmp_path, capsys, scale):
 
 
 def test_simulate_scene_query_config(tmp_path):
+    # a scene cannot set the query: its contact queries run with the
+    # default settings, and a "query" block is an unknown key
+    from boundarypath.errors import ParseError
     from boundarypath.sim import load_scene
 
     save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
@@ -466,9 +505,8 @@ def test_simulate_scene_query_config(tmp_path):
         "config": {"query": {"epsilon_r": 0.1, "traversal": {"epsilon_i": 1e-9}}},
     }
     (tmp_path / "scene.json").write_text(json.dumps(scene))
-    _, config = load_scene(str(tmp_path / "scene.json"))
-    assert config.query.epsilon_r == 0.1
-    assert config.query.traversal.epsilon_i == 1e-9
+    with pytest.raises(ParseError, match="unknown config keys: query$"):
+        load_scene(str(tmp_path / "scene.json"))
 
 
 def test_simulate_takes_no_query_flags(tmp_path):
@@ -481,4 +519,4 @@ def test_simulate_takes_no_query_flags(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", scene, "--substeps", "1", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["overrides"] == {} and manifest["seed"] is None
+    assert manifest["seed"] is None

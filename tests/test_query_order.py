@@ -22,6 +22,7 @@ from boundarypath.bvh import build_boundary_bvh
 from boundarypath.errors import DegenerateFace, ZeroLengthSegment
 from boundarypath.mesh import SimplicialMesh
 from boundarypath.query import (
+    EPSILON_R,
     ClosestBoundaryResult,
     QueryConfig,
     feasible_region_check,
@@ -91,7 +92,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
         d = float(np.linalg.norm(s - p))
         if best is not None and d >= best[2]:
             continue
-        if culling and not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
+        if culling and not feasible_region_check(mesh, s, feature, p, EPSILON_R):
             continue
         counts[1] += 1
         try:
@@ -118,7 +119,7 @@ def tied_faces(mesh, p, config, exclude_vertex, distance):
         if float(np.linalg.norm(s - p)) != distance:
             continue
         if config.enable_culling and exclude_vertex is None:
-            if not feasible_region_check(mesh, s, feature, p, config.epsilon_r):
+            if not feasible_region_check(mesh, s, feature, p, EPSILON_R):
                 continue
         if validate(mesh, s, f, p, config=config.traversal).valid:
             out.append(f)

@@ -521,7 +521,7 @@ def test_constraint_values():
 
 
 def test_constraints_on_scene_rows(monkeypatch):
-    state, config, rt = three_boxes()
+    state, _, rt = three_boxes()
     rt.refit(state)
     contacts = dcd_vertex_tet(state, rt, include_centroids=True)
     contacts += dcd_edge_tet(state, rt)
@@ -534,7 +534,7 @@ def test_constraints_on_scene_rows(monkeypatch):
         return res
 
     monkeypatch.setattr(sim, "shortest_path_to_boundary", recorded)
-    constraints, entry = sim._build_constraints(state, rt, config)
+    constraints, entry = sim._build_constraints(state, rt)
     kept = [c for c, ok in zip(contacts, answered) if ok]
     assert len(answered) == len(contacts) and len(kept) == len(constraints) > 0
     assert {ma for ma, *_ in kept} == {0, 1, 2}

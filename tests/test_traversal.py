@@ -12,7 +12,6 @@ from conftest import containing_elements, threaded_ray_corpus
 from boundarypath import geometry, oracle, shapes
 from boundarypath.errors import ZeroLengthSegment
 from boundarypath.mesh import BOUNDARY, SimplicialMesh, local_faces
-from boundarypath.query import QueryConfig
 from boundarypath.traversal import (
     CUTOFF_FACTOR,
     TraversalConfig,
@@ -266,9 +265,6 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             TraversalConfig(**bad)
-    for eps_r in (np.nan, np.inf, -np.inf, -0.01):
-        with pytest.raises(ValueError):
-            QueryConfig(epsilon_r=eps_r)
 
 
 # --- equivalence with the exit-face-stack traversal ------------------------
