@@ -34,7 +34,6 @@ from .traversal import (
     TraversalScratch,
     exit_face_selection,
     is_valid_path,
-    is_valid_path_inverted,
     make_ray_frame,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "export_boundary_obj",
     "feasible_region_check",
     "is_valid_path",
-    "is_valid_path_inverted",
     "load_mesh",
     "make_ray_frame",
     "save_mesh",

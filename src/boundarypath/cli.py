@@ -6,12 +6,13 @@ and without culling), simulate. Structured outputs are JSON or CSV; a run
 with an output directory writes its one output file there and then a
 replayable manifest.
 
-`validate` and `fuzz` compare each engine answer with the oracle's; both
-traverse backward exactly when the mesh has a skipped (inverted or
+`validate` and `fuzz` compare each engine answer with the oracle's, which
+searches backward exactly when the mesh has a skipped (inverted or
 degenerate) element. Both must find no path, or their distances must
 agree within 1e-9 and the engine's face must be one of the oracle's
-co-minimal faces. `fuzz` also compares each adversarial ray's validity
-verdict with the oracle's, forward and backward. `bench` requires culling
+co-minimal faces. `fuzz` also compares each adversarial ray's one engine
+verdict with the oracle's bounded search and, where no element is
+skipped, its forward search. `bench` requires culling
 on and culling off to give the same (face, distance) for every point.
 Queries run with the default settings (`QueryConfig()`); no subcommand
 takes a tolerance or culling flag.
@@ -34,7 +35,7 @@ from .errors import MeshError, NumericalBlowup
 from .meshio import export_boundary_obj, load_mesh, save_mesh, write_obj
 from .query import QueryConfig, shortest_path_to_boundary
 from .sim import SimRuntime, count_penetrations, load_scene, run_sim
-from .traversal import TraversalScratch, format_trace, is_valid_path, is_valid_path_inverted
+from .traversal import TraversalScratch, format_trace, is_valid_path
 
 
 def _add_common(sub, seed=True):
@@ -162,8 +163,8 @@ def _mesh_paths(target):
 
 def _oracle_mismatch(mesh, bvh, p, e):
     """Replayable record of the engine's disagreement with the oracle on
-    point p of element e, or None when they agree. The oracle traverses
-    backward when the engine does."""
+    point p of element e, or None when they agree. The oracle searches
+    backward on a mesh with a skipped element, and forward elsewhere."""
     res = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e))
     ref = oracle.oracle_closest_boundary(mesh, p)
     if res is None and ref is None:
@@ -256,14 +257,15 @@ def cmd_fuzz(args):
         mesh = _fuzz_mesh(rng)
         bad = _differential(mesh, rng, args.samples)
         findings += [{"kind": "mismatch", "iteration": iteration, **rec} for rec in bad]
-        # exact vertex/edge hits stress the tie branching; each ray's
-        # verdict is checked against the oracle's forward and backward
-        modes = (("forward", is_valid_path, False), ("backward", is_valid_path_inverted, True))
+        # exact vertex/edge hits stress the tie branching
+        modes = [("bounded", True)]
+        if not mesh.has_skipped_elements:
+            modes.append(("forward", False))
         for s, f, target in _fuzz_rays(mesh, rng, args.samples):
             if np.linalg.norm(target - s) <= 1e-12:
                 continue
-            for mode, validate, backward in modes:
-                result = validate(mesh, s, f, target)
+            result = is_valid_path(mesh, s, f, target)
+            for mode, backward in modes:
                 ref = oracle.oracle_valid_path(mesh, s, f, target, allow_backward=backward)
                 if result.valid != ref:
                     findings.append(

@@ -12,7 +12,7 @@ is derived in one batched pass at construction and again on every
 - per element: signed volume, inverted and degenerate flags and their
   union (the skip flag), and the rows of the inverse edge matrix that map
   p - v0 to barycentric coordinates (nan for a flat element); whether any
-  element is skipped, which makes queries traverse backward;
+  element is skipped, which picks the oracle's search mode;
 - per boundary face: whether its owner is skipped, area-weighted and unit
   outward normals, diameter, degeneracy flag, the barycentric floors
   above which the closest-point classifier needs no tolerance tests and,
@@ -259,7 +259,7 @@ class SimplicialMesh:
         # feasibility culling reads
         self.touches_skipped_face = np.zeros(len(v), dtype=bool)
         self.touches_skipped_face[self.boundary_faces[self.boundary_face_skipped]] = True
-        # any skipped element makes queries traverse backward
+        # any skipped element makes the oracle search backward
         self.has_skipped_elements = bool(self.skipped_flags.any())
         with np.errstate(divide="ignore", invalid="ignore"):
             rows /= det[:, None, None]

@@ -57,50 +57,50 @@ def _parsed_mesh(path, vertices, elements, elements_path=None):
         raise ParseError(path, 0, str(exc)) from exc
 
 
-def _data_lines(path):
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _tetgen_records(path, n_fields, noun):
+    """The first n_fields numbers of a TetGen file's header, and the
+    (line number, tokens) of the records that the first one counts, with
+    comments and blank lines left out. Raises ParseError for a bad or
+    negative header, and at the line past the file's last one for a file
+    that ends before its last record."""
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    data = [(n, raw.split("#", 1)[0].split()) for n, raw in enumerate(lines, start=1)]
+    data = [(n, tok) for n, tok in data if tok]
+    lineno, header = data[0] if data else (len(lines) + 1, [])
+    try:
+        fields = [int(header[k]) for k in range(n_fields)]
+    except (ValueError, IndexError) as exc:
+        raise ParseError(path, lineno, f"bad {path.suffix} header") from exc
+    if min(fields) < 0:
+        raise ParseError(path, lineno, f"negative count in {path.suffix} header: {fields}")
+    records = data[1 : 1 + fields[0]]
+    if len(records) < fields[0]:
+        raise ParseError(path, len(lines) + 1, f"expected {fields[0]} {noun}, found {len(records)}")
+    return fields, records
 
 
 def load_tetgen(node_path, ele_path):
     """TetGen `.node` + `.ele` pair. 1-based indices are converted."""
-    lines = _data_lines(node_path)
-    try:
-        lineno, header = next(lines)
-        n_points, dim = int(header[0]), int(header[1])
-    except (StopIteration, ValueError, IndexError) as exc:
-        raise ParseError(node_path, 1, "bad .node header") from exc
-    if n_points < 0 or dim < 0:
-        raise ParseError(node_path, lineno, f"negative count in .node header: {n_points} {dim}")
+    (n_points, dim), nodes = _tetgen_records(node_path, 2, "nodes")
     coords = np.empty((n_points, dim))
     ids = []
-    for i in range(n_points):
+    for i, (lineno, tok) in enumerate(nodes):
         try:
-            lineno, tok = next(lines)
             ids.append(int(tok[0]))
             coords[i] = [float(x) for x in tok[1 : 1 + dim]]
-        except (StopIteration, ValueError, IndexError) as exc:
+        except (ValueError, IndexError) as exc:
             raise ParseError(node_path, lineno, "bad node line") from exc
     base = min(ids) if ids else 0
     if base not in (0, 1):
         raise ParseError(node_path, 1, f"unsupported index base {base}")
 
-    lines = _data_lines(ele_path)
-    try:
-        lineno, header = next(lines)
-        n_elem = int(header[0])
-    except (StopIteration, ValueError, IndexError) as exc:
-        raise ParseError(ele_path, 1, "bad .ele header") from exc
-    if n_elem < 0:
-        raise ParseError(ele_path, lineno, f"negative element count in .ele header: {n_elem}")
+    (n_elem,), rows = _tetgen_records(ele_path, 1, "elements")
     elements = np.empty((n_elem, dim + 1), dtype=np.int64)
-    for i in range(n_elem):
+    for i, (lineno, tok) in enumerate(rows):
         try:
-            lineno, tok = next(lines)
             elements[i] = [int(x) - base for x in tok[1 : 2 + dim]]
-        except (StopIteration, ValueError, IndexError) as exc:
+        except (ValueError, IndexError) as exc:
             raise ParseError(ele_path, lineno, "bad element line") from exc
     return _parsed_mesh(node_path, coords, elements, ele_path)
 

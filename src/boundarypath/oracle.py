@@ -200,9 +200,10 @@ def oracle_closest_boundary(mesh, p, p_element=None, exclude_vertex=None):
     """Exhaustive scan: closest point on every boundary face, sorted by
     distance, first candidate with a valid path wins. Returns
     (point, face, distance) or None. Paths are searched backward on a mesh
-    with any skipped element, as the engine does. p_element is not read
-    yet (ROADMAP item 1): a valid path may end in any copy of p, not only
-    the one in p_element."""
+    with any skipped element and forward elsewhere, the two references of
+    the engine's one bounded rule. p_element is not read yet (ROADMAP item
+    1): a valid path may end in any copy of p, not only the one in
+    p_element."""
     p = np.asarray(p, dtype=float)
     backward = mesh.has_skipped_elements
     points, dists = closest_boundary_candidates(mesh, p)

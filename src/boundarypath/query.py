@@ -6,10 +6,13 @@ the face can contribute. Candidates are validated in exact (distance,
 face id) order: a candidate is culled when its local feasible region
 excludes the query point, and otherwise checked with the topological ray
 traversal, once its distance is below the lower bound of every face not
-yet enumerated. The traversal runs backward on a mesh with any skipped
-(inverted or degenerate) element and forward otherwise. The first valid
-candidate is the answer, so of several candidates at the same distance
-the lowest face id wins.
+yet enumerated. Every traversal, on any mesh, follows one rule
+(`traversal.is_valid_path`): branches run either way along the ray, up to
+CUTOFF_FACTOR segment lengths from the candidate, so a path may run back
+through inverted elements; where no element is skipped, the cut only drops
+branches already past the query point. The first valid candidate is the
+answer, so of several candidates at the same distance the lowest face id
+wins.
 
 An enumerated face waits for its closest point under a key, the larger
 of its box bound and its plane bound (`SimplicialMesh.distance_bounds`).
@@ -37,9 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFace, ZeroLengthSegment
-from .traversal import TraversalConfig, is_valid_path, is_valid_path_inverted
+from .traversal import TraversalConfig, is_valid_path
 
 log = logging.getLogger(__name__)
+
+# a former name of the traversal, kept only because the benchmark's traced
+# run (perfbench/layers.py) wraps it by name; it goes with ROADMAP item 14
+is_valid_path_inverted = is_valid_path
 
 
 # a dimensionless cosine bound: a feasibility test culls only when the
@@ -249,10 +256,6 @@ def shortest_path_to_boundary(
         )
         return None
 
-    # inverted elements can hide the path from a forward traversal, so a
-    # mesh with any skipped element is traversed backward
-    validate = is_valid_path_inverted if mesh.has_skipped_elements else is_valid_path
-
     skip = mesh.boundary_face_skipped
     excl_faces = (
         mesh.boundary_faces_of_vertex(exclude_vertex)
@@ -295,7 +298,7 @@ def shortest_path_to_boundary(
                 continue
             n_traversals += 1
             try:
-                res = validate(mesh, s, face, p, config=config.traversal, scratch=scratch)
+                res = is_valid_path(mesh, s, face, p, config=config.traversal, scratch=scratch)
             except ZeroLengthSegment:
                 # self candidate of a boundary point; never a valid path
                 continue

@@ -59,15 +59,15 @@ QUERY_CONFIG = QueryConfig()
 @dataclass
 class SimConfig:
     dt: float = 1e-2
-    gravity: tuple = (0.0, 0.0, 0.0)
+    gravity: tuple | None = None  # one entry per dimension; None: no gravity
     collision_compliance: float = 0.0
     material_compliance: float = 0.0
     damping: float = 0.0  # scales velocities by (1 - damping); 1 = quasi-static
 
     def __post_init__(self):
         numbers = (
-            self.dt, *self.gravity, self.collision_compliance, self.material_compliance,
-            self.damping,
+            self.dt, *(self.gravity or ()), self.collision_compliance,
+            self.material_compliance, self.damping,
         )
         if not all(math.isfinite(x) for x in numbers):
             raise ValueError("dt, gravity, the compliances and damping must be finite")
@@ -553,9 +553,12 @@ def xpbd_substep(state, config, runtime):
     collision projections, then velocity update. Returns (state,
     ContactLogEntry). Raises NumericalBlowup with a diagnostic dump if
     positions go non-finite or any arithmetic of the substep overflows;
-    an overflow ends the substep where it happens, without a warning."""
+    an overflow ends the substep where it happens, without a warning.
+    A gravity not of the scene's dimension raises ValueError first."""
     dt = config.dt
-    g = np.asarray(config.gravity, dtype=float)[: state.dim]
+    g = np.zeros(state.dim) if config.gravity is None else np.asarray(config.gravity, dtype=float)
+    if g.shape != (state.dim,):
+        raise ValueError(f"gravity has {g.size} entries, but the scene is {state.dim}D")
     substep = state.substeps_done + 1
     try:
         with np.errstate(over="raise"):

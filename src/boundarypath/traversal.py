@@ -10,19 +10,26 @@ vertices/edges branch into several exit faces instead of failing; each state
 is entered at most once, which cuts loops and bounds the work: a mesh has
 (dim + 1) * n_elements states, each with at most dim exit faces, so a
 traversal examines at most dim * (dim + 1) * n_elements exit faces and
-stops when its states run out. Backward mode (`is_valid_path_inverted`)
-handles inverted elements: queries take it on any mesh with a skipped
-(inverted or degenerate) element, and forward mode (`is_valid_path`)
-everywhere else.
+stops when its states run out.
+
+One rule bounds the reach: a branch dies when its entry face crosses the
+ray line farther than CUTOFF_FACTOR segment lengths from the boundary
+point, on either side (one length with `intersection_free_early_out`).
+The exit test follows the ray *line*, so a branch may run backward through
+inverted elements, as the paper's robust traversal does. Where no element
+is skipped (inverted or degenerate) the verdict is that of the unbounded
+walk: an element of positive volume is left by a face farther along the
+line than its entry face, so a branch's entry parameters only grow from 0,
+and a branch entered beyond the interior point never contains it.
 
 A visited element is read once: its vertex coordinates, taken with one
 numpy take, feed the containment test (`mesh.bary_inside`), the exit test
-(`exit_faces`) and, in backward, early-out or traced runs, the crossing
-parameters of the faces it pushes. Barycentric rows and adjacency are
-read through flat memoryviews, made per traversal, and the query point
-is turned into floats once. The crossing parameters' dot products are
-written out and summed left to right, so they round alike on every
-Python version (sum() of floats is compensated from Python 3.12 on).
+(`exit_faces`) and the crossing parameters of the faces it pushes.
+Barycentric rows and adjacency are read through flat memoryviews, made per
+traversal, and the query point is turned into floats once. The crossing
+parameters' dot products are written out and summed left to right, so they
+round alike on every Python version (sum() of floats is compensated from
+Python 3.12 on).
 """
 
 import math
@@ -35,8 +42,8 @@ from . import geometry
 from .errors import ZeroLengthSegment
 from .mesh import BOUNDARY, LOCAL_FACES_2D, LOCAL_FACES_3D, bary_inside, local_faces
 
-# A backward traversal drops branches whose face crossing lies farther from
-# the boundary point than this many segment lengths.
+# A traversal drops branches whose face crossing lies farther from the
+# boundary point than this many segment lengths.
 CUTOFF_FACTOR = 2.0
 
 
@@ -53,15 +60,8 @@ class RayFrame(NamedTuple):
 
 
 def make_ray_frame(origin, target):
-    return _ray_frame(
-        tuple(np.asarray(origin, dtype=float).tolist()), np.asarray(target, dtype=float).tolist()
-    )
-
-
-def _ray_frame(origin, target):
-    """make_ray_frame from the origin as a tuple of floats and the target
-    as a float sequence."""
-    delta = [t - o for t, o in zip(target, origin)]
+    origin = tuple(np.asarray(origin, dtype=float).tolist())
+    delta = [t - o for t, o in zip(np.asarray(target, dtype=float).tolist(), origin)]
     length = math.hypot(*delta)
     if length <= 1e-14:
         raise ZeroLengthSegment("origin and target coincide")
@@ -183,13 +183,15 @@ def _crossing_parameter(pts, frame):
     vertex coordinates `pts` (float sequences), on Python floats, each dot
     product written out and summed left to right.
 
-    Falls back to the projection of the face centroid for near-parallel
-    faces; only used for cutoffs and trace output, never for validity."""
+    Falls back to the projection of the face centroid for faces whose
+    plane the ray's direction meets at a cosine of at most 1e-14, a test
+    that reads the same at any mesh scale. Feeds the reach cut and the
+    trace only; the exit and containment tests decide validity."""
     if len(pts) == 3:
         n0, n1, n2 = geometry.triangle_area_normal(*pts)
         (d0, d1, d2), (o0, o1, o2) = frame.direction, frame.origin
         denom = n0 * d0 + n1 * d1 + n2 * d2
-        if abs(denom) > 1e-14 * max(math.sqrt(n0 * n0 + n1 * n1 + n2 * n2), 1.0):
+        if abs(denom) > 1e-14 * math.sqrt(n0 * n0 + n1 * n1 + n2 * n2):
             a0, a1, a2 = pts[0]
             return (n0 * (a0 - o0) + n1 * (a1 - o1) + n2 * (a2 - o2)) / denom
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = pts
@@ -198,7 +200,7 @@ def _crossing_parameter(pts, frame):
     n0, n1 = geometry.edge_outward_normal_2d(*pts)
     (d0, d1), (o0, o1) = frame.direction, frame.origin
     denom = n0 * d0 + n1 * d1
-    if abs(denom) > 1e-14 * max(math.sqrt(n0 * n0 + n1 * n1), 1.0):
+    if abs(denom) > 1e-14 * math.sqrt(n0 * n0 + n1 * n1):
         a0, a1 = pts[0]
         return (n0 * (a0 - o0) + n1 * (a1 - o1)) / denom
     (a0, a1), (b0, b1) = pts
@@ -208,28 +210,16 @@ def _crossing_parameter(pts, frame):
 
 def is_valid_path(mesh, s, start_face, p, config=None, scratch=None):
     """Whether the segment from boundary point s (on boundary face
-    `start_face`) to p is a valid path, traversed forward: with no reach
-    limit, or within the segment's length with
-    config.intersection_free_early_out. Traversal always launches from the
-    boundary end. Raises ZeroLengthSegment when s and p coincide."""
+    `start_face`) to p is a valid path. Branches run either way along the
+    ray line, up to CUTOFF_FACTOR segment lengths from s, or one length
+    with config.intersection_free_early_out. Traversal always launches
+    from the boundary end; callers never start from a skipped boundary
+    element (those are skipped as candidates). Raises ZeroLengthSegment
+    when s and p coincide."""
     if config is None:
         config = TraversalConfig()
-    return _traverse(mesh, s, start_face, p, config, scratch, False)
-
-
-def is_valid_path_inverted(mesh, s, start_face, p, config=None, scratch=None):
-    """is_valid_path traversed backward, for meshes with skipped (inverted
-    or degenerate) elements: branches run either way along the ray, up to
-    CUTOFF_FACTOR segment lengths from s. Callers never start from a
-    skipped boundary element (those are skipped as candidates)."""
-    if config is None:
-        config = TraversalConfig()
-    return _traverse(mesh, s, start_face, p, config, scratch, True)
-
-
-def _traverse(mesh, s, start_face, p, config, scratch, backward):
+    frame = make_ray_frame(s, p)
     p = np.asarray(p, dtype=float).tolist()
-    frame = _ray_frame(tuple(np.asarray(s, dtype=float).tolist()), p)
     eps = config.epsilon_i
     dim = mesh.dim
     nv, nr = dim + 1, dim * dim
@@ -242,16 +232,9 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
     trace = None if scratch is None else scratch.trace
     if trace is not None:
         trace.clear()
-    # A branch dies when its face crossing lies farther from s than `reach`.
-    # Under the no-intersection assumption a branch running behind the
-    # origin is just as dead, so the test is on |t|, not on signed t.
-    if backward:
-        reach = CUTOFF_FACTOR * frame.length
-    elif config.intersection_free_early_out:
-        reach = frame.length
-    else:
-        reach = math.inf
-    measure = trace is not None or reach < math.inf
+    # A branch dies when its face crossing lies farther from s than `reach`,
+    # behind s as well as beyond it, so the test is on |t|, not on signed t.
+    reach = (1.0 if config.intersection_free_early_out else CUTOFF_FACTOR) * frame.length
 
     # Each (element, entry face) state is pushed at most once, with the ray
     # parameter of its entry face; the start state enters through the
@@ -284,7 +267,7 @@ def _traverse(mesh, s, start_face, p, config, scratch, backward):
             if state in visited:
                 loops += 1
                 continue
-            t = _crossing_parameter([verts[j] for j in faces[lf]], frame) if measure else 0.0
+            t = _crossing_parameter([verts[j] for j in faces[lf]], frame)
             if abs(t) > reach:
                 continue
             visited.add(state)

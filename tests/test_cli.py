@@ -52,6 +52,10 @@ def test_query_trace_runs_from_face_owner_to_point(tmp_path, capsys):
     assert any(len(rec["trace"]) > 1 for rec in records)
     assert main(argv) == 0
     assert "trace" not in json.loads(capsys.readouterr().out)["results"][0]
+    # a point outside the bar has no answer, and so no trace
+    assert main(["query", str(path), "9 9 9", "--trace"]) == 0
+    record = json.loads(capsys.readouterr().out)["results"][0]
+    assert record == {"query_point": [9.0, 9.0, 9.0], "result": None, "trace": []}
 
 
 def test_query_writes_manifest_and_obj(cube_path, tmp_path):
@@ -80,10 +84,16 @@ def test_query_bad_point_exit_2(cube_path):
     assert main(["query", cube_path, "not-a-point"]) == 2
 
 
-@pytest.mark.parametrize("point", ["nan nan nan", "0.5 -inf 0.5", "1e400 0 0"])
-def test_query_non_finite_point_exit_2(cube_path, capsys, point):
-    assert main(["query", cube_path, point]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+@pytest.mark.parametrize(
+    "points", [["nan nan nan"], ["0.5 -inf 0.5"], ["1e400 0 0"], []],
+    ids=["nan nan nan", "0.5 -inf 0.5", "1e400 0 0", "no-point"],
+)
+def test_query_non_finite_point_exit_2(cube_path, capsys, points):
+    # a query needs at least one point, and every point must be finite
+    assert main(["query", cube_path, *points]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert points or "no query points given" in err
 
 
 def test_query_missing_mesh_exit_2():
@@ -102,6 +112,8 @@ def test_query_bad_points_file_line_exit_2(cube_path, tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith(f"error: {points}:2: ")
 
 
+TET_NODE = "4 3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
+TET_ELE = "1 4\n1 1 2 3 4\n"
 BAD_MESHES = {
     "json-nan": {"mesh.json": '{"dimension": 2, "vertices": [0, 0, 1, 0, 0, NaN], '
                  '"elements": [0, 1, 2]}'},
@@ -119,25 +131,56 @@ BAD_MESHES = {
         "mesh.node": "5 4\n1 0 0 0 0\n2 1 0 0 0\n3 0 1 0 0\n4 0 0 1 0\n5 0 0 0 1\n",
         "mesh.ele": "1 5\n1 1 2 3 4 5\n",
     },
+    "tetgen-bad-node-header": {"mesh.node": "# a tet\n4 x\n1 0 0 0\n", "mesh.ele": TET_ELE},
+    "tetgen-short-node-line": {
+        "mesh.node": "4 3\n1 0 0 0\n2 1 0\n3 0 1 0\n4 0 0 1\n", "mesh.ele": TET_ELE,
+    },
+    "tetgen-truncated-node": {"mesh.node": "4 3\n1 0 0 0\n2 1 0 0\n", "mesh.ele": TET_ELE},
+    "tetgen-index-base-2": {
+        "mesh.node": "4 3\n2 0 0 0\n3 1 0 0\n4 0 1 0\n5 0 0 1\n", "mesh.ele": "1 4\n1 2 3 4 5\n",
+    },
+    "tetgen-bad-ele-header": {"mesh.node": TET_NODE, "mesh.ele": "x 4\n1 1 2 3 4\n"},
+    "tetgen-bad-element-line": {"mesh.node": TET_NODE, "mesh.ele": "1 4\n1 1 2 x 4\n"},
+    "tetgen-truncated-ele": {"mesh.node": TET_NODE, "mesh.ele": "# two tets\n2 4\n1 1 2 3 4\n"},
+}
+# the file and line that each TetGen case's error names: the line past the
+# last one for a truncated file
+ERROR_AT = {
+    "tetgen-bad-node-header": "mesh.node:2",
+    "tetgen-short-node-line": "mesh.node:3",
+    "tetgen-truncated-node": "mesh.node:4",
+    "tetgen-index-base-2": "mesh.node:1",
+    "tetgen-bad-ele-header": "mesh.ele:1",
+    "tetgen-bad-element-line": "mesh.ele:2",
+    "tetgen-truncated-ele": "mesh.ele:4",
 }
 
 
-@pytest.mark.parametrize("files", BAD_MESHES.values(), ids=BAD_MESHES.keys())
-def test_bad_mesh_values_exit_2(tmp_path, capsys, files):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+@pytest.mark.parametrize("name", BAD_MESHES)
+def test_bad_mesh_values_exit_2(tmp_path, capsys, name):
+    files = BAD_MESHES[name]
+    for file, text in files.items():
+        (tmp_path / file).write_text(text)
     mesh = str(tmp_path / sorted(files)[0])
     for argv in (["convert", mesh, str(tmp_path / "out.json")], ["query", mesh, "0 0 0"]):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        if name in ERROR_AT:
+            assert err.startswith(f"error: {tmp_path / ERROR_AT[name]}: "), err
 
 
-@pytest.mark.parametrize("command", ["validate", "fuzz", "bench"])
-def test_samples_below_one_exit_2(cube_path, command):
+@pytest.mark.parametrize(
+    "command, samples",
+    [("validate", "0"), ("fuzz", "0"), ("bench", "0"), ("bench", "abc")],
+    ids=["validate", "fuzz", "bench", "bench-not-an-integer"],
+)
+def test_samples_below_one_exit_2(cube_path, capsys, command, samples):
     mesh = [] if command == "fuzz" else [cube_path]
     with pytest.raises(SystemExit) as err:
-        main([command, *mesh, "--samples", "0"])
+        main([command, *mesh, "--samples", samples])
     assert err.value.code == 2
+    assert "argument --samples: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("substeps", ["0", "-5"])
@@ -193,8 +236,8 @@ def test_query_bad_tolerance_exit_2(cube_path, capsys, flag, value):
 )
 def test_flags_without_effect_exit_2(cube_path, capsys, argv):
     # query samples nothing, bench always runs with culling on and off, the
-    # mesh decides the traversal direction (backward exactly when it has a
-    # skipped element), and the query tolerances and culling are constants
+    # traversal has one rule on every mesh, and the query tolerances and
+    # culling are constants
     mesh = [] if argv[0] == "fuzz" else [cube_path]
     with pytest.raises(SystemExit) as err:
         main([argv[0], *mesh, *argv[1:]])
@@ -239,10 +282,10 @@ def test_validate_manifest_lists_the_meshes_it_read(tmp_path, capsys):
     ids=["flipped_corner_grid", "inverted_path_strip"],
 )
 def test_validate_inverted_boundary_elements(tmp_path, capsys, make):
-    # each mesh's inverted elements own boundary faces, and engine and
-    # oracle both traverse backward on it. When only inverted elements
-    # owning no boundary face made them do so, these runs found 10 and 55
-    # mismatches
+    # each mesh's inverted elements own boundary faces, and the oracle
+    # searches backward on it, as far as the engine's one rule reaches.
+    # When only inverted elements owning no boundary face made them
+    # traverse backward, these runs found 10 and 55 mismatches
     path = tmp_path / "mesh.json"
     save_mesh(make(), path)
     assert main(["validate", str(path), "--samples", "200", "--seed", "0"]) == 0
@@ -317,8 +360,12 @@ def test_fuzz_exit_1_when_a_ray_verdict_flips(tmp_path, monkeypatch):
     assert main(argv) == 1
     findings = json.loads((out / "findings.json").read_text())
     assert findings and {f["kind"] for f in findings} == {"ray_mismatch"}
-    # every ray is checked in both modes, and only the forward one flips
-    assert {f["mode"] for f in findings} == {"forward"}
+    # each ray runs through the engine once; its flipped verdict disagrees
+    # with the oracle's bounded search, and with its forward search on a
+    # mesh without skipped elements
+    rays = {(f["iteration"], f["face"], str(f["s"]), str(f["target"])) for f in findings}
+    modes = [f["mode"] for f in findings]
+    assert set(modes) == {"bounded", "forward"} and modes.count("bounded") == len(rays)
 
 
 def test_bench_culling_benefit(tmp_path, capsys):
@@ -351,15 +398,26 @@ def test_bench_with_no_answered_point(tmp_path, capsys):
     assert lines[1:] == ["culling_on,,,,,,", "culling_off,,,,,,"]
 
 
-@pytest.mark.parametrize("command", ["validate", "bench"])
-def test_sampling_a_mesh_with_every_element_skipped_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, mesh, message",
+    [
+        ("validate", "tet.json", "inverted or degenerate"),
+        ("bench", "tet.json", "inverted or degenerate"),
+        ("validate", "", "no .json meshes in"),
+    ],
+    ids=["validate", "bench", "validate-empty-directory"],
+)
+def test_sampling_a_mesh_with_every_element_skipped_exit_2(tmp_path, capsys, command, mesh, message):
     # a single tet with two vertices swapped is inverted, so it has no
-    # element to sample query points in
-    path = tmp_path / "tet.json"
-    save_mesh(SimplicialMesh(np.eye(4, 3, k=-1), np.array([[0, 1, 3, 2]])), path)
-    assert main([command, str(path), "--samples", "5"]) == 2
+    # element to sample query points in; a directory without a .json mesh
+    # has no mesh to sample
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    if mesh:
+        save_mesh(SimplicialMesh(np.eye(4, 3, k=-1), np.array([[0, 1, 3, 2]])), meshes / mesh)
+    assert main([command, str(meshes / mesh), "--samples", "5"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "inverted or degenerate" in err
+    assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
 
 

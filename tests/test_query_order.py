@@ -28,7 +28,7 @@ from boundarypath.query import (
     feasible_region_check,
     shortest_path_to_boundary,
 )
-from boundarypath.traversal import TraversalScratch, is_valid_path, is_valid_path_inverted
+from boundarypath.traversal import TraversalScratch, is_valid_path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,10 +63,6 @@ class RefNearFaces:
                     heapq.heappush(self.heap, (d, child))
 
 
-def _validator(mesh):
-    return is_valid_path_inverted if mesh.has_skipped_elements else is_valid_path
-
-
 def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_vertex=None):
     """The lower-bound-order query, with shortest_path_to_boundary's
     signature."""
@@ -75,7 +71,6 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
     p = np.asarray(p, dtype=float)
     if p_element is not None and mesh.element_skipped(int(p_element)):
         return None
-    validate = _validator(mesh)
     excl = mesh.boundary_faces_of_vertex(exclude_vertex) if exclude_vertex is not None else ()
     culling = config.enable_culling and exclude_vertex is None
     best = None  # (point, feature, distance)
@@ -96,7 +91,7 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
             continue
         counts[1] += 1
         try:
-            res = validate(mesh, s, face, p, config=config.traversal, scratch=scratch)
+            res = is_valid_path(mesh, s, face, p, config=config.traversal, scratch=scratch)
         except ZeroLengthSegment:
             continue
         counts[2] += res.elements_visited
@@ -108,7 +103,6 @@ def ref_query(mesh, bvh, p, p_element=None, config=None, scratch=None, exclude_v
 
 def tied_faces(mesh, p, config, exclude_vertex, distance):
     """Faces whose candidate the query accepts at exactly `distance`."""
-    validate = _validator(mesh)
     excl = mesh.boundary_faces_of_vertex(exclude_vertex) if exclude_vertex is not None else ()
     _, dists = oracle.closest_boundary_candidates(mesh, p)
     out = []
@@ -121,7 +115,7 @@ def tied_faces(mesh, p, config, exclude_vertex, distance):
         if config.enable_culling and exclude_vertex is None:
             if not feasible_region_check(mesh, s, feature, p, EPSILON_R):
                 continue
-        if validate(mesh, s, f, p, config=config.traversal).valid:
+        if is_valid_path(mesh, s, f, p, config=config.traversal).valid:
             out.append(f)
     return out
 
@@ -225,14 +219,14 @@ JITTERED_BAR_DISAGREES = (
     "ROADMAP item 12 judges it: 6 of 600 answers differ from the oracle's (seeds 17 and 0-3, "
     "120 points each), each time with a shorter oracle path; seed 17 point 46 gives engine "
     "face 128 at 0.0999 and oracle face 28 at 0.0632. Culling off gives the engine's answer, "
-    "and a backward traversal from the oracle's point rejects it even with CUTOFF_FACTOR 1e9 "
+    "and the traversal from the oracle's point rejects it even with CUTOFF_FACTOR 1e9 "
     "and epsilon_i 1e-6"
 )
 
 
 @pytest.mark.xfail(strict=True, reason=JITTERED_BAR_DISAGREES)
 def test_jittered_bar_matches_oracle():
-    # 22 inverted elements: engine and oracle both traverse backward
+    # 22 inverted elements: the oracle searches backward, as far as the engine reaches
     mesh = jittered_bar()
     assert mesh.has_skipped_elements
     bvh = build_boundary_bvh(mesh)

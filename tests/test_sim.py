@@ -30,7 +30,7 @@ def two_cubes(offset=(0.8, 0.1, 0.05)):
 
 def make_runtime(meshes, masses=None, **cfg_kw):
     state = make_state(list(meshes), masses)
-    config = SimConfig(gravity=(0, 0, 0), **cfg_kw)
+    config = SimConfig(**cfg_kw)
     return state, config, SimRuntime(state, config)
 
 
@@ -755,6 +755,26 @@ def test_recovery_sweep(res, offset, mass):
         assert not (recovered and pens[-1]), f"res {res}: relapse at substep {k}; {counts}"
         recovered = recovered or pens[-1] == 0
         assert recovered or k < RECOVER_BY, f"res {res}: still penetrating at substep {k}; {counts}"
+
+
+@pytest.mark.parametrize("gravity", [(0, -9.8), (0, -9.8, 0, 5)], ids=["short", "long"])
+def test_gravity_of_another_dimension_raises(gravity):
+    # the substep refuses it before it moves anything
+    state, _, rt = make_runtime([shapes.box_grid(1, 1, 1)])
+    positions, velocities = state.positions.copy(), state.velocities.copy()
+    with pytest.raises(ValueError, match=f"gravity has {len(gravity)} entries, but the scene is 3D"):
+        run_sim(state, SimConfig(gravity=gravity), 1, rt)
+    assert np.array_equal(state.positions, positions) and np.array_equal(state.velocities, velocities)
+    assert state.substeps_done == 0
+
+
+@pytest.mark.parametrize("grid", [shapes.rect_grid(2, 2), shapes.box_grid(1, 1, 1)], ids=["2d", "3d"])
+def test_default_config_has_no_gravity(grid):
+    state = make_state([grid])
+    config = SimConfig()
+    rest = state.positions.copy()
+    run_sim(state, config, 3, SimRuntime(state, config))
+    assert np.array_equal(state.positions, rest) and not state.velocities.any()
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import containing_elements, threaded_ray_corpus
 
-from boundarypath import geometry, oracle, shapes
+from boundarypath import geometry, oracle, shapes, traversal
 from boundarypath.errors import ZeroLengthSegment
 from boundarypath.mesh import BOUNDARY, SimplicialMesh, local_faces
 from boundarypath.traversal import (
@@ -17,11 +17,9 @@ from boundarypath.traversal import (
     TraversalConfig,
     TraversalResult,
     TraversalScratch,
-    _traverse,
     exit_face_selection,
     format_trace,
     is_valid_path,
-    is_valid_path_inverted,
     make_ray_frame,
 )
 
@@ -183,22 +181,40 @@ def test_scratch_reuse_identical(grid3d, rng):
         assert reused.valid == fresh.valid and reused.reason == fresh.reason
 
 
-def test_backward_equals_forward_without_inversions(grid2d, rng):
+def test_backward_equals_forward_without_inversions(grid2d, folded_corpus, rng):
+    # the traversal's one rule cuts branches at CUTOFF_FACTOR segment
+    # lengths, behind s as well as beyond it. Where no element is skipped a
+    # branch's entry parameters only grow, so the cut drops only dead
+    # branches: the verdict is that of the unbounded walk, whose states
+    # include the bounded walk's
+    rays = []
     points, _ = shapes.random_interior_points(grid2d, rng, 40)
     for p in points:
         face = int(rng.integers(0, grid2d.n_boundary_faces))
         s, _ = grid2d.closest_point_on_face(p, face)
-        if np.linalg.norm(s - p) <= 1e-12:
-            continue
-        fwd = is_valid_path(grid2d, s, face, p)
-        bwd = is_valid_path_inverted(grid2d, s, face, p)
-        assert fwd.valid == bwd.valid
+        if np.linalg.norm(s - p) > 1e-12:
+            rays.append((grid2d, s, face, p))
+    for entry in folded_corpus:
+        rays += candidate_rays(entry["mesh"], entry["points"])
+    rays += threaded_ray_corpus()
+    assert not any(mesh.has_skipped_elements for mesh, *_ in rays)
+    config = TraversalConfig()
+    cut = 0
+    for mesh, s, face, p in rays:
+        got = is_valid_path(mesh, s, face, p)
+        unbounded = ref_traverse(mesh, s, face, p, config, None, unbounded=True)
+        assert got.valid == unbounded.valid, (face, p)
+        assert got.elements_visited <= unbounded.elements_visited, (face, p)
+        cut += got.elements_visited < unbounded.elements_visited
+    assert cut > 0  # the rule spares work on these meshes
 
 
 def test_inverted_strip_designed_path():
     mesh, s, start_face, p = shapes.inverted_path_strip()
-    bwd = is_valid_path_inverted(mesh, s, start_face, p)
+    bwd = is_valid_path(mesh, s, start_face, p)
     assert bwd.valid
+    # the unbounded walk takes the designed path too
+    assert ref_traverse(mesh, s, start_face, p, TraversalConfig(), None, unbounded=True).valid
     fwd_only = is_valid_path(
         mesh, s, start_face, p, config=TraversalConfig(intersection_free_early_out=True)
     )
@@ -221,18 +237,16 @@ def test_trace_output(tet):
 
 
 def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
-    # meshes with inverted interior elements, in 2D and 3D, traversed
-    # backward so that every pushed state measures its crossing parameter
-    grid = shapes.box_grid(3, 3, 3)
-    verts = grid.vertices.copy()
-    verts[21] += [0.6, 0.42, 0.24]  # the interior vertex at (1/3, 1/3, 1/3)
-    meshes = [SimplicialMesh(verts, grid.elements), shapes.pleated_strip()]
+    # meshes with inverted interior elements, in 2D and 3D, where branches
+    # run backward along the ray; every pushed state measures its crossing
+    # parameter
+    meshes = inverted_interior_meshes()
 
     def traces(rays):
         out = []
         for mesh, s, face, p in rays:
             scratch = TraversalScratch(trace=[])
-            is_valid_path_inverted(mesh, s, face, p, scratch=scratch)
+            is_valid_path(mesh, s, face, p, scratch=scratch)
             out.append(format_trace(scratch.trace))
         return out
 
@@ -257,6 +271,48 @@ def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
     assert sum(len(lines) - 1 for lines in got) > 1000
 
 
+def test_crossing_parameters_scale_exactly(monkeypatch):
+    # rays along interior face planes: x = 1/2 of a 2x2x2 box grid and of a
+    # 4x4 rectangle grid, to a point inside and to one past the far side.
+    # Faces in that plane are parallel to the ray, so their crossing
+    # parameters take the centroid fallback. Scaling the mesh and the ray by
+    # 2^k scales every crossing parameter by 2^k exactly and keeps the
+    # verdict, because the near-parallel test is relative to |n|. The exit
+    # test runs without its absolute tie tolerance, which does not scale
+    crossings = []
+
+    def recorded(pts, frame):
+        t = crossing(pts, frame)
+        normal = geometry.triangle_area_normal if len(pts) == 3 else geometry.edge_outward_normal_2d
+        parallel = math.fsum(a * b for a, b in zip(normal(*pts), frame.direction)) == 0.0
+        crossings.append((t, parallel))
+        return t
+
+    crossing = traversal._crossing_parameter
+    monkeypatch.setattr(traversal, "_crossing_parameter", recorded)
+    config = TraversalConfig(epsilon_i=0.0)
+    cases = [
+        (shapes.box_grid(2, 2, 2), [0.5, 0.3, 0.0], ([0.5, 0.3, 0.9], [0.5, 0.3, 1.4])),
+        (shapes.rect_grid(4, 4), [0.5, 0.0], ([0.5, 0.9], [0.5, 1.4])),
+    ]
+    for base, s, targets in cases:
+        s = np.array(s)
+        face = int(np.flatnonzero(oracle.closest_boundary_candidates(base, s)[1] == 0.0)[0])
+        for p in map(np.array, targets):
+            want = None
+            for k in range(-30, 31):
+                scale = 2.0**k
+                mesh = SimplicialMesh(base.vertices * scale, base.elements)
+                crossings.clear()
+                res = is_valid_path(mesh, s * scale, face, p * scale, config=config)
+                got = (res, [(t / scale, parallel) for t, parallel in crossings])
+                if want is None:
+                    want = got
+                    assert any(parallel for _, parallel in crossings)
+                assert got == want, k
+            assert want[0].valid == (p[-1] < 1.0)
+
+
 def test_config_validation():
     for bad in (
         dict(epsilon_i=-1e-10),
@@ -270,11 +326,11 @@ def test_config_validation():
 # --- equivalence with the exit-face-stack traversal ------------------------
 
 
-def ref_stack_traverse(mesh, s, start_face, p, config, backward):
+def ref_stack_traverse(mesh, s, start_face, p, config):
     """The traversal as two parallel stacks of exit faces: the start element
     is tested and expanded before the loop, a state is marked visited when
-    its entry face is popped, and each mode has its own reach test. The
-    search over (element, entry face) states must give the same verdict and
+    its entry face is popped, and the reach is tested there. The search
+    over (element, entry face) states must give the same verdict and
     termination reason."""
     frame = make_ray_frame(s, p)
     eps = config.epsilon_i
@@ -292,7 +348,7 @@ def ref_stack_traverse(mesh, s, start_face, p, config, backward):
     for lf in exit_face_selection(mesh, e0, k0, frame, eps):
         faces.append(lf)
         elems.append(e0)
-    cutoff = CUTOFF_FACTOR * frame.length
+    cutoff = (1.0 if config.intersection_free_early_out else CUTOFF_FACTOR) * frame.length
     hit_boundary = False
     while faces:
         steps += 1
@@ -306,12 +362,8 @@ def ref_stack_traverse(mesh, s, start_face, p, config, backward):
         if (nb, in_local) in visited:
             loops += 1
             continue
-        if backward:
-            if abs(ref_crossing(mesh, e, lf, frame)) > cutoff:
-                continue
-        elif config.intersection_free_early_out:
-            if abs(ref_crossing(mesh, e, lf, frame)) > frame.length:
-                continue
+        if abs(ref_crossing(mesh, e, lf, frame)) > cutoff:
+            continue
         visited.add((nb, in_local))
         n_visited += 1
         if mesh.element_contains(nb, p, eps):
@@ -323,11 +375,11 @@ def ref_stack_traverse(mesh, s, start_face, p, config, backward):
     return TraversalResult(False, reason, -1, n_visited, steps, loops)
 
 
-def assert_same_verdicts(rays, config, backward):
+def assert_same_verdicts(rays, config):
     """rays: (mesh, s, face, p) tuples."""
     for mesh, s, face, p in rays:
-        got = _traverse(mesh, s, face, p, config, None, backward)
-        ref = ref_stack_traverse(mesh, s, face, p, config, backward)
+        got = is_valid_path(mesh, s, face, p, config)
+        ref = ref_stack_traverse(mesh, s, face, p, config)
         assert (got.valid, got.reason) == (ref.valid, ref.reason), (face, p)
 
 
@@ -355,7 +407,6 @@ def candidate_rays(mesh, points):
     and including the first one the reference accepts: the traversals a
     query without culling runs."""
     config = TraversalConfig()
-    backward = mesh.has_skipped_elements
     rays = []
     for p in points:
         cands, dists = oracle.closest_boundary_candidates(mesh, p)
@@ -363,7 +414,7 @@ def candidate_rays(mesh, points):
             if mesh.boundary_face_skipped[face] or dists[face] <= 1e-12:
                 continue
             rays.append((mesh, cands[face], int(face), p))
-            if ref_stack_traverse(mesh, cands[face], int(face), p, config, backward).valid:
+            if ref_stack_traverse(mesh, cands[face], int(face), p, config).valid:
                 break
     return rays
 
@@ -373,12 +424,12 @@ def test_state_search_matches_reference_on_threaded_rays(eps):
     rng = np.random.default_rng(31)
     config = TraversalConfig(epsilon_i=eps)
     for mesh in (shapes.box_grid(2, 2, 2), shapes.rect_grid(5, 5)):
-        assert_same_verdicts(threaded_rays(mesh, rng, 400), config, False)
+        assert_same_verdicts(threaded_rays(mesh, rng, 400), config)
 
 
 def test_state_search_matches_reference_on_folded_corpus(folded_corpus):
     for entry in folded_corpus:
-        assert_same_verdicts(candidate_rays(entry["mesh"], entry["points"]), TraversalConfig(), False)
+        assert_same_verdicts(candidate_rays(entry["mesh"], entry["points"]), TraversalConfig())
 
 
 def test_state_search_matches_reference_with_inversions(rng):
@@ -388,22 +439,32 @@ def test_state_search_matches_reference_with_inversions(rng):
     rays = [(strip, s, face, p)]
     for mesh in (strip, corner):
         rays += candidate_rays(mesh, shapes.random_interior_points(mesh, rng, 40)[0])
-    for backward in (False, True):
-        assert_same_verdicts(rays, TraversalConfig(), backward)
+    assert_same_verdicts(rays, TraversalConfig())
 
 
 def test_state_search_matches_reference_with_early_out(folded2d, grid3d, rng):
     config = TraversalConfig(intersection_free_early_out=True)
     rays = threaded_rays(grid3d, rng, 300)
     rays += candidate_rays(folded2d, shapes.random_interior_points(folded2d, rng, 40)[0])
-    assert_same_verdicts(rays, config, False)
+    assert_same_verdicts(rays, config)
 
 
-# per reach mode, the entry point that runs it and its config fields
+def inverted_interior_rays():
+    """Threaded rays on the meshes with inverted interior elements."""
+    rng = np.random.default_rng(5)
+    return [ray for mesh in inverted_interior_meshes() for ray in threaded_rays(mesh, rng, 300)]
+
+
+# per case, its rays and the config fields of its reach. "forward" and
+# "backward" both walk by the one bounded rule: on criterion 4's rays, on
+# meshes without skipped elements, where a branch's entry parameters only
+# grow, and on meshes with inverted interior elements, where branches run
+# back along the ray. "early_out" walks both at one segment length
 REACH_MODES = {
-    "forward": (is_valid_path, {}),
-    "early_out": (is_valid_path, {"intersection_free_early_out": True}),
-    "backward": (is_valid_path_inverted, {}),
+    "forward": (threaded_ray_corpus, {}),
+    "early_out": (lambda: threaded_ray_corpus() + inverted_interior_rays(),
+                  {"intersection_free_early_out": True}),
+    "backward": (inverted_interior_rays, {}),
 }
 
 
@@ -433,11 +494,11 @@ def test_steps_within_state_bound(eps, reach):
     # out, so this bound is the one guard on the visited set. A broken
     # visited set makes the traversal run forever, hence the deadline: the
     # whole corpus takes about 1 s.
-    validate, fields = REACH_MODES[reach]
+    rays, fields = REACH_MODES[reach]
     config = TraversalConfig(epsilon_i=eps, **fields)
     with deadline(10):
-        for mesh, s, face, p in threaded_ray_corpus():
-            res = validate(mesh, s, face, p, config=config)
+        for mesh, s, face, p in rays():
+            res = is_valid_path(mesh, s, face, p, config=config)
             n_states = (mesh.dim + 1) * mesh.n_elements
             assert res.elements_visited <= n_states
             assert res.steps <= mesh.dim * n_states
@@ -528,28 +589,27 @@ def ref_crossing(mesh, element, lf, frame):
         n = geometry.edge_outward_normal_2d(*pts)
     d = frame.direction
     denom = ltr_sum(a * b for a, b in zip(n, d))
-    if abs(denom) <= 1e-14 * max(math.sqrt(ltr_sum(a * a for a in n)), 1.0):
+    if abs(denom) <= 1e-14 * math.sqrt(ltr_sum(a * a for a in n)):
         centroid = [ltr_sum(c) / len(pts) for c in zip(*pts)]
         return ltr_sum((c - o) * b for c, o, b in zip(centroid, frame.origin, d))
     return ltr_sum(a * (x - o) for a, x, o in zip(n, pts[0], frame.origin)) / denom
 
 
-def ref_traverse(mesh, s, start_face, p, config, scratch, backward):
+def ref_traverse(mesh, s, start_face, p, config, scratch, unbounded=False):
     """The state search as it was when each visited element was read twice,
-    in the containment test and in the exit test."""
+    in the containment test and in the exit test. With `unbounded`, it is
+    the walk with no reach limit, the reference of the one rule on meshes
+    without skipped elements."""
     frame = make_ray_frame(s, p)
     p = np.asarray(p, dtype=float).tolist()
     eps = config.epsilon_i
     trace = None if scratch is None else scratch.trace
     if trace is not None:
         trace.clear()
-    if backward:
-        reach = CUTOFF_FACTOR * frame.length
-    elif config.intersection_free_early_out:
-        reach = frame.length
-    else:
+    if unbounded:
         reach = math.inf
-    measure = trace is not None or reach < math.inf
+    else:
+        reach = (1.0 if config.intersection_free_early_out else CUTOFF_FACTOR) * frame.length
     start = (int(mesh.boundary_owner[start_face]), int(mesh.boundary_owner_local[start_face]))
     stack = [(start, 0.0)]
     visited = {start}
@@ -573,7 +633,7 @@ def ref_traverse(mesh, s, start_face, p, config, scratch, backward):
             if state in visited:
                 loops += 1
                 continue
-            t = ref_crossing(mesh, e, lf, frame) if measure else 0.0
+            t = ref_crossing(mesh, e, lf, frame)
             if abs(t) > reach:
                 continue
             visited.add(state)
@@ -596,23 +656,19 @@ def inverted_interior_meshes():
 )
 def test_one_read_traversal_matches_reference(reach, traced):
     # criterion 4's rays, threaded through interior vertices and edge
-    # midpoints in 2D and 3D, plus rays on meshes with inverted interior
-    # elements. A traced traversal takes the crossing parameter of every
-    # state it pushes, as the early-out and backward ones do anyway.
-    validate, fields = REACH_MODES[reach]
+    # midpoints, or rays on meshes with inverted interior elements, in 2D
+    # and 3D. A traced traversal records the crossing parameter of every
+    # state it pushes.
+    rays, fields = REACH_MODES[reach]
     config = TraversalConfig(**fields)
-    backward = validate is is_valid_path_inverted
-    rng = np.random.default_rng(5)
-    rays = threaded_ray_corpus()
-    for mesh in inverted_interior_meshes():
-        rays += threaded_rays(mesh, rng, 300)
+    rays = rays()
     assert {mesh.dim for mesh, *_ in rays} == {2, 3}
     states = 0
     for mesh, s, face, p in rays:
         got_scratch = TraversalScratch(trace=[] if traced else None)
         want_scratch = TraversalScratch(trace=[] if traced else None)
-        got = _traverse(mesh, s, face, p, config, got_scratch, backward)
-        want = ref_traverse(mesh, s, face, p, config, want_scratch, backward)
+        got = is_valid_path(mesh, s, face, p, config, got_scratch)
+        want = ref_traverse(mesh, s, face, p, config, want_scratch)
         assert got == want, (face, p)
         assert got_scratch.trace == want_scratch.trace, (face, p)
         states += got.elements_visited
