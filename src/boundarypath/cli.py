@@ -6,14 +6,13 @@ and without culling), simulate. Structured outputs are JSON or CSV; a run
 with an output directory writes its one output file there and then a
 replayable manifest.
 
-`validate` and `fuzz` compare each engine answer with the oracle's, which
-searches backward exactly when the mesh has a skipped (inverted or
-degenerate) element. Both must find no path, or their distances must
-agree within 1e-9 and the engine's face must be one of the oracle's
-co-minimal faces. `fuzz` also compares each adversarial ray's one engine
-verdict with the oracle's bounded search and, where no element is
-skipped, its forward search. `bench` requires culling
-on and culling off to give the same (face, distance) for every point.
+`validate` and `fuzz` compare each engine answer with the oracle's, whose
+path search reaches as far along the ray as the engine's. Both must find
+no path, or their distances must agree within 1e-9 and the engine's face
+must be one of the oracle's co-minimal faces. `fuzz` also compares each
+adversarial ray's engine verdict with the oracle's. `bench` requires
+culling on and culling off to give the same (face, distance) for every
+point.
 Queries run with the default settings (`QueryConfig()`); no subcommand
 takes a tolerance or culling flag.
 
@@ -31,8 +30,8 @@ import numpy as np
 
 from . import __version__, oracle, shapes
 from .bvh import build_boundary_bvh
-from .errors import MeshError, NumericalBlowup
-from .meshio import export_boundary_obj, load_mesh, save_mesh, write_obj
+from .errors import MeshError, NumericalBlowup, ParseError
+from .meshio import export_boundary_obj, load_mesh, read_text, save_mesh, write_obj
 from .query import QueryConfig, shortest_path_to_boundary
 from .sim import SimRuntime, count_penetrations, load_scene, run_sim
 from .traversal import TraversalScratch, format_trace, is_valid_path
@@ -72,7 +71,7 @@ def _parse_point(text, dim, where):
 def _parse_points(args, dim):
     points = [_parse_point(text, dim, "") for text in args.point]
     if args.points_file:
-        lines = Path(args.points_file).read_text().splitlines()
+        lines = read_text(args.points_file).splitlines()
         for lineno, line in enumerate(lines, start=1):
             if line.strip():
                 points.append(_parse_point(line, dim, f"{args.points_file}:{lineno}: "))
@@ -163,8 +162,7 @@ def _mesh_paths(target):
 
 def _oracle_mismatch(mesh, bvh, p, e):
     """Replayable record of the engine's disagreement with the oracle on
-    point p of element e, or None when they agree. The oracle searches
-    backward on a mesh with a skipped element, and forward elsewhere."""
+    point p of element e, or None when they agree."""
     res = shortest_path_to_boundary(mesh, bvh, p, p_element=int(e))
     ref = oracle.oracle_closest_boundary(mesh, p)
     if res is None and ref is None:
@@ -258,28 +256,23 @@ def cmd_fuzz(args):
         bad = _differential(mesh, rng, args.samples)
         findings += [{"kind": "mismatch", "iteration": iteration, **rec} for rec in bad]
         # exact vertex/edge hits stress the tie branching
-        modes = [("bounded", True)]
-        if not mesh.has_skipped_elements:
-            modes.append(("forward", False))
         for s, f, target in _fuzz_rays(mesh, rng, args.samples):
             if np.linalg.norm(target - s) <= 1e-12:
                 continue
-            result = is_valid_path(mesh, s, f, target)
-            for mode, backward in modes:
-                ref = oracle.oracle_valid_path(mesh, s, f, target, allow_backward=backward)
-                if result.valid != ref:
-                    findings.append(
-                        {
-                            "kind": "ray_mismatch",
-                            "mode": mode,
-                            "iteration": iteration,
-                            "s": [float(x) for x in s],
-                            "face": f,
-                            "target": [float(x) for x in target],
-                            "engine": result.valid,
-                            "reference": ref,
-                        }
-                    )
+            valid = is_valid_path(mesh, s, f, target).valid
+            ref = oracle.oracle_valid_path(mesh, s, f, target)
+            if valid != ref:
+                findings.append(
+                    {
+                        "kind": "ray_mismatch",
+                        "iteration": iteration,
+                        "s": [float(x) for x in s],
+                        "face": f,
+                        "target": [float(x) for x in target],
+                        "engine": valid,
+                        "reference": ref,
+                    }
+                )
     print(f"{args.iterations} iterations, {len(findings)} findings")
     _save_run(args, [], json.dumps(findings, indent=2))
     return 1 if findings else 0
@@ -330,7 +323,11 @@ def cmd_bench(args):
 
 
 def cmd_simulate(args):
-    state, config = load_scene(args.scene)
+    try:
+        state, config = load_scene(args.scene)
+    except UnicodeDecodeError as exc:
+        # load_mesh reports its own files, so the scene is the one left
+        raise ParseError(args.scene, 0, f"not a text file: {exc}") from exc
     runtime = SimRuntime(state, config)
     log = []
     run_sim(state, config, args.substeps, runtime, log)
@@ -410,7 +407,7 @@ def main(argv=None):
     args.argv = argv  # the manifest's record of the run
     try:
         return args.fn(args)
-    except (SystemExit2, FileNotFoundError, MeshError, NumericalBlowup) as exc:
+    except (SystemExit2, OSError, MeshError, NumericalBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,7 @@ is derived in one batched pass at construction and again on every
 
 - per element: signed volume, inverted and degenerate flags and their
   union (the skip flag), and the rows of the inverse edge matrix that map
-  p - v0 to barycentric coordinates (nan for a flat element); whether any
-  element is skipped, which picks the oracle's search mode;
+  p - v0 to barycentric coordinates (nan for a flat element);
 - per boundary face: whether its owner is skipped, area-weighted and unit
   outward normals, diameter, degeneracy flag, the barycentric floors
   above which the closest-point classifier needs no tolerance tests and,
@@ -259,8 +258,6 @@ class SimplicialMesh:
         # feasibility culling reads
         self.touches_skipped_face = np.zeros(len(v), dtype=bool)
         self.touches_skipped_face[self.boundary_faces[self.boundary_face_skipped]] = True
-        # any skipped element makes the oracle search backward
-        self.has_skipped_elements = bool(self.skipped_flags.any())
         with np.errstate(divide="ignore", invalid="ignore"):
             rows /= det[:, None, None]
         # a flat element has no barycentric coordinates; nan rows make
@@ -347,13 +344,14 @@ class SimplicialMesh:
     def set_vertices(self, vertices):
         """Replace vertex positions and recompute everything derived from
         them: signed volumes, the inverted/degenerate/skip flags and
-        barycentric rows of the elements, has_skipped_elements, the
-        skip flags, normals, diameters, degeneracy flags, barycentric
-        floors, edge normals, vertex rows, edges and plane rows of the
-        boundary faces, and the vertices' touches_skipped_face flags.
-        Topology and the boundary feature maps do not depend on positions
-        and stay. Any BVH built over this mesh must be refit by the caller. Raises ValueError, as the
-        constructor does, for another shape or non-finite coordinates."""
+        barycentric rows of the elements, the skip flags, normals,
+        diameters, degeneracy flags, barycentric floors, edge normals,
+        vertex rows, edges and plane rows of the boundary faces, and the
+        vertices' touches_skipped_face flags. Topology and the boundary
+        feature maps do not depend on positions and stay. Any BVH built
+        over this mesh must be refit by the caller. Raises ValueError, as
+        the constructor does, for another shape or non-finite
+        coordinates."""
         vertices = np.ascontiguousarray(vertices, dtype=float)
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must not change")

@@ -25,12 +25,21 @@ def save_mesh(mesh, path):
     Path(path).write_text(json.dumps(doc))
 
 
+def read_text(path):
+    """The text of a file, with bytes that do not decode raised as the
+    file's ParseError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, 0, f"not a text file: {exc}") from exc
+
+
 def load_mesh(path):
     path = Path(path)
     if path.suffix == ".node" or path.suffix == ".ele":
         return load_tetgen(path.with_suffix(".node"), path.with_suffix(".ele"))
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.msg) from exc
     if not isinstance(doc, dict):
@@ -64,7 +73,7 @@ def _tetgen_records(path, n_fields, noun):
     negative header, and at the line past the file's last one for a file
     that ends before its last record."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     data = [(n, raw.split("#", 1)[0].split()) for n, raw in enumerate(lines, start=1)]
     data = [(n, tok) for n, tok in data if tok]
     lineno, header = data[0] if data else (len(lines) + 1, [])

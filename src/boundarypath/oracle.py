@@ -1,11 +1,13 @@
 """Brute-force reference for validity and closest-boundary queries.
 
 Ground truth for differential tests on desk-scale meshes. The validity
-check is a breadth-first search over (element, entry face) states whose
-faces are geometrically crossed by the segment, using direct line/face
+check is a breadth-first search over (element, entry face) states that
+crosses every face the ray line meets within CUTOFF_FACTOR segment lengths
+of s, either side: the engine's one reach rule. It uses direct line/face
 distance computations: no ray frame, no stacks, no early outs, and no code
-shared with the traversal module. Complexity is accepted as
-O(faces x elements) per query; this module is test-only.
+shared with the traversal module, which lends only the number
+CUTOFF_FACTOR. Complexity is accepted as O(faces x elements) per query;
+this module is test-only.
 """
 
 from collections import deque
@@ -13,6 +15,7 @@ from collections import deque
 import numpy as np
 
 from .mesh import BOUNDARY, local_faces
+from .traversal import CUTOFF_FACTOR
 
 # the tolerance of every crossing and containment test
 TOL = 1e-10
@@ -86,11 +89,11 @@ def _line_face_min(mesh, s, d, element, lf):
     return best
 
 
-def oracle_valid_path(mesh, s, start_face, p, allow_backward=False, cutoff_factor=2.0):
-    """BFS over the element graph restricted to faces crossed by the
-    segment s -> p. Forward mode requires the crossing parameter to advance
-    monotonically (within TOL); backward mode drops monotonicity and
-    stops branches past cutoff_factor times the segment length."""
+def oracle_valid_path(mesh, s, start_face, p):
+    """BFS over the element graph from start_face's owner, restricted to
+    faces that the ray line s -> p crosses within CUTOFF_FACTOR segment
+    lengths of s, behind s as well as beyond it. True once an element
+    that contains p is reached."""
     s = np.asarray(s, dtype=float)
     p = np.asarray(p, dtype=float)
     delta = p - s
@@ -101,14 +104,13 @@ def oracle_valid_path(mesh, s, start_face, p, allow_backward=False, cutoff_facto
     e0 = int(mesh.boundary_owner[start_face])
     if _contains(mesh, e0, p):
         return True
-    # states: (element, entry local face, entry parameter)
-    seen = set()
-    queue = deque()
+    reach = CUTOFF_FACTOR * L + TOL
+    # states: (element, entry local face)
     k0 = int(mesh.boundary_owner_local[start_face])
-    queue.append((e0, k0, 0.0))
-    seen.add((e0, k0))
+    seen = {(e0, k0)}
+    queue = deque(seen)
     while queue:
-        e, in_lf, t_e = queue.popleft()
+        e, in_lf = queue.popleft()
         for lf in range(mesh.dim + 1):
             if lf == in_lf:
                 continue
@@ -116,14 +118,8 @@ def oracle_valid_path(mesh, s, start_face, p, allow_backward=False, cutoff_facto
             if nb == BOUNDARY:
                 continue
             dist, t_f = _line_face_min(mesh, s, d, e, lf)
-            if dist > TOL:
+            if dist > TOL or abs(t_f) > reach:
                 continue
-            if allow_backward:
-                if abs(t_f) > cutoff_factor * L + TOL:
-                    continue
-            else:
-                if t_f < t_e - TOL or t_f > L + TOL:
-                    continue
             in_nb = int(mesh.adj_local[e, lf])
             state = (nb, in_nb)
             if state in seen:
@@ -131,7 +127,7 @@ def oracle_valid_path(mesh, s, start_face, p, allow_backward=False, cutoff_facto
             seen.add(state)
             if _contains(mesh, nb, p):
                 return True
-            queue.append((nb, in_nb, t_f))
+            queue.append(state)
     return False
 
 
@@ -199,13 +195,11 @@ def closest_boundary_candidates(mesh, p):
 def oracle_closest_boundary(mesh, p, p_element=None, exclude_vertex=None):
     """Exhaustive scan: closest point on every boundary face, sorted by
     distance, first candidate with a valid path wins. Returns
-    (point, face, distance) or None. Paths are searched backward on a mesh
-    with any skipped element and forward elsewhere, the two references of
-    the engine's one bounded rule. p_element is not read yet (ROADMAP item
-    1): a valid path may end in any copy of p, not only the one in
-    p_element."""
+    (point, face, distance) or None. Paths are searched by
+    oracle_valid_path's one reach rule on every mesh. p_element is not
+    read yet (ROADMAP item 1): a valid path may end in any copy of p, not
+    only the one in p_element."""
     p = np.asarray(p, dtype=float)
-    backward = mesh.has_skipped_elements
     points, dists = closest_boundary_candidates(mesh, p)
     skip = np.asarray(mesh.boundary_face_skipped)
     if exclude_vertex is not None:
@@ -217,7 +211,7 @@ def oracle_closest_boundary(mesh, p, p_element=None, exclude_vertex=None):
             continue
         if dists[face] <= 1e-14:
             continue  # zero-length segment can never be a valid path
-        if oracle_valid_path(mesh, points[face], face, p, allow_backward=backward):
+        if oracle_valid_path(mesh, points[face], face, p):
             return points[face].copy(), face, float(dists[face])
     return None
 

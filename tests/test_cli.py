@@ -96,8 +96,34 @@ def test_query_non_finite_point_exit_2(cube_path, capsys, points):
     assert points or "no query points given" in err
 
 
-def test_query_missing_mesh_exit_2():
-    assert main(["query", "/nonexistent/mesh.json", "0 0 0"]) == 2
+# bytes that do not decode as text
+BINARY = b"\x89PNG\r\n\x1a\n\xff\xfe"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["query", "/nonexistent/mesh.json", "0 0 0"], "/nonexistent/mesh.json"),
+        (["query", "{dir}", "0 0 0"], "{dir}"),
+        (["query", "{binary}.json", "0 0 0"], "{binary}.json"),
+        (["query", "{binary}.node", "0 0 0"], "{binary}.node"),
+        (["convert", "{cube}", "{dir}"], "{dir}"),
+        (["bench", "{cube}", "--samples", "2", "--out", "{cube}"], "{cube}"),
+    ],
+    ids=["missing", "directory", "binary-json", "binary-tetgen", "convert-into-directory",
+         "bench-out-is-a-file"],
+)
+def test_query_missing_mesh_exit_2(cube_path, tmp_path, capsys, argv, named):
+    # a file that cannot be read, decoded or written is one error line
+    # that names it
+    (tmp_path / "dir").mkdir()
+    for suffix in (".json", ".node", ".ele"):
+        (tmp_path / f"binary{suffix}").write_bytes(BINARY)
+    paths = {"dir": str(tmp_path / "dir"), "binary": str(tmp_path / "binary"), "cube": cube_path}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert named.format(**paths) in err
 
 
 @pytest.mark.parametrize(
@@ -110,6 +136,18 @@ def test_query_bad_points_file_line_exit_2(cube_path, tmp_path, capsys, line):
     points.write_text(f"0.5 0.5 0.5\n{line}\n")
     assert main(["query", cube_path, "--points-file", str(points)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {points}:2: ")
+
+
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_query_unreadable_points_file_exit_2(cube_path, tmp_path, capsys, kind):
+    points = tmp_path / "points"
+    if kind == "directory":
+        points.mkdir()
+    else:
+        points.write_bytes(b"0.5 0.5 0.5\n" + BINARY)
+    assert main(["query", cube_path, "--points-file", str(points)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and str(points) in err
 
 
 TET_NODE = "4 3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n"
@@ -283,7 +321,7 @@ def test_validate_manifest_lists_the_meshes_it_read(tmp_path, capsys):
 )
 def test_validate_inverted_boundary_elements(tmp_path, capsys, make):
     # each mesh's inverted elements own boundary faces, and the oracle
-    # searches backward on it, as far as the engine's one rule reaches.
+    # searches backward through them, as far as the engine's one rule reaches.
     # When only inverted elements owning no boundary face made them
     # traverse backward, these runs found 10 and 55 mismatches
     path = tmp_path / "mesh.json"
@@ -349,9 +387,11 @@ def test_fuzz_exit_1_when_a_ray_verdict_flips(tmp_path, monkeypatch):
     # the engine's queries keep their own traversal; only the ray pass's
     # verdicts flip, so every finding is a ray mismatch
     valid_path = cli.is_valid_path
+    flips = []
 
     def flipped(*args, **kwargs):
         result = valid_path(*args, **kwargs)
+        flips.append(result)
         return replace(result, valid=not result.valid)
 
     monkeypatch.setattr(cli, "is_valid_path", flipped)
@@ -360,12 +400,11 @@ def test_fuzz_exit_1_when_a_ray_verdict_flips(tmp_path, monkeypatch):
     assert main(argv) == 1
     findings = json.loads((out / "findings.json").read_text())
     assert findings and {f["kind"] for f in findings} == {"ray_mismatch"}
-    # each ray runs through the engine once; its flipped verdict disagrees
-    # with the oracle's bounded search, and with its forward search on a
-    # mesh without skipped elements
+    # each ray runs through the engine and the oracle once, so its flipped
+    # verdict is one finding
     rays = {(f["iteration"], f["face"], str(f["s"]), str(f["target"])) for f in findings}
-    modes = [f["mode"] for f in findings]
-    assert set(modes) == {"bounded", "forward"} and modes.count("bounded") == len(rays)
+    assert len(findings) == len(rays) == len(flips)
+    assert all("mode" not in f for f in findings)
 
 
 def test_bench_culling_benefit(tmp_path, capsys):
@@ -501,6 +540,7 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         '{"meshes": [{"path": "box.json", "mass": "x"}]}',
         '{"meshes": [{"path": "box.json", "mas": 2}]}',
         '{"meshes": [{"path": "box.json"}, {"path": "sheet.json"}]}',
+        BINARY,
     ],
     ids=[
         "no-meshes", "meshes-not-list", "unknown-key", "substeps", "friction", "not-json",
@@ -513,13 +553,17 @@ def test_convert_roundtrip_and_obj(cube_path, tmp_path):
         "traversal-cutoff-factor", "traversal-trace", "traversal-allow-backward",
         "meshes-empty",
         "translate-2d", "translate-nan", "scale-string", "scale-zero", "mass-string",
-        "mesh-unknown-key", "mixed-dimensions",
+        "mesh-unknown-key", "mixed-dimensions", "not-text",
     ],
 )
 def test_simulate_bad_scene_exit_2(tmp_path, capsys, scene):
     save_mesh(shapes.box_grid(1, 1, 1), tmp_path / "box.json")
     save_mesh(shapes.rect_grid(1, 1), tmp_path / "sheet.json")
-    (tmp_path / "scene.json").write_text(scene)
+    path = tmp_path / "scene.json"
+    if isinstance(scene, bytes):
+        path.write_bytes(scene)
+    else:
+        path.write_text(scene)
     assert main(["simulate", str(tmp_path / "scene.json"), "--substeps", "1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -96,13 +96,12 @@ def test_self_query_reads_no_feature_map(monkeypatch):
         assert got[1:] == ref[1:] and np.array_equal(got[0], ref[0])
 
 
-def test_backward_cutoff_respected():
+def test_backward_cutoff_respected(monkeypatch):
     mesh, s, start_face, p = shapes.inverted_path_strip()
     # designed detour fits within 2x; a tighter cutoff must reject it
-    assert oracle.oracle_valid_path(mesh, s, start_face, p, allow_backward=True)
-    assert not oracle.oracle_valid_path(
-        mesh, s, start_face, p, allow_backward=True, cutoff_factor=1.0
-    )
+    assert oracle.oracle_valid_path(mesh, s, start_face, p)
+    monkeypatch.setattr(oracle, "CUTOFF_FACTOR", 1.0)
+    assert not oracle.oracle_valid_path(mesh, s, start_face, p)
 
 
 def ref_co_minimal_faces(mesh, p, distance, tol=1e-9, exclude_vertex=None):

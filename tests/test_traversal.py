@@ -197,7 +197,7 @@ def test_backward_equals_forward_without_inversions(grid2d, folded_corpus, rng):
     for entry in folded_corpus:
         rays += candidate_rays(entry["mesh"], entry["points"])
     rays += threaded_ray_corpus()
-    assert not any(mesh.has_skipped_elements for mesh, *_ in rays)
+    assert not any(mesh.skipped_flags.any() for mesh, *_ in rays)
     config = TraversalConfig()
     cut = 0
     for mesh, s, face, p in rays:
@@ -219,8 +219,7 @@ def test_inverted_strip_designed_path():
         mesh, s, start_face, p, config=TraversalConfig(intersection_free_early_out=True)
     )
     assert not fwd_only.valid
-    assert oracle.oracle_valid_path(mesh, s, start_face, p, allow_backward=True)
-    assert not oracle.oracle_valid_path(mesh, s, start_face, p)
+    assert oracle.oracle_valid_path(mesh, s, start_face, p)
 
 
 def test_trace_output(tet):
@@ -252,7 +251,7 @@ def test_backward_trace_matches_numpy_normals(rng, monkeypatch):
 
     rays = []
     for mesh in meshes:
-        assert mesh.has_skipped_elements
+        assert mesh.skipped_flags.any()
         rays += candidate_rays(mesh, shapes.random_interior_points(mesh, rng, 30)[0])
         rays += threaded_rays(mesh, rng, 100)
     got = traces(rays)
