@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, oracle, shapes
 from .bvh import build_boundary_bvh
-from .errors import MeshError, NumericalBlowup, ParseError
+from .errors import MeshError, NumericalBlowup
 from .meshio import export_boundary_obj, load_mesh, read_text, save_mesh, write_obj
 from .query import QueryConfig, shortest_path_to_boundary
 from .sim import SimRuntime, count_penetrations, load_scene, run_sim
@@ -126,14 +126,14 @@ OUTPUT_FILES = {
 
 
 def _save_run(args, inputs, text):
-    """Write a run under --out and return the directory, or None without
-    --out. Writes `text` as the subcommand's output file, then the replay
-    manifest: the command, the inputs it read, the seed of the subcommands
-    that sample points, and the argv that main parsed."""
+    """Write a run under --out, which main has made, and return the
+    directory, or None without --out. Writes `text` as the subcommand's
+    output file, then the replay manifest: the command, the inputs it
+    read, the seed of the subcommands that sample points, and the argv
+    that main parsed."""
     if not args.out:
         return None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / OUTPUT_FILES[args.command]).write_text(text)
     manifest = {
         "command": args.command,
@@ -323,11 +323,7 @@ def cmd_bench(args):
 
 
 def cmd_simulate(args):
-    try:
-        state, config = load_scene(args.scene)
-    except UnicodeDecodeError as exc:
-        # load_mesh reports its own files, so the scene is the one left
-        raise ParseError(args.scene, 0, f"not a text file: {exc}") from exc
+    state, config = load_scene(args.scene)
     runtime = SimRuntime(state, config)
     log = []
     run_sim(state, config, args.substeps, runtime, log)
@@ -406,6 +402,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     args.argv = argv  # the manifest's record of the run
     try:
+        if getattr(args, "out", None):
+            # an --out that cannot be a directory fails before any work
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.fn(args)
     except (SystemExit2, OSError, MeshError, NumericalBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -349,9 +349,11 @@ class SimplicialMesh:
         vertex rows, edges and plane rows of the boundary faces, and the
         vertices' touches_skipped_face flags. Topology and the boundary
         feature maps do not depend on positions and stay. Any BVH built
-        over this mesh must be refit by the caller. Raises ValueError, as
-        the constructor does, for another shape or non-finite
-        coordinates."""
+        over this mesh must be refit by the caller: `BoundaryBvh.refit`
+        takes its face boxes from the `face_vertices` rows gathered here,
+        and rebuilds its leaf order in place when the new positions leave
+        the tree too loose. Raises ValueError, as the constructor does, for
+        another shape or non-finite coordinates."""
         vertices = np.ascontiguousarray(vertices, dtype=float)
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must not change")

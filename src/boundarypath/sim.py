@@ -37,7 +37,7 @@ import numpy as np
 from . import geometry
 from .bvh import BoundaryBvh, ElementBvh
 from .errors import NumericalBlowup, ParseError
-from .meshio import load_mesh
+from .meshio import load_mesh, read_text
 from .query import QueryConfig, shortest_path_to_boundary
 
 ITERATIONS = 3  # material + collision projection sweeps per substep
@@ -415,7 +415,9 @@ class ContactLogEntry:
 class SimRuntime:
     """Owns the trees across substeps: one element tree over every element
     of the scene, for collision detection, and one boundary tree per mesh,
-    for the queries. Refits (never rebuilds) on vertex motion. The
+    for the queries. Refits on vertex motion; a boundary tree also
+    rebuilds its leaf order when a refit leaves it too loose
+    (`BoundaryBvh.refit`), which the recovery scenes do not reach. The
     config argument is not read. Each detection runs `refit` first, the
     one place that refreshes the meshes' derived geometry.
 
@@ -679,12 +681,11 @@ def load_scene(path):
     coordinate of the meshes. Returns (state, config). Raises ParseError
     for a document of another shape, an unknown key in a mesh entry or in
     the config, a value that a mesh entry or SimConfig rejects, or meshes
-    of different dimensions."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, exc.msg) from exc
+    of different dimensions, and a file that does not decode as text."""
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, exc.msg) from exc
     specs = doc.get("meshes") if isinstance(doc, dict) else None
     if (
         not isinstance(specs, list)

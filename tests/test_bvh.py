@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import containing_elements
 
+from boundarypath import bvh as bvh_module
 from boundarypath import shapes
 from boundarypath.bvh import (
     AabbTree,
@@ -16,6 +17,7 @@ from boundarypath.bvh import (
 )
 from boundarypath.errors import EmptyBoundary
 from boundarypath.mesh import SimplicialMesh
+from boundarypath.query import shortest_path_to_boundary
 
 
 def brute_face_distance(mesh, f, p):
@@ -250,7 +252,7 @@ def ref_build(boxes):
         levels[depth].append(node)
         cen = centroids[ids]
         axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
-        order = np.argsort(cen[:, axis], kind="stable")
+        order = np.lexsort((ids, cen[:, axis]))
         half = len(ids) // 2
         left[node] = n_nodes
         queue.append((n_nodes, depth + 1, ids[order[:half]]))
@@ -262,8 +264,8 @@ def ref_build(boxes):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_build_matches_per_node_build(rng, dim):
     # tie-heavy integer boxes, the element and face boxes of a mesh,
-    # coincident boxes (every split keeps the incoming order) and
-    # two-primitive trees
+    # coincident boxes (every split orders them by id) and two-primitive
+    # trees
     inputs = [integer_boxes(rng, n, dim) for n in (*range(1, 30), 257)]
     meshes = [shapes.box_grid(3, 3, 3) if dim == 3 else shapes.folded_strip(30, 3)]
     if dim == 3:
@@ -274,7 +276,7 @@ def test_build_matches_per_node_build(rng, dim):
             )
         )
     for mesh in meshes:
-        inputs += [_simplex_boxes(mesh.vertices, s) for s in (mesh.elements, mesh.boundary_faces)]
+        inputs += [_simplex_boxes(mesh.vertices[s]) for s in (mesh.elements, mesh.boundary_faces)]
     box = integer_boxes(rng, 1, dim)
     inputs += [np.repeat(box, n, axis=0) for n in (2, 3, 100)]
     inputs += [integer_boxes(rng, 2, dim), np.array([box[0], box[0] + 1.0])]
@@ -320,3 +322,116 @@ def test_near_prims_read_the_refit_boxes(rng, dim):
             heapq.heappush(heap, (dist[left + 1], left + 1))
         assert list(bvh.nearest_faces(p)) == want
         assert len(want) == mesh.n_boundary_faces
+
+
+def small_spiral(total_angle):
+    return shapes.spiral_bar(30, 3, 3, thickness=0.25, pitch=0.15, total_angle=total_angle)
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """The boxes of every AabbTree.rebuild call made after the fixture is
+    set up (a tree's construction calls it once)."""
+    calls = []
+    rebuild = AabbTree.rebuild
+
+    def counted(tree, boxes):
+        calls.append(boxes)
+        return rebuild(tree, boxes)
+
+    monkeypatch.setattr(AabbTree, "rebuild", counted)
+    return calls
+
+
+def test_refit_to_unchanged_positions_keeps_leaf_order(rebuilds):
+    # a refit to the positions of the last build leaves the spread where
+    # the build left it, so the tree keeps its leaf order and its boxes
+    mesh = small_spiral(3.6 * np.pi)
+    bvh = BoundaryBvh(mesh)
+    tree = bvh.tree
+    before = {name: getattr(tree, name).copy() for name in ("prim", "lo", "hi")}
+    mesh.set_vertices(mesh.vertices.copy())
+    bvh.refit(mesh)
+    assert len(rebuilds) == 1  # the build's own
+    assert bvh.tree is tree and tree.spread() == bvh.built_spread
+    for name, arr in before.items():
+        assert np.array_equal(getattr(tree, name), arr)
+
+
+def test_rewound_spiral_rebuilds_to_a_fresh_tree(rebuilds):
+    # re-wound from 3.6 pi to 2.4 pi, the rest shape's splits overlap: the
+    # refit spread is about 6 times the built one, so refit rebuilds in
+    # place, to the node arrays and enumeration of a tree built on the
+    # re-wound faces; a second refit there keeps that order
+    mesh = small_spiral(3.6 * np.pi)
+    bvh = BoundaryBvh(mesh)
+    tree, built = bvh.tree, bvh.built_spread
+    rest_prim = tree.prim.copy()
+    mesh.set_vertices(small_spiral(2.4 * np.pi).vertices)
+    bvh.refit(mesh)
+    assert len(rebuilds) == 2
+    assert bvh.tree is tree and not np.array_equal(tree.prim, rest_prim)
+    fresh = AabbTree(_simplex_boxes(mesh.vertices[mesh.boundary_faces]))
+    for name in ("left", "prim", "lo", "hi"):
+        assert np.array_equal(getattr(tree, name), getattr(fresh, name)), name
+    assert [level.tolist() for level in tree.levels] == [level.tolist() for level in fresh.levels]
+    assert tree.node_ids == fresh.node_ids
+    assert bvh.built_spread == fresh.spread() < built * bvh_module.SPREAD_GROWTH
+    for p in mesh.vertices[::97] + 0.01:
+        assert list(NearPrimIter(tree, p)) == list(NearPrimIter(fresh, p))
+    # no rebuild at the positions of the last one
+    n_rebuilds = len(rebuilds)
+    bvh.refit(mesh)
+    assert len(rebuilds) == n_rebuilds
+
+
+def test_rebuilt_tree_answers_queries_as_a_fresh_one(rng, monkeypatch):
+    # the re-wound spiral's queries on the rebuilt tree, on a tree built
+    # for the re-wound mesh and on the rest tree refit without a rebuild
+    # all give the same answers, bit for bit
+    mesh = small_spiral(3.6 * np.pi)
+    rebuilt = BoundaryBvh(mesh)
+    refit_only = BoundaryBvh(mesh)
+    mesh.set_vertices(small_spiral(2.4 * np.pi).vertices)
+    rebuilt.refit(mesh)
+    monkeypatch.setattr(bvh_module, "SPREAD_GROWTH", math.inf)
+    refit_only.refit(mesh)
+    assert not np.array_equal(rebuilt.tree.prim, refit_only.tree.prim)
+    fresh = BoundaryBvh(mesh)
+    points, elems = shapes.random_interior_points(mesh, rng, 60)
+    for p, e in zip(points, elems):
+        answers = [
+            shortest_path_to_boundary(mesh, bvh, p, p_element=int(e))
+            for bvh in (rebuilt, fresh, refit_only)
+        ]
+        assert answers[0] is not None
+        keys = [(r.face, r.distance, r.point.tobytes()) for r in answers]
+        assert keys[0] == keys[1] == keys[2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("collapse", ["point", "lines"])
+def test_spread_without_leaf_area_never_rebuilds(rebuilds, collapse):
+    # two separate tets whose faces lose all box area: collapsed to one
+    # point, every box is that point and the spread is 0 / 0 = nan;
+    # collapsed onto a line along x and one along y, the leaf boxes are
+    # segments but the root box has area, so the spread is inf. Neither
+    # rebuilds, and neither warns
+    verts = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [3, 0, 0], [4, 0, 0], [3, 1, 0], [3, 0, 1]],
+        dtype=float,
+    )
+    mesh = SimplicialMesh(verts, np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+    bvh = BoundaryBvh(mesh)
+    if collapse == "point":
+        moved = np.zeros_like(verts)
+    else:
+        moved = np.zeros_like(verts)
+        moved[:4, 0] = np.arange(4)
+        moved[4:, 0] = 5.0
+        moved[4:, 1] = np.arange(4)
+    mesh.set_vertices(moved)
+    bvh.refit(mesh)
+    spread = bvh.tree.spread()
+    assert math.isnan(spread) if collapse == "point" else spread == math.inf
+    assert len(rebuilds) == 1  # the build's own

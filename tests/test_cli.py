@@ -109,19 +109,24 @@ BINARY = b"\x89PNG\r\n\x1a\n\xff\xfe"
         (["query", "{binary}.node", "0 0 0"], "{binary}.node"),
         (["convert", "{cube}", "{dir}"], "{dir}"),
         (["bench", "{cube}", "--samples", "2", "--out", "{cube}"], "{cube}"),
+        (["validate", "{cube}", "--samples", "2", "--out", "{cube}"], "{cube}"),
+        (["fuzz", "--iterations", "1", "--samples", "2", "--out", "{cube}"], "{cube}"),
     ],
     ids=["missing", "directory", "binary-json", "binary-tetgen", "convert-into-directory",
-         "bench-out-is-a-file"],
+         "bench-out-is-a-file", "validate-out-is-a-file", "fuzz-out-is-a-file"],
 )
 def test_query_missing_mesh_exit_2(cube_path, tmp_path, capsys, argv, named):
     # a file that cannot be read, decoded or written is one error line
-    # that names it
+    # that names it, and the command fails before its work: nothing is
+    # printed, so an --out that is a file is rejected before bench prints
+    # its table
     (tmp_path / "dir").mkdir()
     for suffix in (".json", ".node", ".ele"):
         (tmp_path / f"binary{suffix}").write_bytes(BINARY)
     paths = {"dir": str(tmp_path / "dir"), "binary": str(tmp_path / "binary"), "cube": cube_path}
     assert main([arg.format(**paths) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert named.format(**paths) in err
 

@@ -5,7 +5,7 @@ import pytest
 
 from boundarypath import geometry, shapes, sim
 from boundarypath.bvh import AabbTree, ElementBvh
-from boundarypath.errors import NumericalBlowup
+from boundarypath.errors import NumericalBlowup, ParseError
 from boundarypath.mesh import SimplicialMesh
 from boundarypath.sim import (
     CollisionConstraint,
@@ -805,6 +805,16 @@ def test_scene_loader(tmp_path):
     assert np.all(state.inv_mass[state.mesh_slice(1)] == 0.5)
     box = shapes.box_grid(1, 1, 1).vertices
     assert np.array_equal(state.meshes[1].vertices, box + np.array([0.85, 0.0, 0.0]))
+
+
+def test_scene_not_text(tmp_path):
+    # a library caller gets the scene's ParseError, which names the file,
+    # not a bare UnicodeDecodeError
+    path = tmp_path / "scene.json"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    with pytest.raises(ParseError, match="not a text file") as info:
+        load_scene(str(path))
+    assert info.value.path == str(path) and str(path) in str(info.value)
 
 
 @pytest.mark.filterwarnings("error")
